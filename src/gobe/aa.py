@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ExperimentData, restrict_to_arm, with_assignment
-from .errors import ValidationError
+from .errors import MODEL_FAILURES, ValidationError
 from .estimator import estimate
-from .regression import ModelSpec, parse_model
+from .regression import ModelSpec, with_dim_baseline
 from .rng import child_rng, child_seed
 
 
@@ -91,9 +91,7 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
     split is recorded and skipped, not fatal. With ``n_jobs > 1`` splits run
     on a thread pool; per-split seeding keeps the output identical.
     """
-    specs = [parse_model(m) if isinstance(m, str) else m for m in models]
-    if not any(s.kind == "dim" for s in specs):
-        specs.insert(0, ModelSpec(kind="dim"))
+    specs = with_dim_baseline(models)
     if s_splits < 1:
         raise ValidationError("s_splits must be >= 1")
     restricted = restrict_to_arm(data, arm)
@@ -118,7 +116,7 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
         for j, spec in enumerate(specs):
             try:
                 est = estimate(split_data, spec, alpha=alpha, seed=child_seed(seed, s, j))
-            except Exception:
+            except MODEL_FAILURES:
                 failed[s, j] = True
                 continue
             ate[s, j] = est.ate

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import aa as aa_mod
 from . import dataset, power, report, stress
-from .errors import SchemaError, ValidationError
+from .errors import MODEL_FAILURES, SchemaError, ValidationError
 from .estimator import estimate, variance_reduction
-from .regression import ModelSpec, parse_model
+from .regression import ModelSpec, parse_model, with_dim_baseline
 
 ENV_OUT_DIR = "GOBE_OUT"
 _RUN_KEYS = {
@@ -215,11 +215,7 @@ def _split_list(value) -> list[str]:
 
 
 def _model_specs(options: dict, default: str = "dim,ols") -> list[ModelSpec]:
-    names = _split_list(options.get("models", default))
-    specs = [parse_model(name) for name in names]
-    if not any(s.kind == "dim" for s in specs):
-        specs.insert(0, ModelSpec(kind="dim"))  # variance-reduction baseline
-    return specs
+    return with_dim_baseline(_split_list(options.get("models", default)))
 
 
 def _synthetic_config(options: dict, seed: int) -> dataset.SyntheticConfig:
@@ -245,7 +241,7 @@ def _estimate_doc(data: dataset.ExperimentData, specs: list[ModelSpec],
     for spec in specs:
         try:
             est = estimate(data, spec, alpha=alpha, seed=seed)
-        except Exception as exc:
+        except MODEL_FAILURES as exc:
             if spec.kind == "dim":
                 raise  # the baseline is required
             failures.append({"model_id": spec.name, "type": type(exc).__name__,
@@ -321,7 +317,7 @@ def _cmd_stress(options: dict, out_dir: Path) -> None:
     )
     _write_stress_csv(result, timing, data.n_units, out_dir / "stress.csv")
     report.write_report(
-        report.stress_to_dict(result, seed, config.mc_draws, timing, "stress.csv"),
+        report.stress_to_dict(result, seed, config.mc_draws, "stress.csv"),
         out_dir / "report.json",
     )
 
@@ -364,7 +360,7 @@ def _cmd_power(options: dict, out_dir: Path) -> None:
         try:
             est = estimate(analysis, spec, alpha=alpha, seed=seed)
             recs.append(power.recommend_duration(est, forecast, delta, alpha, target))
-        except Exception as exc:
+        except MODEL_FAILURES as exc:
             if spec.kind == "dim":
                 raise
             failures.append({"model_id": spec.name, "type": type(exc).__name__,

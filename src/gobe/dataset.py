@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParseError, SchemaError, ValidationError
-from .rng import make_rng
 
 _MAX_GENERATED_DAYS = 10_000_000
 
@@ -173,7 +172,7 @@ class SyntheticConfig:
 
 def generate(config: SyntheticConfig) -> ExperimentData:
     """Generate a synthetic experiment, deterministic in the config seed."""
-    rng = make_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     n, k = config.n_units, config.k_covariates
     rho = config.outcome_cor
     assignment = (rng.random(n) < config.assignment_prob).astype(np.int8)
@@ -219,14 +218,7 @@ def restrict_to_arm(data: ExperimentData, t: int) -> ExperimentData:
     mask = data.arm_mask(t)
     if not mask.any():
         raise ValidationError(f"arm {t} is empty")
-    return ExperimentData(
-        unit_ids=data.unit_ids[mask],
-        assignment=data.assignment[mask],
-        outcome=data.outcome[mask],
-        covariates=data.covariates[mask],
-        pre_period_col=data.pre_period_col,
-        day_index=None if data.day_index is None else data.day_index[mask],
-    )
+    return _subset(data, mask)
 
 
 def filter_by_day(data: ExperimentData, day: int) -> ExperimentData:
@@ -238,16 +230,21 @@ def filter_by_day(data: ExperimentData, day: int) -> ExperimentData:
     mask = data.day_index <= day
     if not mask.any():
         raise ValidationError(f"no units triggered by day {day}")
-    out = ExperimentData(
-        unit_ids=data.unit_ids[mask],
-        assignment=data.assignment[mask],
-        outcome=data.outcome[mask],
-        covariates=data.covariates[mask],
-        pre_period_col=data.pre_period_col,
-        day_index=data.day_index[mask],
-    )
+    out = _subset(data, mask)
     out.require_both_arms()
     return out
+
+
+def _subset(data: ExperimentData, rows: np.ndarray) -> ExperimentData:
+    """The same experiment restricted to the selected rows (mask or indices)."""
+    return replace(
+        data,
+        unit_ids=data.unit_ids[rows],
+        assignment=data.assignment[rows],
+        outcome=data.outcome[rows],
+        covariates=data.covariates[rows],
+        day_index=None if data.day_index is None else data.day_index[rows],
+    )
 
 
 def with_assignment(data: ExperimentData, assignment: np.ndarray) -> ExperimentData:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Input data or parameters violate a documented precondition."""
@@ -22,3 +24,8 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, last_deviance: float | None = None):
         super().__init__(message)
         self.last_deviance = last_deviance
+
+
+# What "this model cannot fit this data" raises. Harnesses that record a
+# failed fit and go on catch only these; anything else is a bug and propagates.
+MODEL_FAILURES = (ValidationError, ConvergenceError, np.linalg.LinAlgError)

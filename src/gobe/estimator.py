@@ -6,6 +6,12 @@ difference. The difference-in-means estimator is the covariate-free special
 case, so it shares this exact code path. The reported variance is the sum of
 per-arm in-sample mean squared errors scaled by arm size, and intervals are
 Gaussian; arm sizes are recorded so consumers can judge the asymptotics.
+
+Each call splits the rows by arm once, into ``(y0, Z0)`` and ``(y1, Z1)``;
+the per-arm fits and the assembly work on those blocks. The assembly takes
+ATE = (sum_treated(y - f0(z)) + sum_control(f1(z) - y)) / N, each arm's MSE
+from its own-arm residuals and the control mean from ``y0``, so no N x 2
+imputation matrix is built (``impute`` builds one for callers that want it).
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ import numpy as np
 from .dataset import ExperimentData
 from .errors import ValidationError
 from .normal import z_for_alpha
-from .regression import FittedArmModel, ModelSpec, fit, parse_model, predict
+from .regression import FittedArmModel, ModelSpec, evaluate, fit, parse_model
+
+ArmBlock = tuple[np.ndarray, np.ndarray]  # (outcome, covariate rows) of one arm
 
 
 @dataclass(frozen=True)
@@ -48,14 +56,11 @@ def fit_arm_models(data: ExperimentData, spec: ModelSpec,
                    seed: int = 0) -> tuple[FittedArmModel, FittedArmModel]:
     """Fit the spec on each arm's rows. Both fits use the same seed so that
     relabelling the arms permutes the results instead of changing them."""
-    models = []
-    for t in (0, 1):
-        mask = data.arm_mask(t)
-        if not mask.any():
+    arms = _split_arms(data)
+    for t, (y, _) in enumerate(arms):
+        if y.shape[0] == 0:
             raise ValidationError(f"arm {t} is empty")
-        models.append(fit(spec, data.outcome[mask], data.covariates[mask],
-                          seed=seed, pre_period_col=data.pre_period_col))
-    return models[0], models[1]
+    return tuple(fit(spec, y, z, seed=seed, pre_period_col=data.pre_period_col) for y, z in arms)
 
 
 def impute(data: ExperimentData,
@@ -65,29 +70,16 @@ def impute(data: ExperimentData,
     Column t holds the observed outcome for units assigned to arm t (copied
     bit-for-bit) and the arm-t model's prediction for everyone else.
     """
-    out, _ = _impute_with_predictions(data, models)
-    return out
-
-
-def _impute_with_predictions(data: ExperimentData,
-                             models: tuple[FittedArmModel, FittedArmModel],
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Imputation matrix plus the raw model predictions (pre-overwrite)."""
-    model0, model1 = models
-    n0, n1 = data.arm_sizes()
-    for model, size, t in ((model0, n0, 0), (model1, n1, 1)):
+    for t, (model, size) in enumerate(zip(models, data.arm_sizes())):
         if model.n_obs and model.n_obs != size:
             raise ValidationError(
                 f"arm {t} model was fitted on {model.n_obs} rows but the arm has {size}"
             )
-    pred = np.empty((data.n_units, 2))
-    pred[:, 0] = predict(model0, data.covariates)
-    pred[:, 1] = predict(model1, data.covariates)
-    out = pred.copy()
+    out = np.column_stack([evaluate(model, data.covariates) for model in models])
     treated = data.assignment == 1
     out[~treated, 0] = data.outcome[~treated]
     out[treated, 1] = data.outcome[treated]
-    return out, pred
+    return out
 
 
 def estimate(data: ExperimentData, spec: ModelSpec | str,
@@ -109,11 +101,9 @@ def estimate(data: ExperimentData, spec: ModelSpec | str,
         spec = parse_model(spec)
     if spec.kind == "two_step":
         return estimate_two_step(data, spec.base, alpha=alpha, seed=seed)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    _require_two_per_arm(data)
-    models = fit_arm_models(data, spec, seed=seed)
-    return _assemble(data, models, spec.name, alpha)
+    arms = _checked_arms(data, alpha)
+    models = tuple(fit(spec, y, z, seed=seed, pre_period_col=data.pre_period_col) for y, z in arms)
+    return _assemble(arms, models, spec.name, alpha)
 
 
 def estimate_two_step(data: ExperimentData, base_spec: ModelSpec | str,
@@ -130,27 +120,14 @@ def estimate_two_step(data: ExperimentData, base_spec: ModelSpec | str,
         base_spec = parse_model(base_spec)
     if base_spec.kind == "two_step":
         raise ValidationError("two_step cannot be nested")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    _require_two_per_arm(data)
-    base0, base1 = fit_arm_models(data, base_spec, seed=seed)
-    step2 = ExperimentData(
-        unit_ids=data.unit_ids,
-        assignment=data.assignment,
-        outcome=data.outcome,
-        covariates=np.column_stack([
-            predict(base0, data.covariates),
-            predict(base1, data.covariates),
-        ]),
-        pre_period_col=0,
-    )
-    models = tuple(
-        fit(ModelSpec(kind="ols", columns=(t,)),
-            step2.outcome[step2.arm_mask(t)],
-            step2.covariates[step2.arm_mask(t)],
-            seed=seed)
-        for t in (0, 1)
-    )
+    arms = _checked_arms(data, alpha)
+    base = [fit(base_spec, y, z, seed=seed, pre_period_col=data.pre_period_col) for y, z in arms]
+    # step-two covariates of arm t's rows: [f0(Z_t), f1(Z_t)]
+    step2 = tuple((y, np.column_stack([evaluate(b, z) for b in base])) for y, z in arms)
+    if not all(np.isfinite(z).all() for _, z in step2):
+        raise ValidationError("covariates contain non-finite values")
+    models = tuple(fit(ModelSpec(kind="ols", columns=(t,)), y, z, seed=seed)
+                   for t, (y, z) in enumerate(step2))
     return _assemble(step2, models, f"two_step:{base_spec.name}", alpha)
 
 
@@ -167,28 +144,42 @@ def variance_reduction(candidate: AteEstimate, baseline_dim: AteEstimate) -> flo
     return 100.0 * (1.0 - candidate.variance / baseline_dim.variance)
 
 
-def _require_two_per_arm(data: ExperimentData) -> None:
-    data.require_both_arms()
-    n0, n1 = data.arm_sizes()
+def _split_arms(data: ExperimentData) -> tuple[ArmBlock, ArmBlock]:
+    """Partition the rows once into the control and treated blocks."""
+    treated = data.assignment == 1
+    control = ~treated
+    return ((data.outcome[control], data.covariates[control]),
+            (data.outcome[treated], data.covariates[treated]))
+
+
+def _checked_arms(data: ExperimentData, alpha: float) -> tuple[ArmBlock, ArmBlock]:
+    """Validate alpha, split by arm and require >= 2 units in each arm."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    arms = _split_arms(data)
+    n0, n1 = (y.shape[0] for y, _ in arms)
     if min(n0, n1) < 2:
         raise ValidationError(
             f"need >= 2 units per arm for the error estimate (sizes: {n0}, {n1})"
         )
+    return arms
 
 
-def _assemble(data: ExperimentData, models: tuple[FittedArmModel, FittedArmModel],
+def _assemble(arms: tuple[ArmBlock, ArmBlock],
+              models: tuple[FittedArmModel, FittedArmModel],
               model_id: str, alpha: float) -> AteEstimate:
-    imputed, pred = _impute_with_predictions(data, models)
-    ate = float(np.mean(imputed[:, 1] - imputed[:, 0]))
+    (y0, z0), (y1, z1) = arms
+    model0, model1 = models
+    n0, n1 = y0.shape[0], y1.shape[0]
+    ate = (float(np.sum(y1 - evaluate(model0, z1)))
+           + float(np.sum(evaluate(model1, z0) - y0))) / (n0 + n1)
     mses = []
-    for t in (0, 1):
-        mask = data.arm_mask(t)
-        resid = data.outcome[mask] - pred[mask, t]
-        mses.append(float(resid @ resid / (mask.sum() - 1)))
-    n0, n1 = data.arm_sizes()
+    for (y, z), model in zip(arms, models):
+        resid = y - evaluate(model, z)
+        mses.append(float(resid @ resid / (y.shape[0] - 1)))
     variance = mses[1] / n1 + mses[0] / n0
     half_width = z_for_alpha(alpha) * math.sqrt(variance)
-    control_mean = float(data.outcome[data.arm_mask(0)].mean())
+    control_mean = float(y0.mean())
     flags = tuple(f"arm{t}:{flag}" for t in (0, 1) for flag in models[t].flags)
     if control_mean == 0.0:
         lift, lift_ci = None, None

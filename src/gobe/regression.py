@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .rng import make_rng
 
 KINDS = ("dim", "ols", "ridge", "lasso", "elastic_net", "pcr", "tweedie", "two_step")
 _PENALIZED = ("ridge", "lasso", "elastic_net")
@@ -149,6 +148,18 @@ def parse_model(text: str) -> ModelSpec:
     return ModelSpec(kind=kind, columns=columns)
 
 
+def with_dim_baseline(models) -> list[ModelSpec]:
+    """Parse model names and prepend ``dim`` when no dim spec is listed.
+
+    Difference-in-means is the baseline for variance reduction and for the
+    relative A/A metrics, so every multi-model run carries it.
+    """
+    specs = [parse_model(m) if isinstance(m, str) else m for m in models]
+    if not any(s.kind == "dim" for s in specs):
+        specs.insert(0, ModelSpec(kind="dim"))
+    return specs
+
+
 @dataclass(frozen=True)
 class FittedArmModel:
     """One arm's fitted regression, reduced to standardized-space form.
@@ -191,9 +202,24 @@ def predict(model: FittedArmModel, z: np.ndarray) -> np.ndarray | float:
         )
     if not np.isfinite(mat).all():
         raise ValidationError("covariates contain non-finite values")
-    eta = model.intercept + ((mat - model.means) / model.sds) @ model.coefficients
-    out = np.exp(np.clip(eta, -_ETA_CLIP, _ETA_CLIP)) if model.link == "log" else eta
+    out = evaluate(model, mat)
     return float(out[0]) if single else out
+
+
+def evaluate(model: FittedArmModel, z: np.ndarray) -> np.ndarray:
+    """Model values on the rows of an N x K float matrix, unchecked.
+
+    Reads only the columns the model uses (none for ``dim``, one for
+    ``@pre``). The caller guarantees the shape and finiteness that
+    ``predict`` checks, e.g. by passing rows of an ``ExperimentData``.
+    """
+    cols = np.flatnonzero(model.used)
+    if cols.size == 0:
+        eta = np.full(z.shape[0], model.intercept)
+    else:
+        zs = ((z if cols.size == z.shape[1] else z[:, cols]) - model.means[cols]) / model.sds[cols]
+        eta = model.intercept + zs @ model.coefficients[cols]
+    return np.exp(np.clip(eta, -_ETA_CLIP, _ETA_CLIP)) if model.link == "log" else eta
 
 
 def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
@@ -321,7 +347,7 @@ def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
         zs_all = (z[:, keep] - z[:, keep].mean(axis=0)) / sds_all[keep]
         grid = spec.hyper_grid or default_gamma_grid(zs_all, y - y.mean())
     order = np.argsort(grid)[::-1]  # large-to-small for warm starts and tie-breaks
-    perm = make_rng(seed).permutation(m)
+    perm = np.random.default_rng(seed).permutation(m)
     folds = np.array_split(perm, spec.cv_folds)
     scores = np.zeros(len(grid))
     for fold in folds:

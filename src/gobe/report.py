@@ -21,7 +21,7 @@ import numpy as np
 from .aa import AaRun, BucketMetrics, pooled_coverage
 from .estimator import AteEstimate
 from .power import DurationRecommendation
-from .stress import StressResult, TimingCell
+from .stress import StressResult
 
 _SCHEMA = json.loads(
     resources.files("gobe").joinpath("schemas/report.schema.json").read_text("utf-8")
@@ -109,8 +109,7 @@ def aa_to_dict(run: AaRun, metrics: BucketMetrics, splits_csv: str) -> dict:
     }
 
 
-def stress_to_dict(result: StressResult, seed: int, mc_draws: int,
-                   timing: list[TimingCell], table_csv: str) -> dict:
+def stress_to_dict(result: StressResult, seed: int, mc_draws: int, table_csv: str) -> dict:
     med_err = result.median_errors()
     med_vr = result.median_vr()
     return {
@@ -123,7 +122,6 @@ def stress_to_dict(result: StressResult, seed: int, mc_draws: int,
         "median_err": {mid: med_err[i].tolist() for i, mid in enumerate(result.model_ids)},
         "median_vr": {mid: med_vr[i].tolist() for i, mid in enumerate(result.model_ids)},
         "failure_count": result.failure_count,
-        "timing": [vars(cell) for cell in timing],
         "table_csv": table_csv,
     }
 

@@ -11,11 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """PCG64 generator for the given seed."""
-    return np.random.default_rng(seed)
-
-
 def child_rng(seed: int, *key: int) -> np.random.Generator:
     """Generator for a derived stream, stable in (seed, key)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))

@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset import ExperimentData, SyntheticConfig, generate
-from .errors import ValidationError
+from .errors import MODEL_FAILURES, ValidationError
 from .estimator import estimate, variance_reduction
-from .regression import ModelSpec, parse_model
-from .rng import child_seed, make_rng
+from .regression import ModelSpec, parse_model, with_dim_baseline
+from .rng import child_seed
 
 _TIMING_REPS = 3
 
@@ -110,16 +110,9 @@ def augment(data: ExperimentData, folds: int, seed: int) -> ExperimentData:
     if (sd == 0).any():
         warnings.warn("zero-variance covariate: its spurious copies are constant",
                       stacklevel=2)
-    draws = make_rng(seed).standard_normal((n, folds * k))
+    draws = np.random.default_rng(seed).standard_normal((n, folds * k))
     spurious = draws * np.tile(sd, folds) + np.tile(mu, folds)
-    return ExperimentData(
-        unit_ids=data.unit_ids,
-        assignment=data.assignment,
-        outcome=data.outcome,
-        covariates=np.hstack([z, spurious]),
-        pre_period_col=data.pre_period_col,
-        day_index=data.day_index,
-    )
+    return replace(data, covariates=np.hstack([z, spurious]))
 
 
 def error_distribution(data: ExperimentData, config: StressConfig) -> StressResult:
@@ -142,19 +135,12 @@ def error_distribution(data: ExperimentData, config: StressConfig) -> StressResu
     for s in range(config.mc_draws):
         augmented = augment(data, config.folds, seed=child_seed(config.seed, s))
         for fold in range(1, config.folds + 1):
-            view = ExperimentData(
-                unit_ids=augmented.unit_ids,
-                assignment=augmented.assignment,
-                outcome=augmented.outcome,
-                covariates=augmented.covariates[:, : (fold + 1) * k],
-                pre_period_col=augmented.pre_period_col,
-                day_index=augmented.day_index,
-            )
+            view = replace(augmented, covariates=augmented.covariates[:, : (fold + 1) * k])
             for j, spec in enumerate(config.models):
                 try:
                     est = estimate(view, spec, alpha=config.alpha,
                                    seed=child_seed(config.seed, s, fold, j))
-                except Exception:
+                except MODEL_FAILURES:
                     failures += 1
                     continue
                 drift = abs(est.ate - reference.ate)
@@ -184,9 +170,7 @@ def timing_profile(data_sizes: list[int], folds_list: list[int],
     the difference-in-means baseline stay comparable. A folds entry of 0
     times the un-augmented fit.
     """
-    specs = [parse_model(m) if isinstance(m, str) else m for m in models]
-    if not any(s.kind == "dim" for s in specs):
-        specs.insert(0, ModelSpec(kind="dim"))
+    specs = with_dim_baseline(models)
     specs.sort(key=lambda s: s.kind != "dim")  # time the baseline first
     cells = []
     with _single_threaded_blas():

@@ -181,3 +181,9 @@ def test_pooled_coverage_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + run.s_splits * len(run.model_ids)
     assert lines[0] == "s,zeta,model,ate,ci_lo,ci_hi"
+
+
+def test_programming_error_in_a_fit_propagates(ols_fit_has_a_bug):
+    data = perfect_predictor_data(n=40, seed=2)
+    with pytest.raises(TypeError, match="bug inside"):
+        run_aa(data, arm=0, models=["dim", "ols"], s_splits=3, seed=2)

@@ -317,3 +317,32 @@ def test_partial_model_failure_does_not_abort(tmp_path):
     assert [e["model_id"] for e in doc["estimates"]] == ["dim"]
     assert doc["failures"][0]["model_id"] == "tweedie"
     assert "non-negative" in doc["failures"][0]["message"]
+
+
+def test_programming_error_in_a_fit_aborts_estimate(four_row_csv, tmp_path, capsys,
+                                                    ols_fit_has_a_bug):
+    out = tmp_path / "out"
+    code = run_cli("estimate", "--input", four_row_csv, *SCHEMA_FLAGS,
+                   "--models", "dim,ols", "--out", out, "--seed", "1")
+    assert code == 1  # not recorded as a failed model
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "TypeError"
+    assert not (out / "report.json").exists()
+
+
+def test_stress_and_power_reports_are_byte_identical(tmp_path):
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--n-units", "600", "--outcome-cor", "0.6",
+                   "--true-ate", "0.3", "--daily-arrivals", "40",
+                   "--seed", "12", "--out", sim) == 0
+    schema = ["--input", sim / "synthetic.csv", "--assignment-col", "assignment",
+              "--outcome-col", "outcome", "--covariate-cols", "z1,z2,z3",
+              "--pre-period-col", "z1", "--day-col", "day", "--models", "dim,ols",
+              "--seed", "12"]
+    for command in (["stress", "--folds", "2", "--draws", "2"],
+                    ["power", "--day", "7", "--delta", "0.2"]):
+        out_a, out_b = tmp_path / f"{command[0]}_a", tmp_path / f"{command[0]}_b"
+        assert run_cli(*command, *schema, "--out", out_a) == 0
+        assert run_cli(*command, *schema, "--out", out_b) == 0
+        read_report(out_a)
+        assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gobe import (
     ExperimentData,
@@ -13,10 +15,14 @@ from gobe import (
     fit_arm_models,
     generate,
     impute,
+    parse_model,
     variance_reduction,
 )
+from gobe import estimator
 from gobe.dataset import with_assignment
-from gobe.regression import lasso_gamma_max
+from gobe.errors import MODEL_FAILURES
+from gobe.normal import z_for_alpha
+from gobe.regression import fit, lasso_gamma_max, predict
 
 from oracles import dim_ate, lin_interacted_ate, z_quantile
 
@@ -226,6 +232,20 @@ def test_two_step_of_saturated_lasso_equals_dim():
     assert abs(a.ate - b.ate) < 1e-10
 
 
+def test_two_step_rejects_non_finite_base_predictions(monkeypatch):
+    data = generate(SyntheticConfig(n_units=100, k_covariates=2, seed=10))
+    real_evaluate = estimator.evaluate
+
+    def evaluate(model, z):
+        if model.spec.kind == "pcr":
+            return np.full(z.shape[0], np.inf)
+        return real_evaluate(model, z)
+
+    monkeypatch.setattr(estimator, "evaluate", evaluate)
+    with pytest.raises(ValidationError, match="non-finite"):
+        estimate(data, "two_step:pcr")
+
+
 def test_two_step_cannot_nest():
     data = generate(SyntheticConfig(n_units=100, seed=10))
     with pytest.raises(ValidationError, match="nested"):
@@ -263,3 +283,64 @@ def test_variance_reduction_undefined_for_zero_baseline():
     dim = estimate(data, "dim")
     assert dim.variance == 0.0
     assert variance_reduction(dim, dim) is None
+
+
+# --- block assembly versus the N x 2 imputation -------------------------------
+
+def imputation_reference(data, spec, alpha, seed):
+    """(ate, mse_per_arm, ci, max abs entry) from an explicit N x 2 imputation."""
+    if spec.kind == "two_step":
+        base = fit_arm_models(data, spec.base, seed=seed)
+        data = ExperimentData(
+            unit_ids=data.unit_ids, assignment=data.assignment, outcome=data.outcome,
+            covariates=np.column_stack([predict(m, data.covariates) for m in base]),
+            pre_period_col=0,
+        )
+        models = tuple(fit(ModelSpec("ols", columns=(t,)), data.outcome[data.arm_mask(t)],
+                           data.covariates[data.arm_mask(t)], seed=seed) for t in (0, 1))
+    else:
+        models = fit_arm_models(data, spec, seed=seed)
+    mat = impute(data, models)
+    ate = float(np.mean(mat[:, 1] - mat[:, 0]))
+    mses = []
+    for t in (0, 1):
+        mask = data.arm_mask(t)
+        resid = data.outcome[mask] - predict(models[t], data.covariates[mask])
+        mses.append(float(resid @ resid / (mask.sum() - 1)))
+    n0, n1 = data.arm_sizes()
+    half = z_for_alpha(alpha) * math.sqrt(mses[1] / n1 + mses[0] / n0)
+    return ate, mses, (ate - half, ate + half), float(np.max(np.abs(mat)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 50), k=st.integers(1, 4),
+       n_constant=st.integers(0, 2),
+       name=st.sampled_from(["dim", "ols", "ols@pre", "pcr", "two_step:ols", "tweedie"]))
+def test_block_assembly_matches_imputation_matrix(seed, n, k, n_constant, name):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, k)) * rng.uniform(0.1, 10.0, k)
+    z[:, k - min(n_constant, k):] = rng.uniform(-3.0, 3.0)  # constant columns
+    j = np.zeros(n, dtype=np.int8)
+    j[rng.permutation(n)[: int(rng.integers(2, n - 1))]] = 1
+    y = 2.0 + z @ rng.standard_normal(k) * 0.1 + rng.standard_normal(n)
+    if name == "tweedie":
+        y = np.exp(y) * (rng.random(n) < 0.8)
+    data = ExperimentData(unit_ids=np.arange(n), assignment=j, outcome=y, covariates=z,
+                          pre_period_col=int(rng.integers(k)))
+    spec = parse_model(name)
+    try:
+        ate, mses, ci, scale = imputation_reference(data, spec, 0.1, seed)
+    except MODEL_FAILURES as exc:
+        with pytest.raises(type(exc)):
+            estimate(data, spec, alpha=0.1, seed=seed)
+        return
+    est = estimate(data, spec, alpha=0.1, seed=seed)
+    tol = 1e-12 * max(scale, 1.0)
+    assert abs(est.ate - ate) <= tol
+    np.testing.assert_allclose(est.mse_per_arm, mses, rtol=1e-12,
+                               atol=1e-24 * max(np.max(np.abs(y)), 1.0) ** 2)
+    np.testing.assert_allclose(est.ci, ci, rtol=0, atol=tol)
+    assert est.n_per_arm == data.arm_sizes()
+
+    swapped = estimate(with_assignment(data, 1 - j), spec, alpha=0.1, seed=seed)
+    assert abs(swapped.ate + est.ate) <= tol

@@ -173,3 +173,10 @@ def test_config_validation():
         StressConfig(folds=1, mc_draws=0, models=(ModelSpec("ols"),))
     with pytest.raises(ValidationError):
         augment(generate(SyntheticConfig(n_units=10, seed=0)), 0, seed=0)
+
+
+def test_programming_error_in_a_fit_propagates(base_data, ols_fit_has_a_bug):
+    config = StressConfig(folds=1, mc_draws=1, models=(ModelSpec("ols"),), seed=5,
+                          reference_model=ModelSpec("dim"))
+    with pytest.raises(TypeError, match="bug inside"):
+        error_distribution(base_data, config)
