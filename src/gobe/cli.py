@@ -311,32 +311,27 @@ def _cmd_stress(options: dict, out_dir: Path) -> None:
         reference_model=parse_model(str(options.get("reference_model", "ols"))),
     )
     result = stress.error_distribution(data, config)
-    timing = stress.timing_profile(
-        [data.n_units], [0, *result.fold_counts],
-        list(config.models), k_covariates=data.k_covariates, seed=seed,
-    )
-    _write_stress_csv(result, timing, data.n_units, out_dir / "stress.csv")
+    _write_stress_csv(result, data.n_units, out_dir / "stress.csv")
     report.write_report(
         report.stress_to_dict(result, seed, config.mc_draws, "stress.csv"),
         out_dir / "report.json",
     )
 
 
-def _write_stress_csv(result: stress.StressResult, timing: list[stress.TimingCell],
-                      n_units: int, path: Path) -> None:
-    wall = {(c.model_id, c.folds): c.wall_ms for c in timing}
+def _write_stress_csv(result: stress.StressResult, n_units: int, path: Path) -> None:
     med_err = result.median_errors()
     med_vr = result.median_vr()
+    med_ms = result.median_runtime_ms()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "folds", "n_units", "median_err", "median_vr", "runtime_ms"])
         for i, model_id in enumerate(result.model_ids):
             for j, fold in enumerate(result.fold_counts):
-                ms = wall.get((model_id, fold))
+                ms = med_ms[i, j]
                 writer.writerow([
                     model_id, fold, n_units,
                     repr(float(med_err[i, j])), repr(float(med_vr[i, j])),
-                    "" if ms is None else f"{ms:.3f}",
+                    "" if np.isnan(ms) else f"{ms:.3f}",
                 ])
 
 
@@ -473,11 +468,7 @@ def _aggregate_estimates(docs: list[dict]) -> tuple[list[str], list[list]]:
         order = np.argsort(sizes, kind="stable")
         for q, chunk in enumerate(np.array_split(order, 4), start=1):
             groups[f"size_q{q}"] = [int(i) for i in chunk]
-    models: list[str] = []
-    for doc in docs:
-        for mid in doc["variance_reduction"]:
-            if mid not in models:
-                models.append(mid)
+    models = list(dict.fromkeys(mid for doc in docs for mid in doc["variance_reduction"]))
     rows = []
     for group, idx in groups.items():
         for mid in models:
@@ -496,11 +487,7 @@ def _aggregate_aa(docs: list[dict]) -> tuple[list[str], list[list]]:
     header = ["model", "metric", "n_experiments", "q25", "median", "q75"]
     rows = []
     metrics = ("r_mse", "r_median_dist", "r_excess_frac", "coverage")
-    models: list[str] = []
-    for doc in docs:
-        for mid in doc["bucket_metrics"]["per_model"]:
-            if mid not in models:
-                models.append(mid)
+    models = list(dict.fromkeys(mid for doc in docs for mid in doc["bucket_metrics"]["per_model"]))
     for mid in models:
         for metric in metrics:
             values = []
@@ -542,11 +529,8 @@ def _aggregate_power_deltas(docs: list[dict]) -> tuple[list[str], list[list]]:
 def _aggregate_power_budgets(docs: list[dict]) -> tuple[list[str], list[list]]:
     header = ["model", "extra_days", "n_reject_model_not_dim"]
     horizon = max((doc["horizon"] - doc["anchor_day"] for doc in docs), default=0)
-    models: list[str] = []
-    for doc in docs:
-        for rec in doc["recommendations"]:
-            if rec["model_id"] != "dim" and rec["model_id"] not in models:
-                models.append(rec["model_id"])
+    models = list(dict.fromkeys(rec["model_id"] for doc in docs for rec in doc["recommendations"]
+                                if rec["model_id"] != "dim"))
     rows = []
     for mid in models:
         for budget in range(1, horizon + 1):

@@ -199,15 +199,21 @@ def generate(config: SyntheticConfig) -> ExperimentData:
 
 
 def _poisson_arrival_days(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
-    """Assign units to days via cumulative Poisson arrival counts."""
-    days = np.empty(n, dtype=np.int64)
+    """Assign units to days via cumulative Poisson arrival counts, drawn in
+    blocks of days (bit-identical to one draw per day); only days with
+    arrivals are kept between blocks."""
+    block = int(min(1 << 20, max(1024, n / rate)))
+    days, counts = [], []
     filled = 0
-    for day in range(1, _MAX_GENERATED_DAYS + 1):
-        count = min(int(rng.poisson(rate)), n - filled)
-        days[filled:filled + count] = day
-        filled += count
-        if filled == n:
-            return days
+    for start in range(0, _MAX_GENERATED_DAYS, block):
+        drawn = rng.poisson(rate, size=min(block, _MAX_GENERATED_DAYS - start))
+        hit = np.flatnonzero(drawn)
+        days.append(start + 1 + hit)
+        counts.append(drawn[hit])
+        filled += int(counts[-1].sum())
+        if filled >= n:
+            filled_by_day = np.minimum(np.cumsum(np.concatenate(counts)), n)
+            return np.repeat(np.concatenate(days), np.diff(filled_by_day, prepend=0))
     raise ValidationError("daily_arrivals too small to populate the experiment")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import ExperimentData, SyntheticConfig, generate
 from .errors import MODEL_FAILURES, ValidationError
-from .estimator import estimate, variance_reduction
+from .estimator import AteEstimate, estimate, variance_reduction
 from .regression import ModelSpec, parse_model, with_dim_baseline
 from .rng import child_seed
 
@@ -51,18 +51,19 @@ class StressConfig:
 
 @dataclass(frozen=True)
 class StressResult:
-    """Error and variance-reduction distributions per (model, folds, draw).
+    """Error, variance-reduction and fit-time distributions per (model, folds, draw).
 
-    ``errors`` and ``vr`` are (n_models, folds, draws) arrays; failed fits
-    hold NaN and are excluded from the medians. ``relative_errors`` tells
-    whether errors are scaled by |reference| or left absolute (reference
-    estimate of zero).
+    ``errors``, ``vr`` and ``runtime_ms`` (each fit's wall time) are
+    (n_models, folds, draws) arrays; failed fits hold NaN and are excluded
+    from the medians. ``relative_errors`` tells whether errors are scaled by
+    |reference| or left absolute (reference estimate of zero).
     """
 
     model_ids: tuple[str, ...]
     fold_counts: tuple[int, ...]
     errors: np.ndarray
     vr: np.ndarray
+    runtime_ms: np.ndarray
     reference_model_id: str
     reference_ate: float
     relative_errors: bool
@@ -70,15 +71,21 @@ class StressResult:
 
     def median_errors(self) -> np.ndarray:
         """Median error over draws, per (model, folds)."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return np.nanmedian(self.errors, axis=2)
+        return _median_over_draws(self.errors)
 
     def median_vr(self) -> np.ndarray:
         """Median variance reduction over draws, per (model, folds)."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return np.nanmedian(self.vr, axis=2)
+        return _median_over_draws(self.vr)
+
+    def median_runtime_ms(self) -> np.ndarray:
+        """Median fit wall time over draws, per (model, folds)."""
+        return _median_over_draws(self.runtime_ms)
+
+
+def _median_over_draws(values: np.ndarray) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return np.nanmedian(values, axis=2)
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,7 @@ def error_distribution(data: ExperimentData, config: StressConfig) -> StressResu
     n_models = len(config.models)
     errors = np.full((n_models, config.folds, config.mc_draws), np.nan)
     vr = np.full_like(errors, np.nan)
+    runtime_ms = np.full_like(errors, np.nan)
     failures = 0
     for s in range(config.mc_draws):
         augmented = augment(data, config.folds, seed=child_seed(config.seed, s))
@@ -138,8 +146,8 @@ def error_distribution(data: ExperimentData, config: StressConfig) -> StressResu
             view = replace(augmented, covariates=augmented.covariates[:, : (fold + 1) * k])
             for j, spec in enumerate(config.models):
                 try:
-                    est = estimate(view, spec, alpha=config.alpha,
-                                   seed=child_seed(config.seed, s, fold, j))
+                    est, runtime_ms[j, fold - 1, s] = _timed_estimate(
+                        view, spec, config.alpha, child_seed(config.seed, s, fold, j))
                 except MODEL_FAILURES:
                     failures += 1
                     continue
@@ -151,7 +159,7 @@ def error_distribution(data: ExperimentData, config: StressConfig) -> StressResu
     return StressResult(
         model_ids=tuple(spec.name for spec in config.models),
         fold_counts=tuple(range(1, config.folds + 1)),
-        errors=errors, vr=vr,
+        errors=errors, vr=vr, runtime_ms=runtime_ms,
         reference_model_id=config.reference_model.name,
         reference_ate=reference.ate,
         relative_errors=relative,
@@ -184,7 +192,7 @@ def timing_profile(data_sizes: list[int], folds_list: list[int],
                 dim_ms = None
                 for spec in specs:
                     best = min(
-                        _time_once(data, spec, alpha, child_seed(seed, n, folds, rep))
+                        _timed_estimate(data, spec, alpha, child_seed(seed, n, folds, rep))[1]
                         for rep in range(_TIMING_REPS)
                     )
                     if spec.kind == "dim":
@@ -196,10 +204,12 @@ def timing_profile(data_sizes: list[int], folds_list: list[int],
     return cells
 
 
-def _time_once(data: ExperimentData, spec: ModelSpec, alpha: float, seed: int) -> float:
+def _timed_estimate(data: ExperimentData, spec: ModelSpec, alpha: float,
+                    seed: int) -> tuple[AteEstimate, float]:
+    """``estimate`` and its wall time in milliseconds."""
     start = time.perf_counter()
-    estimate(data, spec, alpha=alpha, seed=seed)
-    return (time.perf_counter() - start) * 1e3
+    est = estimate(data, spec, alpha=alpha, seed=seed)
+    return est, (time.perf_counter() - start) * 1e3
 
 
 def _single_threaded_blas():

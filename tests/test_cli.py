@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -101,6 +102,40 @@ def test_stress_command(tmp_path):
     assert len(table) == 1 + 2 * 2  # two models x two fold counts
 
 
+def _stress_runtimes(tmp_path, outcome):
+    """runtime_ms per stress.csv row, keyed by (model, folds), for a
+    dim,tweedie run on a small input with the given outcome column."""
+    rng = np.random.default_rng(21)
+    arm = (np.arange(outcome.size) % 2).astype(int)
+    pre = rng.standard_normal(outcome.size)
+    path = tmp_path / "kpi.csv"
+    path.write_text("arm,kpi,pre\n" + "".join(
+        f"{a},{y!r},{z!r}\n" for a, y, z in zip(arm, outcome.tolist(), pre.tolist())),
+        encoding="utf-8")
+    out = tmp_path / "stress"
+    code = run_cli("stress", "--input", path, *SCHEMA_FLAGS, "--models", "dim,tweedie",
+                   "--folds", "2", "--draws", "2", "--seed", "3", "--out", out)
+    assert code == 0
+    read_report(out)
+    with open(out / "stress.csv", encoding="utf-8") as fh:
+        return {(row["model"], int(row["folds"])): row["runtime_ms"]
+                for row in csv.DictReader(fh)}
+
+
+def test_stress_times_every_model_on_non_negative_input(tmp_path):
+    revenue = np.random.default_rng(22).exponential(2.0, size=80)
+    runtimes = _stress_runtimes(tmp_path, revenue)
+    assert set(runtimes) == {(m, f) for m in ("dim", "tweedie") for f in (1, 2)}
+    assert all(float(ms) > 0.0 for ms in runtimes.values())
+
+
+def test_stress_runtime_blank_where_every_fit_failed(tmp_path):
+    runtimes = _stress_runtimes(tmp_path, np.random.default_rng(23).standard_normal(80))
+    for folds in (1, 2):
+        assert runtimes[("tweedie", folds)] == ""  # tweedie rejects negative outcomes
+        assert float(runtimes[("dim", folds)]) > 0.0
+
+
 def test_power_command_and_horizon_exhaustion(tmp_path):
     sim = tmp_path / "sim"
     assert run_cli("simulate", "--n-units", "1500", "--outcome-cor", "0.6",
@@ -138,6 +173,20 @@ def test_batch_layout_and_aggregate(tmp_path):
     agg = (out / "aggregate.csv").read_text().strip().splitlines()
     assert agg[0].startswith("group,model,n_experiments")
     assert len(agg) > 1
+
+
+def test_batch_outputs_are_byte_identical_across_runs(tmp_path):
+    args = ["batch", "--n-units", "400", "--outcome-cor", "0.5", "--true-ate", "0.2",
+            "--daily-arrivals", "20", "--day-filters", "7,28", "--models", "dim,ols,ridge",
+            "--seed", "13"]
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(*args, "--out", out_a) == 0
+    assert run_cli(*args, "--out", out_b) == 0
+    names = sorted(p.relative_to(out_a) for p in (out_a / "reports").glob("*.json"))
+    assert len(names) == 6  # three experiments x two day filters
+    assert names == sorted(p.relative_to(out_b) for p in (out_b / "reports").glob("*.json"))
+    for name in [*names, "aggregate.csv"]:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_aggregate_single_report_is_identity(tmp_path):

@@ -190,6 +190,33 @@ def test_arrival_days_start_at_one_and_cover_rate():
     assert 15 <= data.day_index.max() <= 27
 
 
+def _arrival_days_one_day_at_a_time(rng, n, rate):
+    days, filled, day = [], 0, 0
+    while filled < n:
+        day += 1
+        count = min(int(rng.poisson(rate)), n - filled)
+        days += [day] * count
+        filled += count
+    return np.array(days, dtype=np.int64)
+
+
+@pytest.mark.parametrize("rate", [0.01, 0.7, 12.0, 1000.0])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_arrival_days_match_a_day_at_a_time_loop(rate, seed):
+    from gobe.dataset import _poisson_arrival_days
+
+    for n in (2, 333):
+        expected = _arrival_days_one_day_at_a_time(np.random.default_rng(seed), n, rate)
+        got = _poisson_arrival_days(np.random.default_rng(seed), n, rate)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_arrival_rate_too_small_to_fill_raises():
+    with pytest.raises(ValidationError, match="daily_arrivals too small"):
+        generate(SyntheticConfig(n_units=5, daily_arrivals=1e-8, seed=0))
+
+
 def test_immutability():
     data = generate(SyntheticConfig(n_units=10, seed=0))
     with pytest.raises(ValueError):

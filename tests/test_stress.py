@@ -108,6 +108,8 @@ def test_result_shapes_and_relative_flag(base_data):
     assert result.relative_errors  # injected effect makes the reference nonzero
     assert result.failure_count == 0
     assert result.median_errors().shape == (2, 3)
+    assert result.runtime_ms.shape == (2, 3, 4)
+    assert (result.median_runtime_ms() > 0.0).all()
 
 
 def test_ols_drift_stays_at_oracle_scale(base_data):
@@ -153,6 +155,8 @@ def test_failures_are_counted_and_excluded():
     assert result.failure_count == 6  # tweedie fails on every (fold, draw)
     assert np.isnan(result.errors[1]).all()
     assert np.isfinite(result.errors[0]).all()
+    assert np.isnan(result.median_runtime_ms()[1]).all()  # no time for a failed fit
+    assert (result.runtime_ms[0] > 0.0).all()
 
 
 def test_timing_profile_dimensions_and_dim_ratio():
