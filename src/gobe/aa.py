@@ -8,21 +8,22 @@ interval calibration as a function of chance imbalance.
 
 Splits are fixed-margin half-splits (sizes differ by at most one) rather
 than per-unit coin flips, which pins the fake arm sizes and removes a noise
-source from the bucketed metrics. Each split draws from its own seed stream,
-so results are identical under any parallel schedule.
+source from the bucketed metrics. Each split draws from its own seed stream
+and indexes the arm rows once into the two fake-arm blocks that every model
+is fitted on. Splits run serially: the per-split work is mostly Python, so
+threads would cost more CPU than they save in wall time.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ExperimentData, restrict_to_arm, with_assignment
+from .dataset import ExperimentData, restrict_to_arm
 from .errors import MODEL_FAILURES, ValidationError
-from .estimator import estimate
+from .estimator import check_alpha, estimate_arms
 from .regression import ModelSpec, with_dim_baseline
 from .rng import child_rng, child_seed
 
@@ -82,18 +83,23 @@ class BucketMetrics:
 
 
 def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
-           s_splits: int, alpha: float = 0.05, seed: int = 0, kappa: int = 20,
+           s_splits: int, alpha: float = 0.05, seed: int = 0, kappa: int | None = None,
            n_jobs: int = 1) -> AaRun:
     """Re-randomize one arm S times and estimate every model per split.
 
     The difference-in-means model is prepended when absent, since the
     relative bucket metrics need it as the baseline. A model failure on one
-    split is recorded and skipped, not fatal. With ``n_jobs > 1`` splits run
-    on a thread pool; per-split seeding keeps the output identical.
+    split is recorded and skipped, not fatal. ``alpha`` and ``kappa`` (the
+    bucket count, default ``min(20, s_splits)``) are checked before any
+    split. Splits run serially; ``n_jobs`` is accepted and ignored.
     """
     specs = with_dim_baseline(models)
     if s_splits < 1:
         raise ValidationError("s_splits must be >= 1")
+    check_alpha(alpha)
+    kappa = min(20, s_splits) if kappa is None else kappa
+    if not 1 <= kappa <= s_splits:
+        raise ValidationError(f"kappa must be in [1, {s_splits}], got {kappa}")
     restricted = restrict_to_arm(data, arm)
     n = restricted.n_units
     if n < 4:
@@ -105,29 +111,23 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
     ci_lo = np.full((s_splits, n_models), np.nan)
     ci_hi = np.full((s_splits, n_models), np.nan)
     failed = np.zeros((s_splits, n_models), dtype=bool)
-    x = restricted.pre_period
+    y, z, x = restricted.outcome, restricted.covariates, restricted.pre_period
 
-    def one_split(s: int) -> None:
+    for s in range(s_splits):
         perm = child_rng(seed, s).permutation(n)
-        assignment = np.zeros(n, dtype=np.int8)
-        assignment[perm[: n // 2]] = 1
-        zeta[s] = float(x[assignment == 1].mean() - x[assignment == 0].mean())
-        split_data = with_assignment(restricted, assignment)
+        # ascending rows, so every block matches a boolean-mask split bit for bit
+        control, treated = np.sort(perm[n // 2:]), np.sort(perm[: n // 2])
+        zeta[s] = float(x[treated].mean() - x[control].mean())
+        arms = ((y[control], z[control]), (y[treated], z[treated]))
         for j, spec in enumerate(specs):
             try:
-                est = estimate(split_data, spec, alpha=alpha, seed=child_seed(seed, s, j))
+                est = estimate_arms(arms, spec, restricted.pre_period_col, alpha,
+                                    child_seed(seed, s, j))
             except MODEL_FAILURES:
                 failed[s, j] = True
                 continue
             ate[s, j] = est.ate
             ci_lo[s, j], ci_hi[s, j] = est.ci
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            list(pool.map(one_split, range(s_splits)))
-    else:
-        for s in range(s_splits):
-            one_split(s)
 
     return AaRun(
         model_ids=tuple(s.name for s in specs),

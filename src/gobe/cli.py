@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arm", type=int, help="arm to re-randomize (default 0)")
     p.add_argument("--s-splits", type=int, help="number of re-randomizations (default 1000)")
     p.add_argument("--kappa", type=int, help="imbalance buckets (default 20)")
-    p.add_argument("--jobs", type=int, help="parallel split workers (default 1)")
+    p.add_argument("--jobs", type=int, help="accepted and ignored: splits run serially")
 
     p = sub.add_parser("stress", help="spurious-covariate robustness and timing")
     common(p)
@@ -231,6 +232,18 @@ def _synthetic_config(options: dict, seed: int) -> dataset.SyntheticConfig:
     )
 
 
+@contextmanager
+def _recording_failure(spec: ModelSpec, failures: list[dict]):
+    """Record a non-baseline model's failure in ``failures``; the baseline's propagates."""
+    try:
+        yield
+    except MODEL_FAILURES as exc:
+        if spec.kind == "dim":
+            raise
+        failures.append({"model_id": spec.name, "type": type(exc).__name__,
+                         "message": str(exc)})
+
+
 def _estimate_doc(data: dataset.ExperimentData, specs: list[ModelSpec],
                   alpha: float, seed: int, day_filter: int | None) -> dict:
     """Estimates for every model; a non-baseline model failure is recorded
@@ -239,17 +252,10 @@ def _estimate_doc(data: dataset.ExperimentData, specs: list[ModelSpec],
     failures = []
     baseline = None
     for spec in specs:
-        try:
-            est = estimate(data, spec, alpha=alpha, seed=seed)
-        except MODEL_FAILURES as exc:
-            if spec.kind == "dim":
-                raise  # the baseline is required
-            failures.append({"model_id": spec.name, "type": type(exc).__name__,
-                             "message": str(exc)})
-            continue
-        estimates.append(est)
-        if spec.kind == "dim" and baseline is None:
-            baseline = est
+        with _recording_failure(spec, failures):
+            estimates.append(estimate(data, spec, alpha=alpha, seed=seed))
+            if spec.kind == "dim" and baseline is None:
+                baseline = estimates[-1]
     vr = {est.model_id: variance_reduction(est, baseline) for est in estimates}
     doc = {
         "kind": "estimate",
@@ -352,14 +358,9 @@ def _cmd_power(options: dict, out_dir: Path) -> None:
     recs = []
     failures = []
     for spec in _model_specs(options):
-        try:
+        with _recording_failure(spec, failures):
             est = estimate(analysis, spec, alpha=alpha, seed=seed)
             recs.append(power.recommend_duration(est, forecast, delta, alpha, target))
-        except MODEL_FAILURES as exc:
-            if spec.kind == "dim":
-                raise
-            failures.append({"model_id": spec.name, "type": type(exc).__name__,
-                             "message": str(exc)})
     doc = {
         "kind": "power",
         "seed": seed,

@@ -8,7 +8,7 @@ per-arm in-sample mean squared errors scaled by arm size, and intervals are
 Gaussian; arm sizes are recorded so consumers can judge the asymptotics.
 
 Each call splits the rows by arm once, into ``(y0, Z0)`` and ``(y1, Z1)``;
-the per-arm fits and the assembly work on those blocks. The assembly takes
+``estimate_arms`` fits and assembles on those blocks. The assembly takes
 ATE = (sum_treated(y - f0(z)) + sum_control(f1(z) - y)) / N, each arm's MSE
 from its own-arm residuals and the control mean from ``y0``, so no N x 2
 imputation matrix is built (``impute`` builds one for callers that want it).
@@ -56,7 +56,7 @@ def fit_arm_models(data: ExperimentData, spec: ModelSpec,
                    seed: int = 0) -> tuple[FittedArmModel, FittedArmModel]:
     """Fit the spec on each arm's rows. Both fits use the same seed so that
     relabelling the arms permutes the results instead of changing them."""
-    arms = _split_arms(data)
+    arms = split_arms(data)
     for t, (y, _) in enumerate(arms):
         if y.shape[0] == 0:
             raise ValidationError(f"arm {t} is empty")
@@ -99,11 +99,7 @@ def estimate(data: ExperimentData, spec: ModelSpec | str,
     """
     if isinstance(spec, str):
         spec = parse_model(spec)
-    if spec.kind == "two_step":
-        return estimate_two_step(data, spec.base, alpha=alpha, seed=seed)
-    arms = _checked_arms(data, alpha)
-    models = tuple(fit(spec, y, z, seed=seed, pre_period_col=data.pre_period_col) for y, z in arms)
-    return _assemble(arms, models, spec.name, alpha)
+    return estimate_arms(_checked_arms(data, alpha), spec, data.pre_period_col, alpha, seed)
 
 
 def estimate_two_step(data: ExperimentData, base_spec: ModelSpec | str,
@@ -118,17 +114,25 @@ def estimate_two_step(data: ExperimentData, base_spec: ModelSpec | str,
     """
     if isinstance(base_spec, str):
         base_spec = parse_model(base_spec)
-    if base_spec.kind == "two_step":
-        raise ValidationError("two_step cannot be nested")
-    arms = _checked_arms(data, alpha)
-    base = [fit(base_spec, y, z, seed=seed, pre_period_col=data.pre_period_col) for y, z in arms]
-    # step-two covariates of arm t's rows: [f0(Z_t), f1(Z_t)]
-    step2 = tuple((y, np.column_stack([evaluate(b, z) for b in base])) for y, z in arms)
-    if not all(np.isfinite(z).all() for _, z in step2):
-        raise ValidationError("covariates contain non-finite values")
-    models = tuple(fit(ModelSpec(kind="ols", columns=(t,)), y, z, seed=seed)
-                   for t, (y, z) in enumerate(step2))
-    return _assemble(step2, models, f"two_step:{base_spec.name}", alpha)
+    return estimate(data, ModelSpec(kind="two_step", base=base_spec), alpha=alpha, seed=seed)
+
+
+def estimate_arms(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, pre_period_col: int,
+                  alpha: float, seed: int) -> AteEstimate:
+    """``estimate`` on rows already split into ``(y0, Z0), (y1, Z1)``, for
+    callers that fit many models on one split. The caller guarantees what
+    ``estimate`` checks: alpha in (0, 1), >= 2 finite rows per arm."""
+    if spec.kind == "two_step":
+        base = [fit(spec.base, y, z, seed=seed, pre_period_col=pre_period_col) for y, z in arms]
+        # step-two covariates of arm t's rows: [f0(Z_t), f1(Z_t)]
+        arms = tuple((y, np.column_stack([evaluate(b, z) for b in base])) for y, z in arms)
+        if not all(np.isfinite(z).all() for _, z in arms):
+            raise ValidationError("covariates contain non-finite values")
+        models = tuple(fit(ModelSpec(kind="ols", columns=(t,)), y, z, seed=seed)
+                       for t, (y, z) in enumerate(arms))
+    else:
+        models = tuple(fit(spec, y, z, seed=seed, pre_period_col=pre_period_col) for y, z in arms)
+    return _assemble(arms, models, spec.name, alpha)
 
 
 def variance_reduction(candidate: AteEstimate, baseline_dim: AteEstimate) -> float | None:
@@ -144,7 +148,7 @@ def variance_reduction(candidate: AteEstimate, baseline_dim: AteEstimate) -> flo
     return 100.0 * (1.0 - candidate.variance / baseline_dim.variance)
 
 
-def _split_arms(data: ExperimentData) -> tuple[ArmBlock, ArmBlock]:
+def split_arms(data: ExperimentData) -> tuple[ArmBlock, ArmBlock]:
     """Partition the rows once into the control and treated blocks."""
     treated = data.assignment == 1
     control = ~treated
@@ -152,11 +156,16 @@ def _split_arms(data: ExperimentData) -> tuple[ArmBlock, ArmBlock]:
             (data.outcome[treated], data.covariates[treated]))
 
 
-def _checked_arms(data: ExperimentData, alpha: float) -> tuple[ArmBlock, ArmBlock]:
-    """Validate alpha, split by arm and require >= 2 units in each arm."""
+def check_alpha(alpha: float) -> None:
+    """Raise unless the significance level lies in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    arms = _split_arms(data)
+
+
+def _checked_arms(data: ExperimentData, alpha: float) -> tuple[ArmBlock, ArmBlock]:
+    """Validate alpha, split by arm and require >= 2 units in each arm."""
+    check_alpha(alpha)
+    arms = split_arms(data)
     n0, n1 = (y.shape[0] for y, _ in arms)
     if min(n0, n1) < 2:
         raise ValidationError(

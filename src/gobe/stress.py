@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import ExperimentData, SyntheticConfig, generate
 from .errors import MODEL_FAILURES, ValidationError
-from .estimator import AteEstimate, estimate, variance_reduction
+from .estimator import AteEstimate, estimate, estimate_arms, split_arms, variance_reduction
 from .regression import ModelSpec, parse_model, with_dim_baseline
 from .rng import child_seed
 
@@ -125,8 +125,8 @@ def augment(data: ExperimentData, folds: int, seed: int) -> ExperimentData:
 def error_distribution(data: ExperimentData, config: StressConfig) -> StressResult:
     """Measure estimate drift and variance reduction under spurious folds.
 
-    One maximal augmentation is drawn per Monte Carlo seed and fold counts
-    1..folds use its leading blocks, so the per-draw sequences are nested.
+    One maximal augmentation per Monte Carlo seed is split by arm once, and
+    fold counts 1..folds fit nested views of its leading column blocks.
     Errors are |estimate - reference| / |reference| against the reference
     model's estimate on the original data (absolute when that reference is
     zero, with ``relative_errors`` flagging the convention used).
@@ -134,20 +134,20 @@ def error_distribution(data: ExperimentData, config: StressConfig) -> StressResu
     reference = estimate(data, config.reference_model, alpha=config.alpha, seed=config.seed)
     relative = reference.ate != 0.0
     baseline_dim = estimate(data, ModelSpec(kind="dim"), alpha=config.alpha, seed=config.seed)
-    k = data.k_covariates
     n_models = len(config.models)
     errors = np.full((n_models, config.folds, config.mc_draws), np.nan)
     vr = np.full_like(errors, np.nan)
     runtime_ms = np.full_like(errors, np.nan)
     failures = 0
     for s in range(config.mc_draws):
-        augmented = augment(data, config.folds, seed=child_seed(config.seed, s))
+        arms = split_arms(augment(data, config.folds, seed=child_seed(config.seed, s)))
         for fold in range(1, config.folds + 1):
-            view = replace(augmented, covariates=augmented.covariates[:, : (fold + 1) * k])
+            view = tuple((y, z[:, : (fold + 1) * data.k_covariates]) for y, z in arms)
             for j, spec in enumerate(config.models):
                 try:
-                    est, runtime_ms[j, fold - 1, s] = _timed_estimate(
-                        view, spec, config.alpha, child_seed(config.seed, s, fold, j))
+                    est, runtime_ms[j, fold - 1, s] = _timed(
+                        estimate_arms, view, spec, data.pre_period_col, config.alpha,
+                        child_seed(config.seed, s, fold, j))
                 except MODEL_FAILURES:
                     failures += 1
                     continue
@@ -192,7 +192,7 @@ def timing_profile(data_sizes: list[int], folds_list: list[int],
                 dim_ms = None
                 for spec in specs:
                     best = min(
-                        _timed_estimate(data, spec, alpha, child_seed(seed, n, folds, rep))[1]
+                        _timed(estimate, data, spec, alpha, child_seed(seed, n, folds, rep))[1]
                         for rep in range(_TIMING_REPS)
                     )
                     if spec.kind == "dim":
@@ -204,11 +204,10 @@ def timing_profile(data_sizes: list[int], folds_list: list[int],
     return cells
 
 
-def _timed_estimate(data: ExperimentData, spec: ModelSpec, alpha: float,
-                    seed: int) -> tuple[AteEstimate, float]:
-    """``estimate`` and its wall time in milliseconds."""
+def _timed(estimator_fn, *args) -> tuple[AteEstimate, float]:
+    """One estimator call and its wall time in milliseconds."""
     start = time.perf_counter()
-    est = estimate(data, spec, alpha=alpha, seed=seed)
+    est = estimator_fn(*args)
     return est, (time.perf_counter() - start) * 1e3
 
 

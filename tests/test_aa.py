@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from gobe import ExperimentData, SyntheticConfig, ValidationError, generate
+from gobe import ExperimentData, SyntheticConfig, ValidationError, aa, generate
 from gobe.aa import AaRun, bucket_metrics, pooled_coverage, run_aa, write_splits_csv
+from gobe.dataset import restrict_to_arm, with_assignment
+from gobe.errors import MODEL_FAILURES
+from gobe.estimator import estimate
+from gobe.regression import with_dim_baseline
+from gobe.rng import child_rng, child_seed
 
 
 def one_arm_dataset(y, z, pre_col=0):
@@ -82,6 +87,74 @@ def test_run_is_deterministic_and_schedule_independent():
     np.testing.assert_array_equal(serial.zeta, threaded.zeta)
     np.testing.assert_array_equal(serial.ate, threaded.ate)
     np.testing.assert_array_equal(serial.ci_lo, threaded.ci_lo)
+
+
+def per_split_reference(data, arm, models, s_splits, alpha, seed):
+    """Each split relabels the arm, rebuilds the dataset and estimates every
+    model on it: the loop the arm-block splits must reproduce bit for bit."""
+    restricted = restrict_to_arm(data, arm)
+    specs = with_dim_baseline(models)
+    n, x = restricted.n_units, restricted.pre_period
+    zeta = np.empty(s_splits)
+    ate, ci_lo, ci_hi = (np.full((s_splits, len(specs)), np.nan) for _ in range(3))
+    failed = np.zeros((s_splits, len(specs)), dtype=bool)
+    for s in range(s_splits):
+        perm = child_rng(seed, s).permutation(n)
+        assignment = np.zeros(n, dtype=np.int8)
+        assignment[perm[: n // 2]] = 1
+        zeta[s] = float(x[assignment == 1].mean() - x[assignment == 0].mean())
+        split_data = with_assignment(restricted, assignment)
+        for j, spec in enumerate(specs):
+            try:
+                est = estimate(split_data, spec, alpha=alpha, seed=child_seed(seed, s, j))
+            except MODEL_FAILURES:
+                failed[s, j] = True
+                continue
+            ate[s, j] = est.ate
+            ci_lo[s, j], ci_hi[s, j] = est.ci
+    return zeta, ate, ci_lo, ci_hi, failed
+
+
+def test_arm_block_splits_are_bit_identical_to_per_split_datasets():
+    rng = np.random.default_rng(12)
+    n = 123
+    assignment = (np.arange(n) % 2).astype(np.int8)  # arm 1 has an odd 61 units
+    pre = rng.standard_normal(n)
+    z = np.column_stack([rng.standard_normal(n), np.full(n, 3.0), pre])
+    y = 0.8 * pre + rng.standard_normal(n)  # negative outcomes: tweedie cannot fit
+    data = ExperimentData(unit_ids=np.arange(n), assignment=assignment, outcome=y,
+                          covariates=z, pre_period_col=2)
+    models = ["dim", "ols", "ols@pre", "pcr", "ridge", "two_step:ols", "tweedie"]
+    run = run_aa(data, arm=1, models=models, s_splits=12, alpha=0.1, seed=12, kappa=3)
+    zeta, ate, ci_lo, ci_hi, failed = per_split_reference(data, 1, models, 12, 0.1, 12)
+    assert run.n_units == 61
+    np.testing.assert_array_equal(run.zeta, zeta)
+    np.testing.assert_array_equal(run.ate, ate)
+    np.testing.assert_array_equal(run.ci_lo, ci_lo)
+    np.testing.assert_array_equal(run.ci_hi, ci_hi)
+    np.testing.assert_array_equal(run.failed, failed)
+    assert failed[:, models.index("tweedie")].all()
+    assert not np.delete(failed, models.index("tweedie"), axis=1).any()
+
+
+def test_alpha_and_kappa_are_checked_before_any_split(monkeypatch):
+    data = perfect_predictor_data(n=40, seed=11)
+
+    def no_split(*args):
+        raise AssertionError("a split ran before the arguments were checked")
+
+    monkeypatch.setattr(aa, "child_rng", no_split)
+    with pytest.raises(ValidationError, match="alpha"):
+        run_aa(data, arm=0, models=["dim"], s_splits=10, alpha=1.5, seed=11)
+    for kappa in (0, 11):
+        with pytest.raises(ValidationError, match="kappa"):
+            run_aa(data, arm=0, models=["dim"], s_splits=10, seed=11, kappa=kappa)
+
+
+def test_kappa_defaults_to_twenty_or_the_split_count():
+    data = perfect_predictor_data(n=40, seed=13)
+    assert run_aa(data, arm=0, models=["dim"], s_splits=5, seed=13).kappa == 5
+    assert run_aa(data, arm=0, models=["dim"], s_splits=25, seed=13).kappa == 20
 
 
 def test_model_failures_are_recorded_not_fatal():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from gobe import (
     estimate,
     generate,
     timing_profile,
+    variance_reduction,
 )
+from gobe.errors import MODEL_FAILURES
+from gobe.rng import child_seed
 
 from oracles import gobe_ols_ate
 
@@ -157,6 +162,42 @@ def test_failures_are_counted_and_excluded():
     assert np.isfinite(result.errors[0]).all()
     assert np.isnan(result.median_runtime_ms()[1]).all()  # no time for a failed fit
     assert (result.runtime_ms[0] > 0.0).all()
+
+
+def test_arm_split_fold_views_are_bit_identical_to_per_fold_datasets():
+    data = generate(SyntheticConfig(n_units=201, k_covariates=2, outcome_cor=0.5,
+                                    true_ate=0.3, seed=14))
+    config = StressConfig(folds=3, mc_draws=2, models=("dim", "ols", "lasso", "two_step:ols"),
+                          seed=14)
+    result = error_distribution(data, config)
+
+    # each fold rebuilds the dataset on a column prefix and runs the full estimator
+    reference = estimate(data, config.reference_model, alpha=config.alpha, seed=config.seed)
+    dim = estimate(data, ModelSpec(kind="dim"), alpha=config.alpha, seed=config.seed)
+    errors = np.full((len(config.models), config.folds, config.mc_draws), np.nan)
+    vr = np.full_like(errors, np.nan)
+    failures = 0
+    k = data.k_covariates
+    for s in range(config.mc_draws):
+        augmented = augment(data, config.folds, seed=child_seed(config.seed, s))
+        for fold in range(1, config.folds + 1):
+            view = replace(augmented, covariates=augmented.covariates[:, : (fold + 1) * k])
+            for j, spec in enumerate(config.models):
+                try:
+                    est = estimate(view, spec, alpha=config.alpha,
+                                   seed=child_seed(config.seed, s, fold, j))
+                except MODEL_FAILURES:
+                    failures += 1
+                    continue
+                errors[j, fold - 1, s] = abs(est.ate - reference.ate) / abs(reference.ate)
+                vr[j, fold - 1, s] = variance_reduction(est, dim)
+
+    np.testing.assert_array_equal(result.errors, errors)
+    np.testing.assert_array_equal(result.vr, vr)
+    assert result.failure_count == failures
+    assert result.runtime_ms.shape == errors.shape
+    np.testing.assert_array_equal(np.isnan(result.runtime_ms), np.isnan(errors))
+    assert (result.runtime_ms[~np.isnan(errors)] > 0.0).all()
 
 
 def test_timing_profile_dimensions_and_dim_ratio():
