@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--arm", type=int, help="arm to re-randomize (default 0)")
     p.add_argument("--s-splits", type=int, help="number of re-randomizations (default 1000)")
-    p.add_argument("--kappa", type=int, help="imbalance buckets (default 20)")
+    p.add_argument("--kappa", type=int, help="imbalance buckets (default min(20, s-splits))")
     p.add_argument("--jobs", type=int, help="accepted and ignored: splits run serially")
 
     p = sub.add_parser("stress", help="spurious-covariate robustness and timing")
@@ -296,7 +296,7 @@ def _cmd_aa(options: dict, out_dir: Path) -> None:
         s_splits=int(options.get("s_splits", 1000)),
         alpha=float(options.get("alpha", 0.05)),
         seed=seed,
-        kappa=int(options.get("kappa", 20)),
+        kappa=None if options.get("kappa") is None else int(options["kappa"]),
         n_jobs=int(options.get("jobs", 1)),
     )
     metrics = aa_mod.bucket_metrics(run)

@@ -276,6 +276,9 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
 
     Any unparseable or non-finite cell in a mapped column aborts the load
     with an error naming the offending data row (1-based, header excluded).
+    Unit ids from a mapped ``unit_id`` column come back as strings, whatever
+    type they had when written; without one they are the row positions
+    0..N-1. Numbers parse bit-exactly from ``write_csv``'s output.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -15,6 +15,13 @@ with P(w) = lam * |w|_1 + (1 - lam)/2 * |w|_2^2. ``lasso`` is lam = 1,
 ``ridge`` is lam = 0, and ``elastic_net`` exposes lam as ``mix``. Under this
 scaling the smallest gamma that zeroes every lasso coefficient is
 max_k |z_k . (y - mean(y))| / m on standardized columns.
+
+The penalized kinds never fit from rows directly. Each fit, and each
+cross-validation fold, reduces its standardized training rows once to the
+Gram matrix G = zs'zs/m and the cross moments c = zs'yc/m; ridge solves
+(G + gamma I) w = c, and lasso/elastic-net run coordinate descent with
+covariance updates on (G, c), so a sweep costs O(K^2) whatever m is. Only
+the out-of-fold R^2 scores read rows.
 """
 
 from __future__ import annotations
@@ -290,18 +297,15 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
         if rank < zs.shape[1]:
             flags.append("rank_deficient")
     elif spec.kind in _PENALIZED:
-        lam = _l1_weight(spec)
-        grid = spec.hyper_grid or default_gamma_grid(zs, yc)
+        gram, c = _moments(zs, yc)
+        grid = spec.hyper_grid or default_gamma_grid(c)
         if len(grid) > 1:
             chosen_gamma, cv_scores = cross_validate(spec, y, z[:, used], seed=seed, grid=grid)
         else:
             chosen_gamma = grid[0]
-        if spec.kind == "ridge":
-            w = _ridge(zs, yc, chosen_gamma)
-        else:
-            w, converged = _coordinate_descent(zs, yc, chosen_gamma, lam)
-            if not converged:
-                flags.append("cd_max_sweeps")
+        w, converged = _penalized(spec, gram, c, chosen_gamma)
+        if not converged:
+            flags.append("cd_max_sweeps")
     elif spec.kind == "pcr":
         w, n_components, clamped = _pcr(zs, yc, spec)
         if clamped:
@@ -327,9 +331,12 @@ def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
     """Pick the regularization level by k-fold out-of-fold R^2.
 
     Folds are a seeded random partition with sizes differing by at most one.
-    Returns the gamma with the highest mean R^2 (ties go to the larger
-    gamma, i.e. the stronger regularization) along with the per-gamma mean
-    scores. The caller refits on the full arm data at the chosen value.
+    Each fold's training rows are standardized and reduced once to their
+    Gram moments, on which the whole gamma path is fitted (large to small,
+    warm-started); the test rows are scored in row space. Returns the gamma
+    with the highest mean R^2 (ties go to the larger gamma, i.e. the
+    stronger regularization) along with the per-gamma mean scores. The
+    caller refits on the full arm data at the chosen value.
     """
     if spec.kind not in _PENALIZED:
         raise ValidationError(f"cross-validation applies to {_PENALIZED}, not {spec.kind!r}")
@@ -340,12 +347,8 @@ def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
         raise ValidationError(
             f"{m} rows cannot support {spec.cv_folds}-fold cross-validation; use fewer folds"
         )
-    lam = _l1_weight(spec)
     if grid is None:
-        sds_all = z.std(axis=0)
-        keep = sds_all > 0
-        zs_all = (z[:, keep] - z[:, keep].mean(axis=0)) / sds_all[keep]
-        grid = spec.hyper_grid or default_gamma_grid(zs_all, y - y.mean())
+        grid = spec.hyper_grid or default_gamma_grid(_standardized_moments(y, z)[1])
     order = np.argsort(grid)[::-1]  # large-to-small for warm starts and tie-breaks
     perm = np.random.default_rng(seed).permutation(m)
     folds = np.array_split(perm, spec.cv_folds)
@@ -359,25 +362,26 @@ def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
         keep = sd > 0
         zs_tr = (z_tr[:, keep] - mu[keep]) / sd[keep]
         zs_te = (z_te[:, keep] - mu[keep]) / sd[keep]
-        yc_tr = y_tr - y_tr.mean()
-        w = np.zeros(zs_tr.shape[1])
+        y_bar = y_tr.mean()
+        gram, c = _moments(zs_tr, y_tr - y_bar)
+        ss_tot = float(np.sum((y_te - y_te.mean()) ** 2))
+        w = np.zeros(c.shape[0])
         for idx in order:
-            gamma = grid[idx]
-            if spec.kind == "ridge":
-                w = _ridge(zs_tr, yc_tr, gamma)
-            else:
-                w, _ = _coordinate_descent(zs_tr, yc_tr, gamma, lam, w0=w)
-            pred = y_tr.mean() + zs_te @ w
-            scores[idx] += _r2(y_te, pred)
+            w, _ = _penalized(spec, gram, c, grid[idx], w0=w)
+            if ss_tot != 0.0:  # R^2 of a zero-variance target is 0.0
+                resid = y_te - (y_bar + zs_te @ w)
+                scores[idx] += 1.0 - float(resid @ resid) / ss_tot
     scores /= len(folds)
     best = max(order, key=lambda idx: (scores[idx], grid[idx]))
     return grid[best], tuple((float(grid[i]), float(scores[i])) for i in range(len(grid)))
 
 
-def default_gamma_grid(zs: np.ndarray, yc: np.ndarray) -> tuple[float, ...]:
-    """Log-spaced grid from gamma_max down to GRID_SPAN * gamma_max."""
-    m = zs.shape[0]
-    gmax = float(np.max(np.abs(zs.T @ yc)) / m) if zs.size else 0.0
+def default_gamma_grid(c: np.ndarray) -> tuple[float, ...]:
+    """Log-spaced grid from gamma_max down to GRID_SPAN * gamma_max.
+
+    ``c`` is the cross-moment vector zs' yc / m of ``_moments``.
+    """
+    gmax = _gamma_max(c)
     if gmax <= 0.0:
         return (1.0,)
     return tuple(np.geomspace(gmax, GRID_SPAN * gmax, GRID_SIZE))
@@ -386,20 +390,25 @@ def default_gamma_grid(zs: np.ndarray, yc: np.ndarray) -> tuple[float, ...]:
 def lasso_gamma_max(outcome: np.ndarray, covariates: np.ndarray) -> float:
     """Smallest gamma at which the lasso zeroes every slope.
 
-    Uses the same per-column dot products as the coordinate-descent sweep,
-    so slopes vanish exactly (not just approximately) at this value.
+    Reads the same cross moments as the coordinate-descent sweep, whose
+    first step from zero is the soft threshold of exactly those values, so
+    slopes vanish exactly (not just approximately) at this value.
     """
+    return _gamma_max(_standardized_moments(outcome, covariates)[1])
+
+
+def _gamma_max(c: np.ndarray) -> float:
+    return float(np.max(np.abs(c))) if c.size else 0.0
+
+
+def _standardized_moments(outcome, covariates) -> tuple[np.ndarray, np.ndarray]:
+    """``_moments`` of the non-constant standardized columns, as ``fit`` builds them."""
     y = np.asarray(outcome, dtype=np.float64)
     z = np.asarray(covariates, dtype=np.float64)
-    means = z.mean(axis=0)
     sds = z.std(axis=0)
     keep = sds > 0
-    if not keep.any():
-        return 0.0
-    zs = (z[:, keep] - means[keep]) / sds[keep]
-    yc = y - y.mean()
-    m = y.shape[0]
-    return max(abs(float(zs[:, j] @ yc)) / m for j in range(zs.shape[1]))
+    zs = (z[:, keep] - z.mean(axis=0)[keep]) / sds[keep]
+    return _moments(zs, y - y.mean())
 
 
 def _l1_weight(spec: ModelSpec) -> float:
@@ -432,43 +441,64 @@ def _ols(zs: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, int]:
     return w, int(rank)
 
 
-def _ridge(zs: np.ndarray, yc: np.ndarray, gamma: float) -> np.ndarray:
-    """Closed-form solution of the l2-penalized normal equations."""
-    m, p = zs.shape
-    a = zs.T @ zs + m * gamma * np.eye(p)
-    return np.linalg.solve(a, zs.T @ yc)
+def _moments(zs: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix zs' zs / m and cross moments zs' yc / m.
+
+    They are all of the rows the penalized solvers read: the data term of
+    the objective is (yc'yc/m)/2 - w'c + w'Gw/2.
+    """
+    m = zs.shape[0]
+    return zs.T @ zs / m, zs.T @ yc / m
 
 
-def _coordinate_descent(zs: np.ndarray, yc: np.ndarray, gamma: float, lam: float,
+def _penalized(spec: ModelSpec, gram: np.ndarray, c: np.ndarray, gamma: float,
+               w0: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+    """Penalized coefficients at one gamma, and whether the solver converged."""
+    if spec.kind == "ridge":
+        return _ridge(gram, c, gamma), True
+    return _coordinate_descent(gram, c, gamma, _l1_weight(spec), w0=w0)
+
+
+def _ridge(gram: np.ndarray, c: np.ndarray, gamma: float) -> np.ndarray:
+    """Closed-form solution of the l2-penalized normal equations (G + gamma I) w = c."""
+    return np.linalg.solve(gram + gamma * np.eye(c.shape[0]), c)
+
+
+def _coordinate_descent(gram: np.ndarray, c: np.ndarray, gamma: float, lam: float,
                         w0: np.ndarray | None = None,
                         trace: list | None = None) -> tuple[np.ndarray, bool]:
-    """Cyclic coordinate descent for the elastic-net objective.
+    """Cyclic coordinate descent for the elastic-net objective, covariance form.
 
-    Stops when the largest coefficient change in a sweep drops below CD_TOL,
-    or after CD_MAX_SWEEPS sweeps (reported via the returned flag). ``trace``
-    collects the coefficient vector after each sweep.
+    Works on the Gram moments of ``_moments`` (Friedman, Hastie & Tibshirani
+    2010, "covariance updates"): the partial residual correlation of
+    coordinate j is c_j - (Gw)_j + G_jj w_j, and G w is kept current with one
+    column update per changed coefficient, so a sweep costs O(K^2) whatever
+    the number of rows. Stops when the largest coefficient change in a sweep
+    drops below CD_TOL, or after CD_MAX_SWEEPS sweeps (reported via the
+    returned flag). ``trace`` collects the coefficient vector after each sweep.
     """
-    m, p = zs.shape
-    col_scale = np.einsum("ij,ij->j", zs, zs) / m  # ~1.0 after standardization
-    w = np.zeros(p) if w0 is None else w0.copy()
-    resid = yc - zs @ w
+    p = c.shape[0]
+    diag = np.diag(gram).tolist()  # ~1.0 after standardization
+    cs = c.tolist()
+    w = [0.0] * p if w0 is None else w0.tolist()
+    gw = gram @ np.array(w)
     l1 = gamma * lam
     l2 = gamma * (1.0 - lam)
     for _ in range(CD_MAX_SWEEPS):
         delta = 0.0
         for j in range(p):
             wj = w[j]
-            rho = zs[:, j] @ resid / m + col_scale[j] * wj
-            new = _soft_threshold(rho, l1) / (col_scale[j] + l2)
+            rho = cs[j] - gw[j] + diag[j] * wj
+            new = _soft_threshold(rho, l1) / (diag[j] + l2)
             if new != wj:
-                resid += zs[:, j] * (wj - new)
+                gw += gram[j] * (new - wj)  # G is symmetric: row j is column j
                 w[j] = new
                 delta = max(delta, abs(new - wj))
         if trace is not None:
-            trace.append(w.copy())
+            trace.append(np.array(w))
         if delta < CD_TOL:
-            return w, True
-    return w, False
+            return np.array(w), True
+    return np.array(w), False
 
 
 def _soft_threshold(x: float, t: float) -> float:
@@ -540,12 +570,3 @@ def _tweedie_irls(zs: np.ndarray, y: np.ndarray, power: float) -> tuple[float, n
         f"tweedie IRLS did not converge in {IRLS_MAX_ITER} iterations",
         last_deviance=dev,
     )
-
-
-def _r2(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Coefficient of determination; 0.0 for a zero-variance target."""
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 0.0
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    return 1.0 - ss_res / ss_tot

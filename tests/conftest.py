@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from gobe import estimator
+
+# Property tests draw the same examples on every run, so a tier-1 result
+# does not depend on the run; examples are timed by the suite, not per case.
+settings.register_profile("gobe", derandomize=True, deadline=None)
+settings.load_profile("gobe")
 
 # Make the sibling oracles module importable regardless of invocation dir.
 sys.path.insert(0, str(Path(__file__).parent))

@@ -75,3 +75,88 @@ def closed_form_day(mse0, mse1, n0_anchor, n1_anchor, anchor_day, effect,
     z_need = norm.ppf(1 - alpha / 2) + norm.ppf(target_power)
     d_star = anchor_day * v_anchor * z_need ** 2 / effect ** 2
     return max(int(math.ceil(d_star)), anchor_day + 1)
+
+
+# --- row-space penalized fits -------------------------------------------------
+# The elastic-net path as it is defined on the rows: cyclic coordinate descent
+# that keeps the full residual vector, and k-fold CV that refits each fold from
+# its rows. The same tolerance, sweep cap, fold partition, warm starts and
+# tie-break as the package, so results agree up to rounding.
+
+CD_TOL = 1e-8
+CD_MAX_SWEEPS = 10_000
+
+
+def rowspace_coordinate_descent(zs, yc, gamma, lam, w0=None):
+    """Elastic-net coefficients on standardized rows; returns (w, converged)."""
+    m, p = zs.shape
+    col_scale = np.einsum("ij,ij->j", zs, zs) / m
+    w = np.zeros(p) if w0 is None else w0.copy()
+    resid = yc - zs @ w
+    l1, l2 = gamma * lam, gamma * (1.0 - lam)
+    for _ in range(CD_MAX_SWEEPS):
+        delta = 0.0
+        for j in range(p):
+            wj = w[j]
+            rho = zs[:, j] @ resid / m + col_scale[j] * wj
+            new = np.sign(rho) * max(abs(rho) - l1, 0.0) / (col_scale[j] + l2)
+            if new != wj:
+                resid += zs[:, j] * (wj - new)
+                w[j] = new
+                delta = max(delta, abs(new - wj))
+        if delta < CD_TOL:
+            return w, True
+    return w, False
+
+
+def rowspace_penalized(zs, yc, gamma, lam, w0=None):
+    """Ridge in closed form on the rows (lam = None), else coordinate descent."""
+    if lam is None:
+        m, p = zs.shape
+        return np.linalg.solve(zs.T @ zs + m * gamma * np.eye(p), zs.T @ yc), True
+    return rowspace_coordinate_descent(zs, yc, gamma, lam, w0=w0)
+
+
+def _standardize(z, like):
+    mu, sd = like.mean(axis=0), like.std(axis=0)
+    keep = sd > 0
+    return (z[:, keep] - mu[keep]) / sd[keep]
+
+
+def rowspace_cross_validate(y, z, grid, lam, folds=5, seed=0):
+    """(chosen gamma, ((gamma, mean out-of-fold R^2), ...)) by row-space refits."""
+    y = np.asarray(y, float)
+    z = np.asarray(z, float)
+    m = y.shape[0]
+    order = np.argsort(grid)[::-1]
+    parts = np.array_split(np.random.default_rng(seed).permutation(m), folds)
+    scores = np.zeros(len(grid))
+    for part in parts:
+        test = np.zeros(m, dtype=bool)
+        test[part] = True
+        zs_tr, zs_te = _standardize(z[~test], z[~test]), _standardize(z[test], z[~test])
+        y_tr, y_te = y[~test], y[test]
+        w = np.zeros(zs_tr.shape[1])
+        for idx in order:
+            w, _ = rowspace_penalized(zs_tr, y_tr - y_tr.mean(), grid[idx], lam, w0=w)
+            ss_tot = np.sum((y_te - y_te.mean()) ** 2)
+            pred = y_tr.mean() + zs_te @ w
+            scores[idx] += 0.0 if ss_tot == 0 else 1.0 - np.sum((y_te - pred) ** 2) / ss_tot
+    scores /= folds
+    best = max(order, key=lambda idx: (scores[idx], grid[idx]))
+    return grid[best], tuple((float(grid[i]), float(scores[i])) for i in range(len(grid)))
+
+
+def rowspace_fit(y, z, grid, lam, folds=5, seed=0):
+    """(chosen gamma, cv scores or None, standardized coefficients, converged)
+    for the non-constant columns, with the grid given explicitly."""
+    y = np.asarray(y, float)
+    z = np.asarray(z, float)
+    keep = z.std(axis=0) > 0
+    scores = None
+    gamma = grid[0]
+    if len(grid) > 1:
+        gamma, scores = rowspace_cross_validate(y, z[:, keep], grid, lam, folds, seed)
+    w, converged = rowspace_penalized(_standardize(z[:, keep], z[:, keep]), y - y.mean(),
+                                      gamma, lam)
+    return gamma, scores, w, converged

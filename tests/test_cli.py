@@ -83,6 +83,19 @@ def test_aa_splits_rows(tmp_path):
     assert set(doc["bucket_metrics"]["per_model"]) == {"dim", "ols"}
 
 
+def test_aa_kappa_defaults_to_the_split_count_below_twenty(tmp_path):
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--n-units", "60", "--seed", "3", "--out", sim) == 0
+    out = tmp_path / "aa"
+    code = run_cli("aa", "--input", sim / "synthetic.csv",
+                   "--assignment-col", "assignment", "--outcome-col", "outcome",
+                   "--covariate-cols", "z1,z2,z3", "--pre-period-col", "z1",
+                   "--models", "dim,ols", "--s-splits", "10", "--seed", "1", "--out", out)
+    assert code == 0
+    doc = read_report(out)
+    assert doc["s_splits"] == 10 and doc["kappa"] == 10
+
+
 def test_stress_command(tmp_path):
     sim = tmp_path / "sim"
     assert run_cli("simulate", "--n-units", "200", "--outcome-cor", "0.5",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gobe import (
     CsvSchema,
@@ -99,6 +101,43 @@ def test_round_trip_is_identity(tmp_path):
     np.testing.assert_array_equal(back.outcome, data.outcome)
     np.testing.assert_array_equal(back.covariates, data.covariates)
     np.testing.assert_array_equal(back.day_index, data.day_index)
+    assert back.pre_period_col == data.pre_period_col
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0)
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def csv_datasets(draw):
+    n, k = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    assignment = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    rows = st.lists(_FLOATS, min_size=n, max_size=n)
+    days = draw(st.one_of(st.none(), st.lists(st.integers(1, 10**6), min_size=n, max_size=n)))
+    return ExperimentData(
+        unit_ids=np.array(draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n))),
+        assignment=np.array(assignment),
+        outcome=np.array(draw(rows)),
+        covariates=np.column_stack([draw(rows) for _ in range(k)]),
+        pre_period_col=draw(st.integers(0, k - 1)),
+        day_index=None if days is None else np.array(days),
+    )
+
+
+@given(data=csv_datasets())
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    back = load_csv(path, write_csv(data, path))
+    np.testing.assert_array_equal(back.assignment, data.assignment)
+    np.testing.assert_array_equal(back.outcome.view(np.uint64), data.outcome.view(np.uint64))
+    np.testing.assert_array_equal(back.covariates.view(np.uint64),
+                                  data.covariates.view(np.uint64))
+    if data.day_index is None:
+        assert back.day_index is None
+    else:
+        np.testing.assert_array_equal(back.day_index, data.day_index)
+    assert back.unit_ids.tolist() == [str(u) for u in data.unit_ids.tolist()]
     assert back.pre_period_col == data.pre_period_col
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gobe import ConvergenceError, ValidationError
 from gobe.regression import (
@@ -14,7 +16,7 @@ from gobe.regression import (
     predict,
 )
 
-from oracles import ridge_standardized
+from oracles import ridge_standardized, rowspace_cross_validate, rowspace_fit
 
 
 def linear_arm(n=200, k=3, noise=1.0, seed=0):
@@ -72,8 +74,12 @@ def test_tiny_ridge_penalty_matches_ols():
     assert np.max(np.abs(ridge.coefficients - ols.coefficients)) < 1e-6
 
 
-def test_lasso_zeroes_all_slopes_at_gamma_max():
-    y, z = linear_arm(seed=4)
+@pytest.mark.parametrize("seed", [4, 19, 20])
+@pytest.mark.parametrize("k,constant_col", [(1, False), (3, False), (7, True), (25, True)])
+def test_lasso_zeroes_all_slopes_at_gamma_max(seed, k, constant_col):
+    y, z = linear_arm(k=k, seed=seed)
+    if constant_col:
+        z[:, 1] = 2.5
     gmax = lasso_gamma_max(y, z)
     model = fit(ModelSpec("lasso", hyper_grid=(gmax,)), y, z)
     assert np.all(model.coefficients == 0.0)
@@ -117,7 +123,8 @@ def test_coordinate_descent_objective_monotone():
     zs = (z - z.mean(axis=0)) / z.std(axis=0)
     yc = y - y.mean()
     trace = []
-    _coordinate_descent(zs, yc, gamma=0.05, lam=0.7, trace=trace)
+    _coordinate_descent(zs.T @ zs / len(y), zs.T @ yc / len(y), gamma=0.05, lam=0.7,
+                        trace=trace)
     objs = [penalized_objective(zs, yc, w, 0.05, 0.7) for w in trace]
     diffs = np.diff(objs)
     assert np.all(diffs <= 1e-12)
@@ -216,6 +223,69 @@ def test_cv_refits_on_full_data():
     model = fit(ModelSpec("ridge", hyper_grid=(0.05, 5.0)), y, z, seed=7)
     direct = fit(ModelSpec("ridge", hyper_grid=(model.chosen_gamma,)), y, z)
     np.testing.assert_allclose(model.coefficients, direct.coefficients, atol=1e-12)
+
+
+# --- Gram-form fits against the row-space reference ------------------------
+
+_CV_SEED = 3
+_L1_WEIGHTS = {"ridge": None, "lasso": 1.0, "elastic_net:0.25": 0.25, "elastic_net:0.5": 0.5}
+
+
+@st.composite
+def penalized_problems(draw):
+    """An arm whose columns may include one that varies only on one CV fold's
+    rows (so it is constant on that fold's training rows), an exact duplicate
+    (collinear) column and a constant column, with a grid of one or more
+    gammas around gamma_max."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, k = draw(st.integers(12, 60)), draw(st.integers(1, 4))
+    z = rng.standard_normal((m, k)) * rng.uniform(0.1, 10.0, k)
+    y = 1.0 + z @ (rng.standard_normal(k) / z.std(axis=0)) + rng.standard_normal(m)
+    extra = []
+    if draw(st.booleans()):
+        fold = np.array_split(np.random.default_rng(_CV_SEED).permutation(m), 5)[0]
+        col = np.full(m, 0.5)
+        col[fold] += rng.standard_normal(fold.size)
+        extra.append(col)
+    if draw(st.booleans()):
+        extra.append(z[:, 0])
+    if draw(st.booleans()):
+        extra.append(np.full(m, -1.25))
+    z = np.column_stack([z, *extra])
+    # gammas far above gamma_max zero every fold's lasso fit: CV scores tie there
+    fractions = draw(st.lists(st.one_of(st.floats(0.05, 1.5), st.sampled_from([3.0, 6.0])),
+                              min_size=1, max_size=4, unique=True))
+    gmax = lasso_gamma_max(y, z)
+    return y, z, tuple(f * gmax for f in fractions)
+
+
+@settings(max_examples=30)
+@given(problem=penalized_problems())
+def test_gram_fits_match_the_rowspace_reference(problem):
+    y, z, grid = problem
+    constant = z.std(axis=0) == 0
+    for name, lam in _L1_WEIGHTS.items():
+        spec = parse_model(name)
+        model = fit(ModelSpec(spec.kind, mix=spec.mix, hyper_grid=grid), y, z, seed=_CV_SEED)
+        gamma, scores, w, converged = rowspace_fit(y, z, grid, lam, seed=_CV_SEED)
+        assert model.chosen_gamma == gamma, name
+        flags = (("dropped_zero_variance",) if constant.any() else ()) + (
+            () if converged else ("cd_max_sweeps",))
+        assert model.flags == flags, name
+        np.testing.assert_allclose(model.coefficients[~constant], w, rtol=0, atol=1e-10)
+        assert not model.coefficients[constant].any()
+        if len(grid) == 1:
+            assert model.cv_scores is None
+            continue
+        assert [g for g, _ in model.cv_scores] == [g for g, _ in scores] == list(grid)
+        np.testing.assert_allclose([s for _, s in model.cv_scores], [s for _, s in scores],
+                                   rtol=1e-12, atol=1e-12)
+        cv_gamma, cv_scores = cross_validate(model.spec, y, z, seed=_CV_SEED, grid=grid)
+        ref_gamma, ref_scores = rowspace_cross_validate(y, z, grid, lam, seed=_CV_SEED)
+        assert cv_gamma == ref_gamma
+        assert [g for g, _ in cv_scores] == [g for g, _ in ref_scores]
+        np.testing.assert_allclose([s for _, s in cv_scores], [s for _, s in ref_scores],
+                                   rtol=1e-12, atol=1e-12)
 
 
 # --- tweedie ----------------------------------------------------------------
@@ -317,7 +387,7 @@ def test_default_grid_spans_gamma_max():
     from gobe.regression import default_gamma_grid
     y, z = linear_arm(seed=18)
     zs = (z - z.mean(axis=0)) / z.std(axis=0)
-    grid = default_gamma_grid(zs, y - y.mean())
+    grid = default_gamma_grid(zs.T @ (y - y.mean()) / len(y))
     assert len(grid) == 50
     assert grid[0] == pytest.approx(lasso_gamma_max(y, z), rel=1e-12)
     assert grid[-1] == pytest.approx(1e-4 * grid[0], rel=1e-9)
