@@ -1,8 +1,10 @@
 """Command-line surface and batch orchestration.
 
 Commands: ``estimate``, ``aa``, ``stress``, ``power``, ``simulate``,
-``batch``. Options can come from an INI config file (sections ``[run]`` and
-``[schema]``, keys named like the long flags without ``--``); explicit flags
+``batch``. Options can come from an INI config file: a ``[run]`` key is named
+like the command's long flag without ``--``, a ``[schema]`` key like the
+column flag without ``--`` and ``-col``/``-cols``. Each value is parsed like
+its flag, a key the command has no flag for is an error, and explicit flags
 override the file. All randomness flows from the single ``--seed`` recorded
 in the run manifest, and re-running a command with the same config and seed
 reproduces the report files byte for byte; timings and version stamps live
@@ -19,6 +21,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,42 +31,45 @@ from . import dataset, power, report, stress
 from .errors import MODEL_FAILURES, SchemaError, ValidationError
 from .estimator import estimate, variance_reduction
 from .regression import ModelSpec, parse_model, with_dim_baseline
+from .rng import child_seed
 
 ENV_OUT_DIR = "GOBE_OUT"
-_RUN_KEYS = {
-    "input", "out", "seed", "alpha", "models", "day", "arm", "s_splits",
-    "kappa", "jobs", "folds", "draws", "reference_model", "delta",
-    "power_target", "horizon", "experiments", "day_filters", "n_units",
-    "assignment_prob", "k_covariates", "outcome_cor", "true_ate",
-    "noise_sd", "daily_arrivals",
-}
-_SCHEMA_KEYS = {"assignment", "outcome", "covariates", "pre_period", "day", "unit_id"}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 2
     started = time.perf_counter()
     try:
-        options = _merge_options(args)
-        out_dir = _resolve_out_dir(options)
-        handler = _HANDLERS[args.command]
-        handler(options, out_dir)
+        if args.config:
+            # string defaults go through each option's type, as flag values do
+            commands[args.command].set_defaults(**_config_values(args))
+            args = parser.parse_args(argv)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _HANDLERS[args.command](args, out_dir)
         report.write_manifest(
-            out_dir / "manifest.json", args.command, options,
-            seed=int(options.get("seed", 0)),
+            out_dir / "manifest.json", args.command, vars(args), seed=args.seed,
             timings_ms={"total": (time.perf_counter() - started) * 1e3},
         )
-    except Exception as exc:  # argparse exits on its own errors before this
-        _emit_error(exc, args)
+    except Exception as exc:  # a bad flag or config value exits in argparse instead
+        _emit_error(exc, args.out)
         return 1
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``gobe`` parser and each command's subparser by name.
+
+    Every option default is stated here and only here.
+    """
     parser = argparse.ArgumentParser(
         prog="gobe",
         description="Covariate-adjusted treatment effect estimation and auditing for A/B tests.",
@@ -75,11 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
         if with_input:
             p.add_argument("--input", help="experiment CSV file")
             _schema_flags(p)
-        p.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or ./gobe_out)")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--alpha", type=float, help="significance level (default 0.05)")
-        p.add_argument("--models", help="comma-separated model names, e.g. dim,ols,ridge,"
-                                        "lasso,elastic_net:0.5,pcr,tweedie,two_step:ols,ols@pre")
+        p.add_argument("--out", default=os.environ.get(ENV_OUT_DIR) or "gobe_out",
+                       help=f"output directory (default %(default)s, from ${ENV_OUT_DIR} if set)")
+        p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+        p.add_argument("--alpha", type=float, default=0.05,
+                       help="significance level (default %(default)s)")
+        p.add_argument("--models", default="dim,ols",
+                       help="comma-separated model names (default %(default)s; others: ridge, "
+                            "lasso, elastic_net:0.5, pcr, tweedie, two_step:ols, ols@pre)")
 
     p = sub.add_parser("estimate", help="treatment effect estimates for one experiment")
     common(p)
@@ -87,23 +96,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aa", help="A/A re-randomization robustness audit of one arm")
     common(p)
-    p.add_argument("--arm", type=int, help="arm to re-randomize (default 0)")
-    p.add_argument("--s-splits", type=int, help="number of re-randomizations (default 1000)")
+    p.add_argument("--arm", type=int, default=0, help="arm to re-randomize (default %(default)s)")
+    p.add_argument("--s-splits", type=int, default=1000,
+                   help="number of re-randomizations (default %(default)s)")
     p.add_argument("--kappa", type=int, help="imbalance buckets (default min(20, s-splits))")
     p.add_argument("--jobs", type=int, help="accepted and ignored: splits run serially")
 
     p = sub.add_parser("stress", help="spurious-covariate robustness and timing")
     common(p)
-    p.add_argument("--folds", type=int, help="max spurious folds (default 5)")
-    p.add_argument("--draws", type=int, help="Monte Carlo draws per fold count (default 100)")
-    p.add_argument("--reference-model", help="ground-truth model (default ols)")
+    p.add_argument("--folds", type=int, default=5, help="max spurious folds (default %(default)s)")
+    p.add_argument("--draws", type=int, default=100,
+                   help="Monte Carlo draws per fold count (default %(default)s)")
+    p.add_argument("--reference-model", default="ols",
+                   help="ground-truth model (default %(default)s)")
 
     p = sub.add_parser("power", help="duration recommendation from projected power")
     common(p)
     p.add_argument("--day", type=int, help="analysis day anchoring the forecast (required)")
     p.add_argument("--delta", type=float, help="hypothesized relative effect (required)")
-    p.add_argument("--power-target", type=float, help="target power (default 0.8)")
-    p.add_argument("--horizon", type=int, help="last day scanned (default 10x the analysis day)")
+    p.add_argument("--power-target", type=float, default=0.8,
+                   help="target power (default %(default)s)")
+    p.add_argument("--horizon", type=int, help="last day scanned (default "
+                   f"{power.DEFAULT_HORIZON_FACTOR}x the analysis day)")
 
     p = sub.add_parser("simulate", help="write a synthetic experiment CSV")
     common(p, with_input=False)
@@ -112,9 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="simulate and analyze many experiments, then aggregate")
     common(p, with_input=False)
     _simulate_flags(p)
-    p.add_argument("--experiments", type=int, help="number of experiments (default 3)")
-    p.add_argument("--day-filters", help="comma-separated analysis days, e.g. 7,28")
-    return parser
+    p.add_argument("--experiments", type=int, default=3,
+                   help="number of experiments (default %(default)s)")
+    p.add_argument("--day-filters", type=_day_list, default=[],
+                   help="comma-separated analysis days, e.g. 7,28 (default: no filter)")
+    return parser, sub.choices
 
 
 def _schema_flags(p):
@@ -129,107 +145,90 @@ def _schema_flags(p):
 
 
 def _simulate_flags(p):
-    p.add_argument("--n-units", type=int, help="units per experiment (default 1000)")
-    p.add_argument("--assignment-prob", type=float, help="treatment probability (default 0.5)")
-    p.add_argument("--k-covariates", type=int, help="covariate count (default 3)")
-    p.add_argument("--outcome-cor", type=float, help="target corr(pre-period, outcome)")
-    p.add_argument("--true-ate", type=float, help="injected additive effect (default 0)")
-    p.add_argument("--noise-sd", type=float, help="outcome noise scale (default 1)")
-    p.add_argument("--daily-arrivals", type=float, help="expected units per day (0 = no days)")
+    """Flags named after the ``SyntheticConfig`` fields they set."""
+    p.add_argument("--n-units", type=int, default=1000,
+                   help="units per experiment (default %(default)s)")
+    p.add_argument("--assignment-prob", type=float, default=0.5,
+                   help="treatment probability (default %(default)s)")
+    p.add_argument("--k-covariates", type=int, default=3,
+                   help="covariate count (default %(default)s)")
+    p.add_argument("--outcome-cor", type=float, default=0.0,
+                   help="target corr(pre-period, outcome) (default %(default)s)")
+    p.add_argument("--true-ate", type=float, default=0.0,
+                   help="injected additive effect (default %(default)s)")
+    p.add_argument("--noise-sd", type=float, default=1.0,
+                   help="outcome noise scale (default %(default)s)")
+    p.add_argument("--daily-arrivals", type=float, default=0.0,
+                   help="expected units per day, 0 = no days (default %(default)s)")
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
-    """Config-file values overlaid with explicitly set CLI flags."""
-    options: dict = {}
-    schema: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        ini = configparser.ConfigParser()
-        if not ini.read(config_path):
-            raise ValidationError(f"config file {config_path!r} not found")
-        for key, value in ini.items("run") if ini.has_section("run") else []:
-            key = key.replace("-", "_")
-            if key not in _RUN_KEYS:
-                raise ValidationError(f"unknown [run] config key {key!r}")
-            options[key] = value
-        for key, value in ini.items("schema") if ini.has_section("schema") else []:
-            if key not in _SCHEMA_KEYS:
-                raise ValidationError(f"unknown [schema] config key {key!r}")
-            schema[key] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        if key.startswith("schema_"):
-            schema[key[len("schema_"):]] = value
-        else:
-            options[key] = value
-    if schema:
-        options["schema"] = schema
-    return options
+def _day_list(text: str) -> list[int]:
+    try:
+        return [int(day) for day in _split_list(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid day list: {text!r}") from None
 
 
-def _resolve_out_dir(options: dict) -> Path:
-    out = options.get("out") or os.environ.get(ENV_OUT_DIR) or "gobe_out"
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    options["out"] = str(out_dir)
-    return out_dir
+def _config_values(args: argparse.Namespace) -> dict[str, str]:
+    """The ``--config`` file's values keyed by this command's option dests.
+
+    ``[run] key`` sets dest ``key`` and ``[schema] key`` sets ``schema_key``
+    (``-`` read as ``_``); a key the command has no option for is an error.
+    """
+    ini = configparser.ConfigParser()
+    if not ini.read(args.config):
+        raise ValidationError(f"config file {args.config!r} not found")
+    dests = set(vars(args)) - {"command", "config"}
+    values = {}
+    for section, prefix in (("run", ""), ("schema", "schema_")):
+        for key, value in ini.items(section) if ini.has_section(section) else []:
+            dest = prefix + key.replace("-", "_")
+            if dest not in dests:
+                raise ValidationError(
+                    f"unknown [{section}] config key {key!r} for command {args.command!r}")
+            values[dest] = value
+    return values
 
 
-def _emit_error(exc: Exception, args: argparse.Namespace) -> None:
-    doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    text = json.dumps(doc, indent=2)
+def _emit_error(exc: Exception, out: str) -> None:
+    text = json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, indent=2)
     print(text, file=sys.stderr)
-    out = getattr(args, "out", None) or os.environ.get(ENV_OUT_DIR)
-    if out:
-        try:
-            Path(out).mkdir(parents=True, exist_ok=True)
-            (Path(out) / "error.json").write_text(text + "\n", encoding="utf-8")
-        except OSError:
-            pass
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        (Path(out) / "error.json").write_text(text + "\n", encoding="utf-8")
+    except OSError:
+        pass
 
 
-def _load_input(options: dict) -> dataset.ExperimentData:
-    path = options.get("input")
-    if not path:
+def _load_input(args: argparse.Namespace) -> dataset.ExperimentData:
+    if not args.input:
         raise ValidationError("--input (or config input=) is required")
-    if not Path(path).exists():
-        raise ValidationError(f"input file {path!r} does not exist")
-    schema = options.get("schema") or {}
+    if not Path(args.input).exists():
+        raise ValidationError(f"input file {args.input!r} does not exist")
     for key in ("assignment", "outcome", "covariates", "pre_period"):
-        if key not in schema:
+        if getattr(args, f"schema_{key}") is None:
             raise SchemaError(f"schema is missing the {key!r} column mapping")
-    return dataset.load_csv(path, dataset.CsvSchema(
-        assignment=schema["assignment"],
-        outcome=schema["outcome"],
-        covariates=tuple(_split_list(schema["covariates"])),
-        pre_period=schema["pre_period"],
-        day=schema.get("day"),
-        unit_id=schema.get("unit_id"),
+    return dataset.load_csv(args.input, dataset.CsvSchema(
+        assignment=args.schema_assignment,
+        outcome=args.schema_outcome,
+        covariates=tuple(_split_list(args.schema_covariates)),
+        pre_period=args.schema_pre_period,
+        day=args.schema_day,
+        unit_id=args.schema_unit_id,
     ))
 
 
-def _split_list(value) -> list[str]:
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [item.strip() for item in str(value).split(",") if item.strip()]
+def _split_list(value: str) -> list[str]:
+    return [item.strip() for item in value.split(",") if item.strip()]
 
 
-def _model_specs(options: dict, default: str = "dim,ols") -> list[ModelSpec]:
-    return with_dim_baseline(_split_list(options.get("models", default)))
+def _model_specs(args: argparse.Namespace) -> list[ModelSpec]:
+    return with_dim_baseline(_split_list(args.models))
 
 
-def _synthetic_config(options: dict, seed: int) -> dataset.SyntheticConfig:
+def _synthetic_config(args: argparse.Namespace) -> dataset.SyntheticConfig:
     return dataset.SyntheticConfig(
-        n_units=int(options.get("n_units", 1000)),
-        assignment_prob=float(options.get("assignment_prob", 0.5)),
-        k_covariates=int(options.get("k_covariates", 3)),
-        outcome_cor=float(options.get("outcome_cor", 0.0)),
-        true_ate=float(options.get("true_ate", 0.0)),
-        noise_sd=float(options.get("noise_sd", 1.0)),
-        daily_arrivals=float(options.get("daily_arrivals", 0.0)),
-        seed=seed,
-    )
+        **{field.name: getattr(args, field.name) for field in fields(dataset.SyntheticConfig)})
 
 
 @contextmanager
@@ -275,29 +274,18 @@ def _estimate_doc(data: dataset.ExperimentData, specs: list[ModelSpec],
     return doc
 
 
-def _cmd_estimate(options: dict, out_dir: Path) -> None:
-    data = _load_input(options)
-    seed = int(options.get("seed", 0))
-    alpha = float(options.get("alpha", 0.05))
-    day = options.get("day")
-    if day is not None:
-        data = dataset.filter_by_day(data, int(day))
-    doc = _estimate_doc(data, _model_specs(options), alpha, seed, None if day is None else int(day))
+def _cmd_estimate(args: argparse.Namespace, out_dir: Path) -> None:
+    data = _load_input(args)
+    if args.day is not None:
+        data = dataset.filter_by_day(data, args.day)
+    doc = _estimate_doc(data, _model_specs(args), args.alpha, args.seed, args.day)
     report.write_report(doc, out_dir / "report.json")
 
 
-def _cmd_aa(options: dict, out_dir: Path) -> None:
-    data = _load_input(options)
-    seed = int(options.get("seed", 0))
+def _cmd_aa(args: argparse.Namespace, out_dir: Path) -> None:
     run = aa_mod.run_aa(
-        data,
-        arm=int(options.get("arm", 0)),
-        models=_model_specs(options),
-        s_splits=int(options.get("s_splits", 1000)),
-        alpha=float(options.get("alpha", 0.05)),
-        seed=seed,
-        kappa=None if options.get("kappa") is None else int(options["kappa"]),
-        n_jobs=int(options.get("jobs", 1)),
+        _load_input(args), arm=args.arm, models=_model_specs(args), s_splits=args.s_splits,
+        alpha=args.alpha, seed=args.seed, kappa=args.kappa,
     )
     metrics = aa_mod.bucket_metrics(run)
     aa_mod.write_splits_csv(run, out_dir / "aa_splits.csv")
@@ -305,21 +293,20 @@ def _cmd_aa(options: dict, out_dir: Path) -> None:
                         out_dir / "report.json")
 
 
-def _cmd_stress(options: dict, out_dir: Path) -> None:
-    data = _load_input(options)
-    seed = int(options.get("seed", 0))
+def _cmd_stress(args: argparse.Namespace, out_dir: Path) -> None:
+    data = _load_input(args)
     config = stress.StressConfig(
-        folds=int(options.get("folds", 5)),
-        mc_draws=int(options.get("draws", 100)),
-        models=tuple(_model_specs(options)),
-        seed=seed,
-        alpha=float(options.get("alpha", 0.05)),
-        reference_model=parse_model(str(options.get("reference_model", "ols"))),
+        folds=args.folds,
+        mc_draws=args.draws,
+        models=tuple(_model_specs(args)),
+        seed=args.seed,
+        alpha=args.alpha,
+        reference_model=parse_model(args.reference_model),
     )
     result = stress.error_distribution(data, config)
     _write_stress_csv(result, data.n_units, out_dir / "stress.csv")
     report.write_report(
-        report.stress_to_dict(result, seed, config.mc_draws, "stress.csv"),
+        report.stress_to_dict(result, args.seed, config.mc_draws, "stress.csv"),
         out_dir / "report.json",
     )
 
@@ -341,34 +328,29 @@ def _write_stress_csv(result: stress.StressResult, n_units: int, path: Path) -> 
                 ])
 
 
-def _cmd_power(options: dict, out_dir: Path) -> None:
-    data = _load_input(options)
-    seed = int(options.get("seed", 0))
-    alpha = float(options.get("alpha", 0.05))
-    if "day" not in options:
+def _cmd_power(args: argparse.Namespace, out_dir: Path) -> None:
+    data = _load_input(args)
+    if args.day is None:
         raise ValidationError("--day (analysis day) is required for power")
-    if "delta" not in options:
+    if args.delta is None:
         raise ValidationError("--delta (hypothesized relative effect) is required for power")
-    day = int(options["day"])
-    delta = float(options["delta"])
-    target = float(options.get("power_target", 0.8))
-    horizon = int(options["horizon"]) if "horizon" in options else None
-    analysis = dataset.filter_by_day(data, day)
-    forecast = power.forecast_arm_sizes(data, day, horizon)
+    analysis = dataset.filter_by_day(data, args.day)
+    forecast = power.forecast_arm_sizes(data, args.day, args.horizon)
     recs = []
     failures = []
-    for spec in _model_specs(options):
+    for spec in _model_specs(args):
         with _recording_failure(spec, failures):
-            est = estimate(analysis, spec, alpha=alpha, seed=seed)
-            recs.append(power.recommend_duration(est, forecast, delta, alpha, target))
+            est = estimate(analysis, spec, alpha=args.alpha, seed=args.seed)
+            recs.append(power.recommend_duration(est, forecast, args.delta, args.alpha,
+                                                 args.power_target))
     doc = {
         "kind": "power",
-        "seed": seed,
-        "anchor_day": day,
+        "seed": args.seed,
+        "anchor_day": args.day,
         "horizon": forecast.horizon,
-        "delta": delta,
-        "alpha": alpha,
-        "target_power": target,
+        "delta": args.delta,
+        "alpha": args.alpha,
+        "target_power": args.power_target,
         "recommendations": [report.recommendation_to_dict(r) for r in recs],
     }
     if failures:
@@ -376,17 +358,14 @@ def _cmd_power(options: dict, out_dir: Path) -> None:
     report.write_report(doc, out_dir / "report.json")
 
 
-def _cmd_simulate(options: dict, out_dir: Path) -> None:
-    seed = int(options.get("seed", 0))
-    config = _synthetic_config(options, seed)
+def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> None:
+    config = _synthetic_config(args)
     data = dataset.generate(config)
     dataset.write_csv(data, out_dir / "synthetic.csv")
     doc = {
         "kind": "simulate",
-        "seed": seed,
-        "config": {k: getattr(config, k) for k in (
-            "n_units", "assignment_prob", "k_covariates", "outcome_cor",
-            "true_ate", "noise_sd", "daily_arrivals", "seed")},
+        "seed": args.seed,
+        "config": asdict(config),
         "n_units": data.n_units,
         "n_per_arm": list(data.arm_sizes()),
         "csv": "synthetic.csv",
@@ -394,25 +373,20 @@ def _cmd_simulate(options: dict, out_dir: Path) -> None:
     report.write_report(doc, out_dir / "report.json")
 
 
-def _cmd_batch(options: dict, out_dir: Path) -> None:
-    from .rng import child_seed
-
-    seed = int(options.get("seed", 0))
-    alpha = float(options.get("alpha", 0.05))
-    n_experiments = int(options.get("experiments", 3))
-    day_filters = [int(d) for d in _split_list(options.get("day_filters", ""))] or [None]
-    if any(day_filters) and float(options.get("daily_arrivals", 0.0)) <= 0:
-        options = dict(options)
-        options["daily_arrivals"] = max(1.0, int(options.get("n_units", 1000)) / 28)
-    specs = _model_specs(options)
+def _cmd_batch(args: argparse.Namespace, out_dir: Path) -> None:
+    config = _synthetic_config(args)
+    if any(args.day_filters) and config.daily_arrivals <= 0:
+        config = replace(config, daily_arrivals=max(1.0, config.n_units / 28))
+    specs = _model_specs(args)
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(exist_ok=True)
     paths = []
-    for w in range(n_experiments):
-        data = dataset.generate(_synthetic_config(options, child_seed(seed, w)))
-        for day in day_filters:
+    for w in range(args.experiments):
+        seed = child_seed(args.seed, w)
+        data = dataset.generate(replace(config, seed=seed))
+        for day in args.day_filters or [None]:
             subset = data if day is None else dataset.filter_by_day(data, day)
-            doc = _estimate_doc(subset, specs, alpha, child_seed(seed, w), day)
+            doc = _estimate_doc(subset, specs, args.alpha, seed, day)
             doc["experiment"] = w
             name = f"exp{w:03d}.json" if day is None else f"exp{w:03d}_day{day}.json"
             report.write_report(doc, reports_dir / name)

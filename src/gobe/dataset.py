@@ -254,7 +254,7 @@ def _subset(data: ExperimentData, rows: np.ndarray) -> ExperimentData:
 
 
 def with_assignment(data: ExperimentData, assignment: np.ndarray) -> ExperimentData:
-    """Same units with a replacement arm labelling (used by the A/A harness)."""
+    """Same units with a replacement arm labelling (used by tests and the benchmark replay)."""
     return replace(data, assignment=assignment)
 
 

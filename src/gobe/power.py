@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import ExperimentData
 from .errors import ValidationError
-from .estimator import AteEstimate
+from .estimator import AteEstimate, check_alpha
 from .normal import normal_cdf, z_for_alpha
 
 DEFAULT_HORIZON_FACTOR = 10
@@ -102,8 +102,7 @@ def recommend_duration(estimate: AteEstimate, forecast: ArmForecast, delta: floa
     """
     if delta == 0.0:
         raise ValidationError("delta must be non-zero; power cannot exceed alpha at zero effect")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if not 0.0 < target_power < 1.0:
         raise ValidationError(f"target_power must be in (0, 1), got {target_power}")
     effect = delta * abs(estimate.control_mean)

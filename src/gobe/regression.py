@@ -52,7 +52,8 @@ class ModelSpec:
     from the data-dependent gamma_max down to 1e-4 * gamma_max. ``mix`` is
     the elastic-net l1 weight and has no default. ``columns`` restricts the
     model to a subset of covariates; the string ``"pre"`` resolves to the
-    dataset's pre-period column at fit time.
+    dataset's pre-period column at fit time. ``power`` is the Tweedie
+    variance power; the Tweedie link is always log.
     """
 
     kind: str
@@ -61,7 +62,6 @@ class ModelSpec:
     n_components: int | None = None
     variance_threshold: float = 0.90
     power: float = 1.5
-    link: str = "log"
     cv_folds: int = 5
     columns: tuple[int, ...] | str | None = None
     base: "ModelSpec | None" = None
@@ -86,8 +86,6 @@ class ModelSpec:
         if self.kind == "tweedie":
             if not 1.0 < self.power < 2.0:
                 raise ValidationError(f"tweedie power must be in (1, 2), got {self.power}")
-            if self.link != "log":
-                raise ValidationError("only the log link is supported for tweedie")
         if self.cv_folds < 2:
             raise ValidationError("cv_folds must be >= 2")
         if self.kind == "two_step":

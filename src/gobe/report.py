@@ -15,8 +15,9 @@ import platform
 import sys
 from importlib import metadata, resources
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .aa import AaRun, BucketMetrics, pooled_coverage
 from .estimator import AteEstimate
@@ -26,11 +27,19 @@ from .stress import StressResult
 _SCHEMA = json.loads(
     resources.files("gobe").joinpath("schemas/report.schema.json").read_text("utf-8")
 )
+# Built once: the schema itself is checked against its metaschema by a test,
+# not on every report.
+_VALIDATOR = validator_for(_SCHEMA)(_SCHEMA)
 
 
 def validate_report(doc: dict) -> None:
-    """Raise jsonschema.ValidationError if the document is malformed."""
-    jsonschema.validate(doc, _SCHEMA)
+    """Raise jsonschema.ValidationError if the document is malformed.
+
+    The error raised is the one ``jsonschema.validate`` would raise.
+    """
+    error = best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def write_report(doc: dict, path) -> None:

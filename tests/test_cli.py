@@ -1,10 +1,13 @@
+import argparse
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gobe.cli import aggregate, main
+from gobe import cli
+from gobe.cli import aggregate, build_parser, main
 from gobe.report import validate_report
 
 
@@ -408,3 +411,141 @@ def test_stress_and_power_reports_are_byte_identical(tmp_path):
         assert run_cli(*command, *schema, "--out", out_b) == 0
         read_report(out_a)
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+
+
+def _command_options():
+    """(command, dest, flag) for every option of every command but --help/--config."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.dest, action.option_strings[0])
+            for command, p in sub.choices.items() for action in p._actions
+            if action.option_strings and action.dest not in ("help", "config")]
+
+
+def _config_key(dest, flag):
+    if dest.startswith("schema_"):
+        return "schema", dest[len("schema_"):]
+    return "run", flag[len("--"):]
+
+
+def _recording_handlers(monkeypatch):
+    """Replace every command's handler by one that records its namespace."""
+    seen = []
+    for command in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, command, lambda args, out_dir: seen.append(vars(args)))
+    return seen
+
+
+@pytest.mark.parametrize("command,dest,flag", _command_options())
+def test_config_value_parses_like_its_flag(command, dest, flag, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GOBE_OUT", raising=False)
+    seen = _recording_handlers(monkeypatch)
+    section, key = _config_key(dest, flag)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = 2\n", encoding="utf-8")
+    assert run_cli(command, flag, "2") == 0
+    assert run_cli(command, "--config", cfg) == 0
+    assert run_cli(command) == 0
+    from_flag, from_config, default = seen
+    assert from_config == {**from_flag, "config": str(cfg)}
+    assert from_flag[dest] != default[dest]
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("estimate", "run", "folds"),
+    ("aa", "run", "delta"),
+    ("simulate", "schema", "outcome"),
+    ("simulate", "run", "input"),
+    ("estimate", "run", "command"),
+])
+def test_config_key_without_a_flag_in_the_command_is_rejected(command, section, key, tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = 3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out", out) == 1
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"] == f"unknown [{section}] config key {key!r} for command {command!r}"
+
+
+@pytest.mark.parametrize("command,key,flag,value", [
+    ("estimate", "seed", "--seed", "abc"),
+    ("aa", "s_splits", "--s-splits", "1e2"),
+    ("batch", "day_filters", "--day-filters", "7,x"),
+])
+def test_config_value_type_error_fails_like_the_flag(command, key, flag, value, tmp_path,
+                                                     capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as from_flag:
+        run_cli(command, flag, value, "--out", out)
+    flag_stderr = capsys.readouterr().err
+    with pytest.raises(SystemExit) as from_config:
+        run_cli(command, "--config", cfg, "--out", out)
+    assert from_config.value.code == from_flag.value.code == 2
+    assert capsys.readouterr().err == flag_stderr
+    assert repr(value) in flag_stderr
+
+
+def test_config_out_receives_error_json(tmp_path, monkeypatch):
+    monkeypatch.delenv("GOBE_OUT", raising=False)
+    out = tmp_path / "from_config"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nout = {out}\nmodels = dim\n", encoding="utf-8")
+    assert run_cli("estimate", "--config", cfg) == 1
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error == {"type": "ValidationError",
+                     "message": "--input (or config input=) is required"}
+
+
+def test_manifest_echoes_typed_resolved_options(tmp_path, monkeypatch):
+    _recording_handlers(monkeypatch)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nkappa = 4\n[schema]\noutcome = kpi\n", encoding="utf-8")
+    out = tmp_path / "aa"
+    assert run_cli("aa", "--config", cfg, "--seed", "8", "--out", out) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["alpha"] == 0.05 and isinstance(config["alpha"], float)
+    assert config["s_splits"] == 1000 and config["arm"] == 0
+    assert config["kappa"] == 4 and config["seed"] == 8
+    assert config["models"] == "dim,ols"
+    assert config["schema_outcome"] == "kpi" and config["schema_day"] is None
+    assert config["out"] == str(out) and config["command"] == "aa"
+
+
+# Attributes perfbench/replay.py reads from the parsed namespace of each
+# benchmark command line, and the ones it needs to default to None.
+_REPLAY_READS = ("command", "out", "seed", "alpha", "input", "models", "schema_assignment",
+                 "schema_outcome", "schema_covariates", "schema_pre_period", "schema_day",
+                 "schema_unit_id")
+_REPLAY_READS_BY_COMMAND = {
+    "estimate": ("day",),
+    "power": ("day", "delta", "horizon", "power_target"),
+    "aa": ("arm", "s_splits", "kappa", "jobs"),
+    "stress": ("folds", "draws", "reference_model"),
+}
+_REPLAY_NONE_DEFAULTS = ("input", "day", "delta", "horizon", "kappa")
+
+
+def test_benchmark_command_lines_parse_with_the_attributes_replay_reads():
+    workloads = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                            / "workloads.json").read_text(encoding="utf-8"))["workloads"]
+    fill = {"{input}": "input.csv", "{out}": "out", "{seed}": "5"}
+    commands = set()
+    for workload in workloads:
+        for template in workload["commands"]:
+            argv = []
+            for arg in template:
+                for key, value in fill.items():
+                    arg = arg.replace(key, value)
+                argv.append(arg)
+            args = build_parser().parse_args(argv)
+            commands.add(args.command)
+            for name in _REPLAY_READS + _REPLAY_READS_BY_COMMAND[args.command]:
+                assert hasattr(args, name), (workload["name"], args.command, name)
+            assert isinstance(args.models, str) and isinstance(args.schema_covariates, str)
+            bare = vars(build_parser().parse_args([args.command]))
+            for name in _REPLAY_NONE_DEFAULTS:
+                assert bare.get(name) is None, (args.command, name)
+    assert commands == set(_REPLAY_READS_BY_COMMAND)

@@ -356,7 +356,6 @@ def test_parse_rejects_bad_names(bad):
     dict(kind="elastic_net", mix=1.5),
     dict(kind="pcr", n_components=0),
     dict(kind="tweedie", power=2.5),
-    dict(kind="tweedie", link="identity"),
     dict(kind="two_step"),
     dict(kind="dim", base=None, columns=(0, 0)),
 ])
