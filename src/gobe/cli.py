@@ -329,11 +329,11 @@ def _write_stress_csv(result: stress.StressResult, n_units: int, path: Path) -> 
 
 
 def _cmd_power(args: argparse.Namespace, out_dir: Path) -> None:
-    data = _load_input(args)
     if args.day is None:
         raise ValidationError("--day (analysis day) is required for power")
     if args.delta is None:
         raise ValidationError("--delta (hypothesized relative effect) is required for power")
+    data = _load_input(args)
     analysis = dataset.filter_by_day(data, args.day)
     forecast = power.forecast_arm_sizes(data, args.day, args.horizon)
     recs = []

@@ -1,8 +1,8 @@
 """Experiment data model, CSV ingestion, and synthetic data generation.
 
-The unit-level table is immutable after construction: arrays are marked
-read-only so a dataset can be shared freely across threads. Loading rejects
-malformed rows with an error naming the row rather than imputing or dropping.
+The unit-level table is immutable after construction: its arrays are
+marked read-only. Loading rejects malformed rows with an error naming the row
+rather than imputing or dropping.
 """
 
 from __future__ import annotations
@@ -274,12 +274,100 @@ def default_schema(data: ExperimentData) -> CsvSchema:
 def load_csv(path, schema: CsvSchema) -> ExperimentData:
     """Load and validate an experiment table from a UTF-8 CSV file.
 
+    The input is plain comma-separated UTF-8 text whose first line is a
+    header naming the columns; fields may be quoted as in ``csv.reader``'s
+    default dialect, and columns the schema does not map are ignored. Every
+    data row must have as many fields as the header.
+
     Any unparseable or non-finite cell in a mapped column aborts the load
     with an error naming the offending data row (1-based, header excluded).
     Unit ids from a mapped ``unit_id`` column come back as strings, whatever
     type they had when written; without one they are the row positions
     0..N-1. Numbers parse bit-exactly from ``write_csv``'s output.
     """
+    columns = _read_columns_fast(path, schema)
+    if columns is None:
+        columns = _read_rows(path, schema)
+    ids, assignment, outcome, covariates, days = columns
+    data = ExperimentData(
+        unit_ids=ids if ids is not None else np.arange(outcome.shape[0], dtype=np.int64),
+        assignment=assignment,
+        outcome=outcome,
+        covariates=covariates,
+        pre_period_col=schema.pre_period_col,
+        day_index=days,
+    )
+    data.require_both_arms()
+    return data
+
+
+# Characters on which numpy's reader and the row parser could disagree: a
+# quote (a quoted field may hold a comma), a carriage return not ending a
+# line, and the separators U+001C-U+001F, which numpy strips around a number
+# and float() does not.
+_ROW_PARSER_ONLY = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_columns_fast(path, schema: CsvSchema):
+    """The mapped columns parsed by numpy's C reader, or None to leave the
+    file to the row parser.
+
+    Returns what ``_read_rows`` returns, value for value, for every file it
+    accepts. It declines a file that is not UTF-8 or holds a
+    ``_ROW_PARSER_ONLY`` character, an empty header line, a row whose field
+    count differs from the header's (a blank line included), fewer than two
+    data rows, a number numpy does not read (``1_000``, non-ASCII digits),
+    or a value the row parser rejects: non-finite numbers, an assignment
+    other than 0/1, or a day that is not an integer >= 1 (days from 2**53
+    up are declined too).
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read().replace("\r\n", "\n")
+    except UnicodeDecodeError:
+        return None
+    if any(ch in text for ch in _ROW_PARSER_ONLY):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # csv.reader reads an empty line as no fields, not as one empty field.
+    if len(lines) < 3 or not lines[0]:
+        return None
+    header = lines[0].split(",")
+    col = _resolve_columns(header, schema, path)
+    if {line.count(",") for line in lines} != {len(header) - 1}:
+        return None
+    numeric = [schema.assignment, schema.outcome, *schema.covariates]
+    if schema.day is not None:
+        numeric.append(schema.day)
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None,
+                           usecols=[col[c] for c in numeric], ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(table).all():
+        return None
+    assignment = table[:, 0]
+    if not ((assignment == 0) | (assignment == 1)).all():
+        return None
+    days = None
+    if schema.day is not None:
+        days = table[:, -1]
+        if not ((days >= 1) & (days < 2.0 ** 53) & (days == np.floor(days))).all():
+            return None
+        days = days.astype(np.int64)
+    ids = None
+    if schema.unit_id is not None:
+        ids = np.array([line.split(",")[col[schema.unit_id]] for line in lines[1:]])
+    return (ids, assignment.astype(np.int8), table[:, 1],
+            table[:, 2:2 + len(schema.covariates)], days)
+
+
+def _read_rows(path, schema: CsvSchema):
+    """The reference row parser: ``(ids, assignment, outcome, covariates,
+    days)``, with ``ids``/``days`` None when unmapped, each cell parsed by
+    ``float()`` and checked in the row that holds it."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -301,16 +389,11 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
     n = len(outcome)
     if n < 2:
         raise ValidationError(f"{path}: experiment needs at least 2 data rows, got {n}")
-    data = ExperimentData(
-        unit_ids=np.array(ids) if ids else np.arange(n, dtype=np.int64),
-        assignment=np.array(assignment, dtype=np.int8),
-        outcome=np.array(outcome),
-        covariates=np.array(cov_rows),
-        pre_period_col=schema.pre_period_col,
-        day_index=np.array(days, dtype=np.int64) if days else None,
-    )
-    data.require_both_arms()
-    return data
+    return (np.array(ids) if ids else None,
+            np.array(assignment, dtype=np.int8),
+            np.array(outcome),
+            np.array(cov_rows),
+            np.array(days, dtype=np.int64) if days else None)
 
 
 def write_csv(data: ExperimentData, path, schema: CsvSchema | None = None) -> CsvSchema:

@@ -172,6 +172,21 @@ def test_power_command_and_horizon_exhaustion(tmp_path):
         assert rec["D"] == 7
 
 
+@pytest.mark.parametrize("given, message", [
+    (["--delta", "0.01"], "--day (analysis day) is required for power"),
+    (["--day", "7"], "--delta (hypothesized relative effect) is required for power"),
+])
+def test_power_checks_day_and_delta_before_loading_the_input(four_row_csv, tmp_path,
+                                                             monkeypatch, given, message):
+    loads = []
+    monkeypatch.setattr(cli.dataset, "load_csv", lambda *args: loads.append(args))
+    out = tmp_path / "power"
+    assert run_cli("power", "--input", four_row_csv, *SCHEMA_FLAGS, *given, "--out", out) == 1
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error == {"type": "ValidationError", "message": message}
+    assert loads == []
+
+
 def test_batch_layout_and_aggregate(tmp_path):
     out = tmp_path / "batch"
     code = run_cli("batch", "--experiments", "3", "--day-filters", "7,28",

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from gobe import dataset
 
 from gobe import (
     CsvSchema,
@@ -128,7 +132,9 @@ def csv_datasets(draw):
 @given(data=csv_datasets())
 def test_csv_round_trip_is_bit_exact(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
-    back = load_csv(path, write_csv(data, path))
+    schema = write_csv(data, path)
+    assert dataset._read_columns_fast(path, schema) is not None
+    back = load_csv(path, schema)
     np.testing.assert_array_equal(back.assignment, data.assignment)
     np.testing.assert_array_equal(back.outcome.view(np.uint64), data.outcome.view(np.uint64))
     np.testing.assert_array_equal(back.covariates.view(np.uint64),
@@ -139,6 +145,159 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, data):
         np.testing.assert_array_equal(back.day_index, data.day_index)
     assert back.unit_ids.tolist() == [str(u) for u in data.unit_ids.tolist()]
     assert back.pre_period_col == data.pre_period_col
+
+
+# --- numpy's reader against the row parser ----------------------------------
+
+def load_by_row_parser(path, schema):
+    """load_csv with the numpy fast path switched off: the reference."""
+    with mock.patch.object(dataset, "_read_columns_fast", return_value=None):
+        return load_csv(path, schema)
+
+
+def assert_same_data(got, want):
+    for name in ("unit_ids", "assignment", "outcome", "covariates", "day_index"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+            continue
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        if b.dtype == np.float64:
+            a, b = a.view(np.uint64), b.view(np.uint64)
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert got.pre_period_col == want.pre_period_col
+
+
+_NUMBER_FORMATS = (repr, "{:.17g}".format, "{:.16e}".format, " {!r} ".format)
+# Any text the fast path must keep as-is: spaces, NUL, non-ASCII, other
+# Unicode line separators; never a comma, quote, CR/LF or U+001C-U+001F.
+_ID_TEXT = st.sampled_from([" b ", " ", "a b"]) | st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n\x1c\x1d\x1e\x1f'),
+    max_size=6)
+
+
+@st.composite
+def valid_csv_files(draw):
+    """(file bytes, schema): a valid table with columns in any order, optional
+    unit-id and day columns, unmapped numeric and text columns, either line
+    ending, and a final newline or none."""
+    n, k = draw(st.integers(2, 12)), draw(st.integers(1, 3))
+    fmt = draw(st.sampled_from(_NUMBER_FORMATS))
+    numbers = st.lists(_FLOATS.map(fmt), min_size=n, max_size=n)
+    columns = {
+        "arm": ["0", "1"] + draw(st.lists(st.sampled_from(["0", "1", "0.0", "1.0", "-0"]),
+                                          min_size=n - 2, max_size=n - 2)),
+        "kpi": draw(numbers),
+    }
+    covariates = tuple(f"z{i}" for i in range(k))
+    for name in covariates:
+        columns[name] = draw(numbers)
+    for i in range(draw(st.integers(0, 2))):
+        columns[f"spare{i}"] = draw(numbers)
+    if draw(st.booleans()):
+        columns["note"] = draw(st.lists(_ID_TEXT, min_size=n, max_size=n))
+    day = unit_id = None
+    if draw(st.booleans()):
+        day = "day"
+        columns[day] = [str(d) for d in draw(st.lists(st.integers(1, 10**6), min_size=n,
+                                                         max_size=n))]
+    if draw(st.booleans()):
+        unit_id = "id"
+        columns[unit_id] = draw(st.lists(_ID_TEXT, min_size=n, max_size=n))
+    names = draw(st.permutations(list(columns)))
+    lines = [",".join(names)] + [",".join(columns[c][i] for c in names) for i in range(n)]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    schema = CsvSchema(assignment="arm", outcome="kpi", covariates=covariates,
+                       pre_period=draw(st.sampled_from(covariates)), day=day, unit_id=unit_id)
+    return text.encode("utf-8"), schema
+
+
+@given(case=valid_csv_files())
+def test_fast_path_loads_valid_files_as_the_row_parser_does(tmp_path_factory, case):
+    raw, schema = case
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(raw)
+    assert dataset._read_columns_fast(path, schema) is not None
+    assert_same_data(load_csv(path, schema), load_by_row_parser(path, schema))
+
+
+SCHEMA_DAY = CsvSchema(assignment="arm", outcome="kpi", covariates=("pre", "extra"),
+                       pre_period="pre", day="day")
+_HEAD = "arm,kpi,pre,extra\n"
+_DAY_HEAD = "arm,kpi,pre,extra,day\n"
+_ROWS = "0,1.5,0.2,1.0\n1,2.5,0.1,2.0\n1,3.5,0.3,0.5\n"
+_DAY_ROWS = "0,1.5,0.2,1.0,1\n1,2.5,0.1,2.0,2\n1,3.5,0.3,0.5,2\n"
+_BAD_UTF8_LATE = (_HEAD + "0,1.5,0.2,1.0\n" * 2000 + "1,2.5,0.1,2.0\n").encode() + b"\xff\n"
+
+# name: (file contents, schema, what the row parser does: an error type or
+# None for a successful load)
+MALFORMED_CORPUS = {
+    "blank_line_middle": (_HEAD + "0,1.5,0.2,1.0\n\n1,2.5,0.1,2.0\n", SCHEMA, ParseError),
+    "blank_line_end": (_HEAD + _ROWS + "\n", SCHEMA, ParseError),
+    "comment_line": (_HEAD + "0,1.5,0.2,1.0\n# note\n1,2.5,0.1,2.0\n", SCHEMA, ParseError),
+    "short_row": (_HEAD + _ROWS + "1,2.5,0.1\n", SCHEMA, ParseError),
+    "long_row": (_HEAD + _ROWS + "1,2.5,0.1,2.0,9\n", SCHEMA, ParseError),
+    "trailing_comma": (_HEAD + _ROWS + "1,2.5,0.1,2.0,\n", SCHEMA, ParseError),
+    "quoted_comma_unmapped": ("arm,kpi,pre,extra,name\n0,1.5,0.2,1.0,\"Smith, J\"\n"
+                              "1,2.5,0.1,2.0,Doe\n", SCHEMA, None),
+    "quoted_number": (_HEAD + "0,\"1.5\",0.2,1.0\n1,2.5,0.1,2.0\n", SCHEMA, None),
+    "nan": (_HEAD + _ROWS + "1,nan,0.1,2.0\n", SCHEMA, ValidationError),
+    "inf": (_HEAD + _ROWS + "1,2.5,-inf,2.0\n", SCHEMA, ValidationError),
+    "overflow_1e500": (_HEAD + _ROWS + "1,2.5,0.1,1e500\n", SCHEMA, ValidationError),
+    "underscore_digits": (_HEAD + _ROWS + "1,1_000,0.1,2.0\n", SCHEMA, None),
+    "non_ascii_digits": (_HEAD + _ROWS + "1,\u0661\u0662,0.1,2.0\n", SCHEMA, None),
+    "info_separator_around_number": (_HEAD + _ROWS + "1,2.5\x1c,0.1,2.0\n", SCHEMA,
+                                     ParseError),
+    "unparseable": (_HEAD + _ROWS + "1,oops,0.1,2.0\n", SCHEMA, ParseError),
+    "assignment_2": (_HEAD + "0,1.5,0.2,1.0\n2,2.5,0.1,2.0\n", SCHEMA, ValidationError),
+    "assignment_half": (_HEAD + "0,1.5,0.2,1.0\n0.5,2.5,0.1,2.0\n", SCHEMA, ValidationError),
+    "day_fraction": (_DAY_HEAD + _DAY_ROWS + "1,2.5,0.1,2.0,1.5\n", SCHEMA_DAY,
+                     ValidationError),
+    "day_zero": (_DAY_HEAD + _DAY_ROWS + "1,2.5,0.1,2.0,0\n", SCHEMA_DAY, ValidationError),
+    "day_beyond_int64": (_DAY_HEAD + _DAY_ROWS + "1,2.5,0.1,2.0,1e19\n", SCHEMA_DAY,
+                         OverflowError),
+    "empty_file": ("", SCHEMA, SchemaError),
+    "header_only": (_HEAD, SCHEMA, ValidationError),
+    "one_data_row": (_HEAD + "0,1.5,0.2,1.0\n", SCHEMA, ValidationError),
+    "one_data_row_day_beyond_int64": (_DAY_HEAD + "0,1.5,0.2,1.0,1e19\n", SCHEMA_DAY,
+                                      ValidationError),
+    "single_arm": (_HEAD + "0,1.5,0.2,1.0\n0,2.5,0.1,2.0\n", SCHEMA, ValidationError),
+    "missing_column": ("arm,kpi,pre\n0,1.5,0.2\n1,2.5,0.1\n", SCHEMA, SchemaError),
+    "duplicate_column": ("arm,kpi,pre,extra,kpi\n0,1.5,0.2,1.0,1\n1,2.5,0.1,2.0,2\n",
+                         SCHEMA, SchemaError),
+    "empty_header_line": ("\n" + _ROWS, SCHEMA, SchemaError),
+    "empty_header_line_unnamed_column": ("\n0\n1\n", CsvSchema(
+        assignment="", outcome="kpi", covariates=("pre",), pre_period="pre"), SchemaError),
+    "crlf": ((_HEAD + _ROWS).replace("\n", "\r\n"), SCHEMA, None),
+    "cr_only": ((_HEAD + _ROWS).replace("\n", "\r"), SCHEMA, None),
+    "bom": ("\ufeff" + _HEAD + _ROWS, SCHEMA, SchemaError),
+    "bom_on_unmapped_column": ("\ufeffname," + _HEAD + "a,0,1.5,0.2,1.0\nb,1,2.5,0.1,2.0\n",
+                               SCHEMA, None),
+    "invalid_utf8_after_first_block": (_BAD_UTF8_LATE, SCHEMA, UnicodeDecodeError),
+}
+
+
+def _load_or_error(load, path, schema):
+    try:
+        return load(path, schema)
+    except Exception as exc:  # compared below with the reference outcome
+        return exc
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_CORPUS))
+def test_malformed_file_fails_as_the_row_parser_does(tmp_path, name):
+    contents, schema, row_parser_error = MALFORMED_CORPUS[name]
+    path = tmp_path / "in.csv"
+    path.write_bytes(contents if isinstance(contents, bytes) else contents.encode("utf-8"))
+    want = _load_or_error(load_by_row_parser, path, schema)
+    got = _load_or_error(load_csv, path, schema)
+    if row_parser_error is None:
+        assert isinstance(want, ExperimentData), want
+        assert_same_data(got, want)
+    else:
+        assert type(want) is row_parser_error
+        assert (type(got), str(got)) == (type(want), str(want))
 
 
 def test_generate_independent_case():

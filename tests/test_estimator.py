@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,10 @@ def test_ci_properties():
     assert half[0] > half[1] > half[2]
 
 
+INVARIANT_MODELS = ("dim", "ols", "ols@pre", "ridge", "lasso", "elastic_net:0.5", "pcr",
+                    "two_step:ols")
+
+
 def test_outcome_shift_leaves_ate_unchanged():
     data = generate(SyntheticConfig(n_units=400, k_covariates=3,
                                     outcome_cor=0.5, true_ate=0.2, seed=3))
@@ -154,10 +159,30 @@ def test_outcome_shift_leaves_ate_unchanged():
         outcome=data.outcome + 1000.0, covariates=data.covariates,
         pre_period_col=data.pre_period_col,
     )
-    for name in ("dim", "ols", "ridge", "lasso", "elastic_net:0.5", "pcr", "two_step:ols"):
+    for name in INVARIANT_MODELS:
         a = estimate(data, name, seed=5)
         b = estimate(shifted, name, seed=5)
         assert abs(a.ate - b.ate) < 1e-10, name
+        assert abs(a.variance - b.variance) <= 1e-9 * a.variance, name
+
+
+@settings(max_examples=12)
+@given(log_scale=st.floats(-3.0, 3.0), sign=st.sampled_from([-1.0, 1.0]),
+       offset=st.floats(-100.0, 100.0), col=st.integers(0, 2))
+def test_covariate_affine_map_leaves_estimates_unchanged(log_scale, sign, offset, col):
+    # z -> a*z + b with |b| <= 100*|a|, so the mapped column keeps all but
+    # about two of z's significant digits and every fit sees the same data.
+    data = generate(SyntheticConfig(n_units=400, k_covariates=3,
+                                    outcome_cor=0.5, true_ate=0.2, seed=3))
+    a = sign * 10.0 ** log_scale
+    z = data.covariates.copy()
+    z[:, col] = a * z[:, col] + a * offset
+    mapped = replace(data, covariates=z)
+    for name in INVARIANT_MODELS:
+        want = estimate(data, name, seed=5)
+        got = estimate(mapped, name, seed=5)
+        assert abs(got.ate - want.ate) <= 1e-9 * abs(want.ate), name
+        assert abs(got.variance - want.variance) <= 1e-9 * want.variance, name
 
 
 def test_swapping_arm_labels_negates_ate():
