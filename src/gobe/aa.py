@@ -9,9 +9,20 @@ interval calibration as a function of chance imbalance.
 Splits are fixed-margin half-splits (sizes differ by at most one) rather
 than per-unit coin flips, which pins the fake arm sizes and removes a noise
 source from the bucketed metrics. Each split draws from its own seed stream
-and indexes the arm rows once into the two fake-arm blocks that every model
-is fitted on. Splits run serially: the per-split work is mostly Python, so
-threads would cost more CPU than they save in wall time.
+and computes the imbalance ``zeta`` from its sorted gathered rows.
+
+The affine models (``dim``, ``ols``, ``ols@cols``) need no per-split fit:
+their imputation ATE and per-arm MSE depend only on each fake arm's means
+and centered cross-products (the moment view of Lin 2013 and CUPED). A
+split reduces its treated rows to the Gram matrix of ``[1, Z, y]``, which
+holds their count, sums and cross-products; control is the arm total minus
+treated, and each model solves every split's small system in one batched
+call. A split whose moments cannot certify the fit (a near-constant column
+or outcome in a half, a badly conditioned half, a near-perfect fit) is
+fitted from its rows instead, as are the kinds with no moment form
+(``pcr``, penalized, ``tweedie``, ``two_step``). Those records match one
+``estimate`` per relabelled dataset bit for bit; the moment-form records
+match it within 1e-9 of each split's half-width. Splits run serially.
 """
 
 from __future__ import annotations
@@ -24,8 +35,19 @@ import numpy as np
 from .dataset import ExperimentData, restrict_to_arm
 from .errors import MODEL_FAILURES, ValidationError
 from .estimator import check_alpha, estimate_arms
-from .regression import ModelSpec, with_dim_baseline
+from .normal import z_for_alpha
+from .regression import ModelSpec, _resolve_columns, with_dim_baseline
 from .rng import child_rng, child_seed
+
+# An affine split goes back to its rows when the moments cannot certify it:
+# a used column or the outcome whose centered sum of squares in a half is
+# below this share of the arm's (constant or near-constant in that half) ...
+_MIN_HALF_SS = 1e-6
+# ... a half correlation matrix with a larger condition number ...
+_MAX_COND = 1e4
+# ... or a half fit with RSS <= this * (1 + |u|^2) * S_yy, u the slopes on
+# standardized columns: forming RSS from moments cancels terms of that size.
+_MIN_UNEXPLAINED = 1e-5
 
 
 @dataclass(frozen=True)
@@ -92,6 +114,18 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
     split is recorded and skipped, not fatal. ``alpha`` and ``kappa`` (the
     bucket count, default ``min(20, s_splits)``) are checked before any
     split. Splits run serially; ``n_jobs`` is accepted and ignored.
+
+    ``dim``, ``ols`` and ``ols@cols`` are estimated from moments: each
+    split's treated rows of ``[1, Z_used, y]``, Z and y shifted by the arm
+    mean, are reduced to one Gram matrix (control is the arm total minus
+    treated), and each model solves all splits' K x K systems in one
+    batched call. A split whose halves fail a check of ``_affine_estimates``
+    (a used column or the outcome near-constant in a half, a badly
+    conditioned half correlation matrix, a near-perfect fit) is fitted from
+    its rows by ``estimate_arms``, as is every split of the other kinds.
+    ``zeta``, ``failed`` and the records fitted from rows equal one
+    ``estimate`` per relabelled dataset bit for bit; moment-form ``ate``
+    and interval ends lie within 1e-9 of that split's half-width of it.
     """
     specs = with_dim_baseline(models)
     if s_splits < 1:
@@ -112,22 +146,53 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
     ci_hi = np.full((s_splits, n_models), np.nan)
     failed = np.zeros((s_splits, n_models), dtype=bool)
     y, z, x = restricted.outcome, restricted.covariates, restricted.pre_period
+    pre_col = restricted.pre_period_col
 
-    for s in range(s_splits):
-        perm = child_rng(seed, s).permutation(n)
-        # ascending rows, so every block matches a boolean-mask split bit for bit
-        control, treated = np.sort(perm[n // 2:]), np.sort(perm[: n // 2])
-        zeta[s] = float(x[treated].mean() - x[control].mean())
+    def fit_rows(s, control, treated, models_j):
         arms = ((y[control], z[control]), (y[treated], z[treated]))
-        for j, spec in enumerate(specs):
+        for j in models_j:
             try:
-                est = estimate_arms(arms, spec, restricted.pre_period_col, alpha,
-                                    child_seed(seed, s, j))
+                est = estimate_arms(arms, specs[j], pre_col, alpha, child_seed(seed, s, j))
             except MODEL_FAILURES:
                 failed[s, j] = True
                 continue
             ate[s, j] = est.ate
             ci_lo[s, j], ci_hi[s, j] = est.ci
+
+    # covariate columns of each affine model; dim is always among them
+    affine = {j: cols for j, spec in enumerate(specs)
+              if (cols := _affine_columns(spec, z.shape[1], pre_col)) is not None}
+    row_models = [j for j in range(n_models) if j not in affine]
+    used = np.unique(np.concatenate(list(affine.values())))
+    # [1, Z_used, y], the last two shifted by the arm mean so that the half
+    # sums stay small: a half's Gram holds its size, sums and cross-products
+    w = np.empty((n, used.size + 2))
+    w[:, 0], w[:, 1:-1], w[:, -1] = 1.0, z[:, used], y
+    w[:, 1:] -= w[:, 1:].mean(axis=0)
+    grams = np.empty((s_splits, w.shape[1], w.shape[1]))
+
+    for s in range(s_splits):
+        control, treated = _halves(n, seed, s)
+        zeta[s] = float(x[treated].mean() - x[control].mean())
+        rows = np.take(w, treated, axis=0)
+        grams[s] = rows.T @ rows
+        if row_models:
+            fit_rows(s, control, treated, row_models)
+
+    total = w.T @ w
+    halves = ((n - n // 2, total - grams), (n // 2, grams))
+    z_crit = z_for_alpha(alpha)
+    refit = np.zeros((s_splits, n_models), dtype=bool)
+    for j, cols in affine.items():
+        idx = np.append(np.searchsorted(used, cols) + 1, w.shape[1] - 1)
+        ok, est, se = _affine_estimates(halves, np.diagonal(total)[idx], idx, n)
+        ate[ok, j] = est[ok]
+        ci_lo[ok, j] = est[ok] - z_crit * se[ok]
+        ci_hi[ok, j] = est[ok] + z_crit * se[ok]
+        refit[:, j] = ~ok
+    for s in np.flatnonzero(refit.any(axis=1)):
+        control, treated = _halves(n, seed, s)
+        fit_rows(s, control, treated, np.flatnonzero(refit[s]))
 
     return AaRun(
         model_ids=tuple(s.name for s in specs),
@@ -135,6 +200,69 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
         arm=arm, n_units=n, alpha=alpha, kappa=kappa, seed=seed,
         dim_index=next(j for j, s in enumerate(specs) if s.kind == "dim"),
     )
+
+
+def _halves(n: int, seed: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split s's control and treated row indices, ascending, so every block
+    matches a boolean-mask split bit for bit."""
+    perm = child_rng(seed, s).permutation(n)
+    return np.sort(perm[n // 2:]), np.sort(perm[: n // 2])
+
+
+def _affine_columns(spec: ModelSpec, k: int, pre_period_col: int) -> np.ndarray | None:
+    """Covariate columns an affine spec may use; None for the kinds with no
+    moment form and for a column subset the per-split fit rejects."""
+    if spec.kind == "dim":
+        return np.zeros(0, dtype=np.intp)
+    if spec.kind != "ols":
+        return None
+    try:
+        return np.flatnonzero(_resolve_columns(spec, k, pre_period_col))
+    except ValidationError:
+        return None
+
+
+def _affine_estimates(halves, arm_ss: np.ndarray, idx: np.ndarray,
+                      n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, ate, standard error) of one affine model for every split.
+
+    ``halves`` holds (n_t, Gram matrices) of the control and treated halves
+    over ``[1, Z, y]``, Z and y shifted by the arm mean; ``idx`` picks the
+    model's columns, outcome last, and ``arm_ss`` is their sum of squares
+    over the arm. Each half's slopes solve its correlation-scaled normal
+    equations, and the estimate is assembled as ``estimate_arms`` does for
+    an affine fit: ate = dy - dmu'(n1 b0 + n0 b1)/N, mse_t = RSS_t/(n_t - 1)
+    and se = sqrt(mse1/n1 + mse0/n0). ``ok`` is False where a half fails a
+    check the module constants set; a half with no residual degrees of
+    freedom (K + 1 >= n_t) fails as a perfect fit or a singular matrix.
+    """
+    k = idx.size - 1
+    ok = np.ones(halves[0][1].shape[0], dtype=bool)
+    means, slopes, mses = [], [], []
+    for n_t, grams in halves:
+        s_t = grams[:, 0, idx]
+        cen = grams[:, idx[:, None], idx] - s_t[:, :, None] * s_t[:, None, :] / n_t
+        ss = np.diagonal(cen, axis1=1, axis2=2)
+        ok &= (ss > _MIN_HALF_SS * arm_ss).all(axis=1)
+        sd = np.sqrt(np.where(ok[:, None], ss, 1.0))
+        corr = cen / (sd[:, :, None] * sd[:, None, :])
+        r_zy = corr[:, :k, k]
+        u = np.zeros((ok.size, k))
+        if k:
+            r_zz = np.where(ok[:, None, None], corr[:, :k, :k], np.eye(k))
+            eig = np.linalg.eigvalsh(r_zz)
+            ok &= eig[:, 0] * _MAX_COND > eig[:, -1]
+            r_zz[~ok] = np.eye(k)
+            u = np.linalg.solve(r_zz, r_zy[:, :, None])[:, :, 0]
+        unexplained = 1.0 - np.einsum("sk,sk->s", u, r_zy)  # RSS / S_yy
+        ok &= unexplained > _MIN_UNEXPLAINED * (1.0 + np.einsum("sk,sk->s", u, u))
+        means.append(s_t / n_t)
+        slopes.append(u * sd[:, k:] / sd[:, :k])
+        mses.append(ss[:, k] * unexplained / (n_t - 1))
+    (n0, _), (n1, _) = halves
+    diff = means[1] - means[0]
+    ate = diff[:, k] - np.einsum("sk,sk->s", diff[:, :k], n1 * slopes[0] + n0 * slopes[1]) / n
+    return ok, ate, np.sqrt(np.where(ok, mses[1] / n1 + mses[0] / n0, 0.0))
 
 
 def bucket_metrics(run: AaRun, kappa: int | None = None) -> BucketMetrics:

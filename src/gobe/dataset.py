@@ -466,4 +466,8 @@ def _parse_day(text: str, row: int, column: str) -> int:
         raise ValidationError(
             f"row {row}, column {column!r}: day must be a positive integer, got {text!r}"
         )
+    if value >= 2.0 ** 63:
+        raise ValidationError(
+            f"row {row}, column {column!r}: day {text!r} does not fit a 64-bit integer"
+        )
     return int(value)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from gobe import estimator
+from gobe import aa, estimator
 
 # Property tests draw the same examples on every run, so a tier-1 result
 # does not depend on the run; examples are timed by the suite, not per case.
@@ -26,3 +26,12 @@ def ols_fit_has_a_bug(monkeypatch):
         return real_fit(spec, *args, **kwargs)
 
     monkeypatch.setattr(estimator, "fit", fit)
+
+
+@pytest.fixture
+def moment_solve_has_a_bug(monkeypatch):
+    """Make the A/A moment solve of the affine models raise TypeError."""
+    def solve(*args, **kwargs):
+        raise TypeError("bug inside the moment solve")
+
+    monkeypatch.setattr(aa, "_affine_estimates", solve)

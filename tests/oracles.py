@@ -2,13 +2,21 @@
 
 Everything here goes straight at raw design matrices with numpy/scipy and
 never calls into the package's fitting code, so a bug cannot hide on both
-sides of a comparison.
+sides of a comparison. The one exception is ``per_split_reference``: the A/A
+audit as one ``estimate`` per relabelled dataset, the row path that the
+audit's arm-block and moment-form splits are held to.
 """
 
 import math
 
 import numpy as np
 from scipy.stats import norm
+
+from gobe.dataset import restrict_to_arm, with_assignment
+from gobe.errors import MODEL_FAILURES
+from gobe.estimator import estimate
+from gobe.regression import with_dim_baseline
+from gobe.rng import child_rng, child_seed
 
 
 def lin_interacted_ate(y, j, z):
@@ -160,3 +168,32 @@ def rowspace_fit(y, z, grid, lam, folds=5, seed=0):
     w, converged = rowspace_penalized(_standardize(z[:, keep], z[:, keep]), y - y.mean(),
                                       gamma, lam)
     return gamma, scores, w, converged
+
+
+# --- A/A splits on the row path ----------------------------------------------
+
+def per_split_reference(data, arm, models, s_splits, alpha, seed):
+    """Each split relabels the arm, rebuilds the dataset and estimates every
+    model on it: the loop ``run_aa`` reproduces, bit for bit for the splits
+    it fits from rows and within its stated tolerance for the moment form."""
+    restricted = restrict_to_arm(data, arm)
+    specs = with_dim_baseline(models)
+    n, x = restricted.n_units, restricted.pre_period
+    zeta = np.empty(s_splits)
+    ate, ci_lo, ci_hi = (np.full((s_splits, len(specs)), np.nan) for _ in range(3))
+    failed = np.zeros((s_splits, len(specs)), dtype=bool)
+    for s in range(s_splits):
+        perm = child_rng(seed, s).permutation(n)
+        assignment = np.zeros(n, dtype=np.int8)
+        assignment[perm[: n // 2]] = 1
+        zeta[s] = float(x[assignment == 1].mean() - x[assignment == 0].mean())
+        split_data = with_assignment(restricted, assignment)
+        for j, spec in enumerate(specs):
+            try:
+                est = estimate(split_data, spec, alpha=alpha, seed=child_seed(seed, s, j))
+            except MODEL_FAILURES:
+                failed[s, j] = True
+                continue
+            ate[s, j] = est.ate
+            ci_lo[s, j], ci_hi[s, j] = est.ci
+    return zeta, ate, ci_lo, ci_hi, failed

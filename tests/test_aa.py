@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gobe import ExperimentData, SyntheticConfig, ValidationError, aa, generate
 from gobe.aa import AaRun, bucket_metrics, pooled_coverage, run_aa, write_splits_csv
-from gobe.dataset import restrict_to_arm, with_assignment
-from gobe.errors import MODEL_FAILURES
-from gobe.estimator import estimate
-from gobe.regression import with_dim_baseline
-from gobe.rng import child_rng, child_seed
+from gobe.rng import child_rng
+
+from oracles import per_split_reference
+
+# Moment-form splits agree with the row path within this share of each
+# split's half-width; the splits run_aa fits from rows agree bit for bit.
+MOMENT_TOL = 1e-9
 
 
 def one_arm_dataset(y, z, pre_col=0):
@@ -89,33 +93,25 @@ def test_run_is_deterministic_and_schedule_independent():
     np.testing.assert_array_equal(serial.ci_lo, threaded.ci_lo)
 
 
-def per_split_reference(data, arm, models, s_splits, alpha, seed):
-    """Each split relabels the arm, rebuilds the dataset and estimates every
-    model on it: the loop the arm-block splits must reproduce bit for bit."""
-    restricted = restrict_to_arm(data, arm)
-    specs = with_dim_baseline(models)
-    n, x = restricted.n_units, restricted.pre_period
-    zeta = np.empty(s_splits)
-    ate, ci_lo, ci_hi = (np.full((s_splits, len(specs)), np.nan) for _ in range(3))
-    failed = np.zeros((s_splits, len(specs)), dtype=bool)
-    for s in range(s_splits):
-        perm = child_rng(seed, s).permutation(n)
-        assignment = np.zeros(n, dtype=np.int8)
-        assignment[perm[: n // 2]] = 1
-        zeta[s] = float(x[assignment == 1].mean() - x[assignment == 0].mean())
-        split_data = with_assignment(restricted, assignment)
-        for j, spec in enumerate(specs):
-            try:
-                est = estimate(split_data, spec, alpha=alpha, seed=child_seed(seed, s, j))
-            except MODEL_FAILURES:
-                failed[s, j] = True
-                continue
-            ate[s, j] = est.ate
-            ci_lo[s, j], ci_hi[s, j] = est.ci
-    return zeta, ate, ci_lo, ci_hi, failed
+def assert_matches_oracle(run, oracle, exact):
+    """``zeta`` and ``failed`` equal the oracle's; the (split, model) records
+    marked in ``exact`` equal it bit for bit, and every other record lies
+    within MOMENT_TOL of the oracle's half-width for that split."""
+    zeta, ate, ci_lo, ci_hi, failed = oracle
+    np.testing.assert_array_equal(run.zeta, zeta)
+    np.testing.assert_array_equal(run.failed, failed)
+    exact = np.broadcast_to(exact, failed.shape)
+    close = ~exact & ~failed
+    half = (ci_hi - ci_lo)[close] / 2
+    for got, want in ((run.ate, ate), (run.ci_lo, ci_lo), (run.ci_hi, ci_hi)):
+        np.testing.assert_array_equal(got[exact], want[exact])
+        assert np.all(np.abs(got[close] - want[close]) <= MOMENT_TOL * half)
 
 
 def test_arm_block_splits_are_bit_identical_to_per_split_datasets():
+    """Every split the audit fits from rows equals one estimate on a rebuilt
+    dataset bit for bit; the moment-form dim and ols@pre agree within
+    MOMENT_TOL. The constant column sends every ols split back to its rows."""
     rng = np.random.default_rng(12)
     n = 123
     assignment = (np.arange(n) % 2).astype(np.int8)  # arm 1 has an odd 61 units
@@ -126,13 +122,11 @@ def test_arm_block_splits_are_bit_identical_to_per_split_datasets():
                           covariates=z, pre_period_col=2)
     models = ["dim", "ols", "ols@pre", "pcr", "ridge", "two_step:ols", "tweedie"]
     run = run_aa(data, arm=1, models=models, s_splits=12, alpha=0.1, seed=12, kappa=3)
-    zeta, ate, ci_lo, ci_hi, failed = per_split_reference(data, 1, models, 12, 0.1, 12)
+    oracle = per_split_reference(data, 1, models, 12, 0.1, 12)
     assert run.n_units == 61
-    np.testing.assert_array_equal(run.zeta, zeta)
-    np.testing.assert_array_equal(run.ate, ate)
-    np.testing.assert_array_equal(run.ci_lo, ci_lo)
-    np.testing.assert_array_equal(run.ci_hi, ci_hi)
-    np.testing.assert_array_equal(run.failed, failed)
+    exact = np.isin(models, ["dim", "ols@pre"], invert=True)
+    assert_matches_oracle(run, oracle, exact)
+    failed = oracle[4]
     assert failed[:, models.index("tweedie")].all()
     assert not np.delete(failed, models.index("tweedie"), axis=1).any()
 
@@ -256,7 +250,118 @@ def test_pooled_coverage_and_csv(tmp_path):
     assert lines[0] == "s,zeta,model,ate,ci_lo,ci_hi"
 
 
-def test_programming_error_in_a_fit_propagates(ols_fit_has_a_bug):
-    data = perfect_predictor_data(n=40, seed=2)
+def test_programming_error_in_a_fit_propagates(moment_solve_has_a_bug):
+    # well-conditioned data: dim and ols take the moment path
+    data = generate(SyntheticConfig(n_units=200, k_covariates=2, outcome_cor=0.6, seed=2))
     with pytest.raises(TypeError, match="bug inside"):
         run_aa(data, arm=0, models=["dim", "ols"], s_splits=3, seed=2)
+
+
+def test_programming_error_on_the_row_path_propagates(ols_fit_has_a_bug):
+    # two_step has no moment form, so its ols fits run per split
+    data = generate(SyntheticConfig(n_units=200, k_covariates=2, outcome_cor=0.6, seed=2))
+    with pytest.raises(TypeError, match="bug inside"):
+        run_aa(data, arm=0, models=["dim", "two_step:ols"], s_splits=3, seed=2)
+
+
+# --- moment-form splits against the row path --------------------------------
+
+def gaussian_arm(seed, n, k, rho, r2, offset):
+    """Outcome and K equicorrelated columns (correlation rho) at random
+    scales and offsets up to ``offset`` sds; the outcome has R^2 = r2 on
+    them in the population."""
+    rng = np.random.default_rng(seed)
+    cov = np.full((k, k), rho) + (1.0 - rho) * np.eye(k)
+    z = rng.standard_normal((n, k)) @ np.linalg.cholesky(cov).T
+    signal = z @ rng.standard_normal(k)
+    y = np.sqrt(r2) * signal / signal.std() + np.sqrt(1.0 - r2) * rng.standard_normal(n)
+    sd = rng.uniform(0.1, 10.0, k)
+    return 5.0 + 3.0 * y, z * sd + offset * sd * rng.uniform(-1.0, 1.0, k)
+
+
+def affine_models(k, i, j):
+    return ["dim", "ols", "ols@pre", "ols@" + ",".join(str(c) for c in sorted({i % k, j % k}))]
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 400), k=st.integers(1, 6),
+       rho=st.floats(0.0, 0.999), r2=st.floats(0.0, 0.9999), offset=st.floats(0.0, 1e3),
+       i=st.integers(0, 5), j=st.integers(0, 5))
+def test_moment_splits_match_the_row_path(seed, n, k, rho, r2, offset, i, j):
+    y, z = gaussian_arm(seed, n, k, rho, r2, offset)
+    data = one_arm_dataset(y, z)
+    models = affine_models(k, i, j)
+    run = run_aa(data, arm=0, models=models, s_splits=6, seed=seed, kappa=2)
+    assert_matches_oracle(run, per_split_reference(data, 0, models, 6, 0.05, seed), False)
+
+
+DEGENERACIES = ("constant_column", "duplicated_column", "binary_constant_in_halves",
+                "outcome_is_a_column", "constant_outcome", "k_at_least_half")
+
+
+@settings(max_examples=150)
+@given(case=st.sampled_from(DEGENERACIES), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(8, 400), k=st.integers(2, 6), c=st.integers(0, 5))
+def test_degenerate_splits_take_the_row_path(case, seed, n, k, c):
+    """Splits the moments cannot certify are fitted from rows and equal the
+    row path bit for bit; the other records stay within MOMENT_TOL."""
+    c %= k
+    y, z = gaussian_arm(seed, n, k, 0.5, 0.5, 1.0)
+    models = ["dim", "ols", f"ols@{c},{(c + 1) % k}", "ols@pre"]
+    uses_c = np.array([False, True, True, c == 0])
+    s_splits = 6
+    exact = np.zeros((s_splits, len(models)), dtype=bool)
+    if case == "constant_column":
+        z[:, c] = 3.0
+        exact[:] = uses_c
+    elif case == "duplicated_column":
+        z[:, c] = z[:, (c + 1) % k]
+        exact[:, :3] = uses_c[:3]
+    elif case == "binary_constant_in_halves":
+        z[:, c] = 0.0
+        z[:2, c] = 1.0  # constant in a half whenever rows 0 and 1 share a half
+        for s in range(s_splits):
+            treated = child_rng(seed, s).permutation(n)[: n // 2]
+            if np.isin([0, 1], treated).sum() != 1:
+                exact[s] = uses_c
+    elif case == "outcome_is_a_column":
+        y = z[:, c].copy()
+        exact[:] = uses_c
+    elif case == "constant_outcome":
+        y[:] = 4.2
+        exact[:] = True
+    else:  # as many columns as units in a half
+        y, z = y[: 2 * k], z[: 2 * k]
+        exact[:, 1] = True
+    data = one_arm_dataset(y, z)
+    run = run_aa(data, arm=0, models=models, s_splits=s_splits, seed=seed, kappa=2)
+    assert_matches_oracle(run, per_split_reference(data, 0, models, s_splits, 0.05, seed),
+                          exact)
+
+
+def test_column_subset_out_of_range_fails_every_split():
+    y, z = gaussian_arm(1, 50, 3, 0.3, 0.5, 0.0)
+    data = one_arm_dataset(y, z)
+    run = run_aa(data, arm=0, models=["dim", "ols@7"], s_splits=6, seed=1)
+    assert run.failed[:, 1].all() and not run.failed[:, 0].any()
+    assert_matches_oracle(run, per_split_reference(data, 0, ["dim", "ols@7"], 6, 0.05, 1),
+                          np.array([False, True]))
+
+
+def test_affine_models_skip_the_row_path_on_well_conditioned_data(monkeypatch):
+    calls = []
+    real = aa.estimate_arms
+
+    def counting(arms, spec, *args):
+        calls.append(spec.name)
+        return real(arms, spec, *args)
+
+    monkeypatch.setattr(aa, "estimate_arms", counting)
+    y, z = gaussian_arm(4, 400, 3, 0.3, 0.5, 10.0)
+    models = ["dim", "ols", "ols@pre"]
+    run_aa(one_arm_dataset(y, z), arm=0, models=models, s_splits=40, seed=4)
+    assert calls == []
+    z = z.copy()
+    z[:, 2] = 1.5  # a column constant over the arm: every ols split goes to its rows
+    run_aa(one_arm_dataset(y, z), arm=0, models=models, s_splits=40, seed=4)
+    assert calls == ["ols"] * 40

@@ -313,6 +313,19 @@ def test_error_emits_machine_readable_json(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+def test_day_beyond_int64_writes_a_validation_error(tmp_path):
+    path = tmp_path / "days.csv"
+    path.write_text("arm,kpi,pre,day\n0,1.0,0.5,1\n0,2.0,0.4,2\n1,4.0,0.6,1\n1,6.0,0.7,1e19\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("estimate", "--input", path, *SCHEMA_FLAGS, "--day-col", "day",
+                   "--models", "dim", "--out", out)
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith("row 4, column 'day'")
+
+
 def test_env_var_default_out_dir(four_row_csv, tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("GOBE_OUT", str(target))

@@ -256,7 +256,7 @@ MALFORMED_CORPUS = {
                      ValidationError),
     "day_zero": (_DAY_HEAD + _DAY_ROWS + "1,2.5,0.1,2.0,0\n", SCHEMA_DAY, ValidationError),
     "day_beyond_int64": (_DAY_HEAD + _DAY_ROWS + "1,2.5,0.1,2.0,1e19\n", SCHEMA_DAY,
-                         OverflowError),
+                         ValidationError),
     "empty_file": ("", SCHEMA, SchemaError),
     "header_only": (_HEAD, SCHEMA, ValidationError),
     "one_data_row": (_HEAD + "0,1.5,0.2,1.0\n", SCHEMA, ValidationError),
