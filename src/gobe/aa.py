@@ -149,7 +149,7 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
     pre_col = restricted.pre_period_col
 
     def fit_rows(s, control, treated, models_j):
-        arms = ((y[control], z[control]), (y[treated], z[treated]))
+        arms = tuple((np.take(y, rows), np.take(z, rows, axis=0)) for rows in (control, treated))
         for j in models_j:
             try:
                 est = estimate_arms(arms, specs[j], pre_col, alpha, child_seed(seed, s, j))

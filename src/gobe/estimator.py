@@ -149,11 +149,11 @@ def variance_reduction(candidate: AteEstimate, baseline_dim: AteEstimate) -> flo
 
 
 def split_arms(data: ExperimentData) -> tuple[ArmBlock, ArmBlock]:
-    """Partition the rows once into the control and treated blocks."""
+    """Partition the rows once into the control and treated blocks, each in
+    ascending row order."""
     treated = data.assignment == 1
-    control = ~treated
-    return ((data.outcome[control], data.covariates[control]),
-            (data.outcome[treated], data.covariates[treated]))
+    return tuple((np.take(data.outcome, rows), np.take(data.covariates, rows, axis=0))
+                 for rows in (np.flatnonzero(~treated), np.flatnonzero(treated)))
 
 
 def check_alpha(alpha: float) -> None:

@@ -16,12 +16,16 @@ with P(w) = lam * |w|_1 + (1 - lam)/2 * |w|_2^2. ``lasso`` is lam = 1,
 scaling the smallest gamma that zeroes every lasso coefficient is
 max_k |z_k . (y - mean(y))| / m on standardized columns.
 
-The penalized kinds never fit from rows directly. Each fit, and each
-cross-validation fold, reduces its standardized training rows once to the
-Gram matrix G = zs'zs/m and the cross moments c = zs'yc/m; ridge solves
-(G + gamma I) w = c, and lasso/elastic-net run coordinate descent with
-covariance updates on (G, c), so a sweep costs O(K^2) whatever m is. Only
-the out-of-fold R^2 scores read rows.
+The linear kinds never solve on rows. A fit shifts the rows [1, z, y] by
+their column means and keeps the R factor of their QR decomposition, a
+(K+2) x (K+2) triangle (Golub & Van Loan, "Matrix Computations", 5.3). Its
+first row gives the means; below it, the standardized covariates and the
+centered outcome are Q S and Q q for a small S and q. ``ols`` and ``pcr``
+solve on the SVD of S; ridge solves (G + gamma I) w = c with G = S'S/m and
+c = S'q/m, and lasso/elastic-net run coordinate descent with covariance
+updates on (G, c). Cross-validation reduces each fold to its own triangle,
+and the arm's triangle is then the QR of the folds' stacked triangles. A
+column is constant when its minimum equals its maximum.
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ IRLS_TOL = 1e-10
 GRID_SIZE = 50
 GRID_SPAN = 1e-4
 _ETA_CLIP = 500.0
+_CV_FOLDS = 5
+_PCR_VARIANCE_SHARE = 0.90
+_TWEEDIE_POWER = 1.5
 
 
 @dataclass(frozen=True)
@@ -52,17 +59,16 @@ class ModelSpec:
     from the data-dependent gamma_max down to 1e-4 * gamma_max. ``mix`` is
     the elastic-net l1 weight and has no default. ``columns`` restricts the
     model to a subset of covariates; the string ``"pre"`` resolves to the
-    dataset's pre-period column at fit time. ``power`` is the Tweedie
-    variance power; the Tweedie link is always log.
+    dataset's pre-period column at fit time. Without ``n_components``,
+    ``pcr`` keeps the leading components that explain 90% of the variance.
+    Penalized kinds cross-validate over 5 folds; ``tweedie`` has variance
+    power 1.5 and a log link.
     """
 
     kind: str
     hyper_grid: tuple[float, ...] | None = None
     mix: float | None = None
     n_components: int | None = None
-    variance_threshold: float = 0.90
-    power: float = 1.5
-    cv_folds: int = 5
     columns: tuple[int, ...] | str | None = None
     base: "ModelSpec | None" = None
 
@@ -81,13 +87,6 @@ class ModelSpec:
                 raise ValidationError(f"elastic_net mix must be in [0, 1], got {self.mix}")
         if self.n_components is not None and self.n_components < 1:
             raise ValidationError("n_components must be >= 1")
-        if not 0.0 < self.variance_threshold <= 1.0:
-            raise ValidationError("variance_threshold must be in (0, 1]")
-        if self.kind == "tweedie":
-            if not 1.0 < self.power < 2.0:
-                raise ValidationError(f"tweedie power must be in (1, 2), got {self.power}")
-        if self.cv_folds < 2:
-            raise ValidationError("cv_folds must be >= 2")
         if self.kind == "two_step":
             if self.base is None:
                 raise ValidationError("two_step requires a base spec")
@@ -269,55 +268,48 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
     if spec.kind == "dim":
         return dim_model()
 
-    means = z.mean(axis=0)
-    sds = z.std(axis=0)
     allowed = _resolve_columns(spec, k, pre_period_col)
-    used = allowed & (sds > 0)
-    if (allowed & ~used).any():
+    x, shift, varies = _shifted(y, z[:, allowed])
+    used = allowed.copy()
+    used[allowed] = varies
+    if not varies.all():
         flags.append("dropped_zero_variance")
-    out_means = np.where(used, means, 0.0)
-    out_sds = np.where(used, sds, 1.0)
-
-    if not used.any():
+    if not varies.any():
         return dim_model(("dim_fallback",))
 
-    zs = (z[:, used] - means[used]) / sds[used]
-    yc = y - y_bar
-    coefficients = np.zeros(k)
-    intercept = y_bar
-    link = "identity"
-    chosen_gamma = None
-    cv_scores = None
-    n_components = None
+    # a cross-validated fit reads the arm's triangle off its folds' triangles
+    cv = (spec.kind in _PENALIZED and m >= _CV_FOLDS
+          and (spec.hyper_grid is None or len(spec.hyper_grid) > 1))
+    folds = _folds(x, seed) if cv else None
+    r = np.linalg.qr(x if folds is None else np.vstack([f[0] for f in folds]), mode="r")
+    offsets, sds, s, q = _standardize(r, m, varies)
+    means, out_sds = np.zeros(k), np.ones(k)
+    means[used], out_sds[used] = shift[varies] + offsets[:-1], sds
+    intercept, link, chosen_gamma, cv_scores, n_components = y_bar, "identity", None, None, None
 
-    if spec.kind == "ols":
-        w, rank = _ols(zs, yc)
-        if rank < zs.shape[1]:
-            flags.append("rank_deficient")
+    if spec.kind in ("ols", "pcr"):
+        w, n_components, flag = _svd_fit(spec, s, q, m)
+        if flag:
+            flags.append(flag)
     elif spec.kind in _PENALIZED:
-        gram, c = _moments(zs, yc)
+        gram, c = s.T @ s / m, s.T @ q / m
         grid = spec.hyper_grid or default_gamma_grid(c)
         if len(grid) > 1:
-            chosen_gamma, cv_scores = cross_validate(spec, y, z[:, used], seed=seed, grid=grid)
+            chosen_gamma, cv_scores = _cross_validate(spec, folds or _folds(x, seed), grid)
         else:
             chosen_gamma = grid[0]
         w, converged = _penalized(spec, gram, c, chosen_gamma)
         if not converged:
             flags.append("cd_max_sweeps")
-    elif spec.kind == "pcr":
-        w, n_components, clamped = _pcr(zs, yc, spec)
-        if clamped:
-            flags.append("pcr_rank_clamped")
-    elif spec.kind == "tweedie":
-        intercept, w = _tweedie_irls(zs, y, spec.power)
+    else:  # tweedie, on the rows standardized as above
+        intercept, w = _tweedie_irls((x[:, 1:-1][:, varies] - offsets[:-1]) / sds, y)
         link = "log"
-    else:  # pragma: no cover - exhaustively validated in ModelSpec
-        raise ValidationError(f"unhandled kind {spec.kind!r}")
 
+    coefficients = np.zeros(k)
     coefficients[used] = w
     return FittedArmModel(
         spec=spec, intercept=intercept, coefficients=coefficients,
-        means=out_means, sds=out_sds, used=used, link=link,
+        means=means, sds=out_sds, used=used, link=link,
         chosen_gamma=chosen_gamma, cv_scores=cv_scores,
         n_components=n_components, n_obs=m, flags=tuple(flags),
     )
@@ -329,56 +321,74 @@ def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
     """Pick the regularization level by k-fold out-of-fold R^2.
 
     Folds are a seeded random partition with sizes differing by at most one.
-    Each fold's training rows are standardized and reduced once to their
-    Gram moments, on which the whole gamma path is fitted (large to small,
-    warm-started); the test rows are scored in row space. Returns the gamma
-    with the highest mean R^2 (ties go to the larger gamma, i.e. the
-    stronger regularization) along with the per-gamma mean scores. The
-    caller refits on the full arm data at the chosen value.
+    Each fold's shifted rows [1, z, y] are gathered once and reduced to their
+    QR triangle R_f and column ranges. Fold i trains on the QR of the other
+    folds' stacked triangles, dropping columns constant on those rows, and
+    fits the gamma path large to small, warm-started. A gamma's residuals on
+    fold i are its rows times a = (intercept offset, -slopes, 1), so its SSE
+    is |R_i a|^2; the total sum of squares comes from fold i's outcomes, and
+    a constant target scores exactly 0. Returns the gamma with the highest
+    mean R^2 (ties go to the larger gamma, the stronger regularization) and
+    the per-gamma mean scores. The caller refits on the full arm.
     """
     if spec.kind not in _PENALIZED:
         raise ValidationError(f"cross-validation applies to {_PENALIZED}, not {spec.kind!r}")
-    y = np.asarray(outcome, dtype=np.float64)
-    z = np.asarray(covariates, dtype=np.float64)
-    m = y.shape[0]
-    if m < spec.cv_folds:
-        raise ValidationError(
-            f"{m} rows cannot support {spec.cv_folds}-fold cross-validation; use fewer folds"
-        )
+    x, _, varies = _shifted(outcome, covariates)
+    folds = _folds(x, seed)
     if grid is None:
-        grid = spec.hyper_grid or default_gamma_grid(_standardized_moments(y, z)[1])
+        grid = spec.hyper_grid or default_gamma_grid(_cross_moments(x, varies))
+    return _cross_validate(spec, folds, grid)
+
+
+def _folds(x: np.ndarray, seed: int) -> list[tuple]:
+    """(R_f, column minima, column maxima, outcome sum of squares, size) of
+    each cross-validation fold of the shifted rows x."""
+    m = x.shape[0]
+    if m < _CV_FOLDS:
+        raise ValidationError(
+            f"{m} rows cannot support {_CV_FOLDS}-fold cross-validation; use fewer folds")
+    folds = []
+    for idx in np.array_split(np.random.default_rng(seed).permutation(m), _CV_FOLDS):
+        rows = x[np.sort(idx)]  # ascending, so the gather streams down x's columns
+        lo, hi, y_te = rows.min(axis=0), rows.max(axis=0), rows[:, -1]
+        ss_tot = 0.0 if lo[-1] == hi[-1] else float(np.sum((y_te - y_te.mean()) ** 2))
+        folds.append((np.linalg.qr(rows, mode="r"), lo, hi, ss_tot, idx.size))
+    return folds
+
+
+def _cross_validate(spec: ModelSpec, folds: list[tuple], grid: tuple[float, ...],
+                    ) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """``cross_validate`` on the fold reductions of ``_folds``."""
     order = np.argsort(grid)[::-1]  # large-to-small for warm starts and tie-breaks
-    perm = np.random.default_rng(seed).permutation(m)
-    folds = np.array_split(perm, spec.cv_folds)
+    m = sum(f[4] for f in folds)
     scores = np.zeros(len(grid))
-    for fold in folds:
-        mask = np.ones(m, dtype=bool)
-        mask[fold] = False
-        y_tr, z_tr = y[mask], z[mask]
-        y_te, z_te = y[~mask], z[~mask]
-        mu, sd = z_tr.mean(axis=0), z_tr.std(axis=0)
-        keep = sd > 0
-        zs_tr = (z_tr[:, keep] - mu[keep]) / sd[keep]
-        zs_te = (z_te[:, keep] - mu[keep]) / sd[keep]
-        y_bar = y_tr.mean()
-        gram, c = _moments(zs_tr, y_tr - y_bar)
-        ss_tot = float(np.sum((y_te - y_te.mean()) ** 2))
+    for i, (r_te, _, _, ss_tot, m_te) in enumerate(folds):
+        if ss_tot == 0.0:  # R^2 of a zero-variance target is 0.0
+            continue
+        train = folds[:i] + folds[i + 1:]
+        keep = np.min([f[1] for f in train], axis=0) != np.max([f[2] for f in train], axis=0)
+        keep = keep[1:-1]  # the z columns that vary on the training rows
+        r_tr = np.linalg.qr(np.vstack([f[0] for f in train]), mode="r")
+        offsets, sds, s, q = _standardize(r_tr, m - m_te, keep)
+        gram, c = s.T @ s / (m - m_te), s.T @ q / (m - m_te)
+        v = np.empty((len(grid), c.shape[0]))
         w = np.zeros(c.shape[0])
         for idx in order:
             w, _ = _penalized(spec, gram, c, grid[idx], w0=w)
-            if ss_tot != 0.0:  # R^2 of a zero-variance target is 0.0
-                resid = y_te - (y_bar + zs_te @ w)
-                scores[idx] += 1.0 - float(resid @ resid) / ss_tot
+            v[idx] = w / sds
+        a = np.zeros((r_te.shape[1], len(grid)))
+        a[0], a[-1] = v @ offsets[:-1] - offsets[-1], 1.0
+        a[1:-1][keep] = -v.T
+        resid = r_te @ a
+        scores += 1.0 - np.einsum("ij,ij->j", resid, resid) / ss_tot
     scores /= len(folds)
     best = max(order, key=lambda idx: (scores[idx], grid[idx]))
     return grid[best], tuple((float(grid[i]), float(scores[i])) for i in range(len(grid)))
 
 
 def default_gamma_grid(c: np.ndarray) -> tuple[float, ...]:
-    """Log-spaced grid from gamma_max down to GRID_SPAN * gamma_max.
-
-    ``c`` is the cross-moment vector zs' yc / m of ``_moments``.
-    """
+    """Log-spaced grid from gamma_max down to GRID_SPAN * gamma_max, where ``c``
+    holds the cross moments S'q/m of the standardized columns and the outcome."""
     gmax = _gamma_max(c)
     if gmax <= 0.0:
         return (1.0,)
@@ -392,29 +402,65 @@ def lasso_gamma_max(outcome: np.ndarray, covariates: np.ndarray) -> float:
     first step from zero is the soft threshold of exactly those values, so
     slopes vanish exactly (not just approximately) at this value.
     """
-    return _gamma_max(_standardized_moments(outcome, covariates)[1])
+    x, _, varies = _shifted(outcome, covariates)
+    return _gamma_max(_cross_moments(x, varies))
 
 
 def _gamma_max(c: np.ndarray) -> float:
     return float(np.max(np.abs(c))) if c.size else 0.0
 
 
-def _standardized_moments(outcome, covariates) -> tuple[np.ndarray, np.ndarray]:
-    """``_moments`` of the non-constant standardized columns, as ``fit`` builds them."""
-    y = np.asarray(outcome, dtype=np.float64)
-    z = np.asarray(covariates, dtype=np.float64)
-    sds = z.std(axis=0)
-    keep = sds > 0
-    zs = (z[:, keep] - z.mean(axis=0)[keep]) / sds[keep]
-    return _moments(zs, y - y.mean())
+def _cross_moments(x: np.ndarray, varies: np.ndarray) -> np.ndarray:
+    """S'q/m of the shifted rows x over their varying columns, as ``fit`` forms it."""
+    *_, s, q = _standardize(np.linalg.qr(x, mode="r"), x.shape[0], varies)
+    return s.T @ q / x.shape[0]
 
 
-def _l1_weight(spec: ModelSpec) -> float:
-    if spec.kind == "lasso":
-        return 1.0
-    if spec.kind == "ridge":
-        return 0.0
-    return float(spec.mix)
+def _shifted(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows [1, z, y], z and y shifted by their means (so that offset columns
+    lose no accuracy to the intercept), z's means, and which columns of z
+    vary. Stored column by column, as the QR reads them."""
+    x = np.empty((len(y), np.shape(z)[1] + 2), order="F")
+    x[:, 0], x[:, 1:-1], x[:, -1] = 1.0, z, y
+    shift = x[:, 1:].mean(axis=0)
+    x[:, 1:] -= shift
+    return x, shift[:-1], x[:, 1:-1].min(axis=0) != x[:, 1:-1].max(axis=0)
+
+
+def _standardize(r: np.ndarray, m: int, keep: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read the triangle r of m shifted rows [1, z, y] as standardized least squares:
+    the shifted means of z's ``keep`` columns and of y (r's first row), those
+    columns' sds, and S, q with the standardized columns Q S and the centered
+    outcome Q q for one orthonormal Q, so S'S = zs'zs and S'q = zs'yc."""
+    offsets = r[0, 1:] / r[0, 0]
+    t = r[1:, 1:]
+    tz = t[:, :-1][:, keep]
+    sds = np.sqrt(np.einsum("ij,ij->j", tz, tz) / m)
+    return np.append(offsets[:-1][keep], offsets[-1]), sds, tz / sds, t[:, -1]
+
+
+def _svd_fit(spec: ModelSpec, s: np.ndarray, q: np.ndarray, m: int,
+             ) -> tuple[np.ndarray, int | None, str | None]:
+    """``ols`` or ``pcr`` slopes from the SVD of S, as (w, n_components, flag).
+    S has the singular values of the m standardized rows: ``ols`` keeps those
+    above lstsq's cutoff eps * max(m, p) * s_0, ``pcr`` those above 1e-12 * s_0."""
+    u, sv, vt = np.linalg.svd(s, full_matrices=False)
+    p, n_components, flag = s.shape[1], None, None
+    if spec.kind == "ols":
+        r = int(np.count_nonzero(sv > np.finfo(np.float64).eps * max(m, p) * sv[0]))
+        flag = "rank_deficient" if r < p else None
+    else:
+        positive = int(np.count_nonzero(sv > sv[0] * 1e-12))
+        if spec.n_components is not None:
+            r = spec.n_components
+            if r > positive:
+                r, flag = positive, "pcr_rank_clamped"
+        else:
+            ratio = np.cumsum(sv ** 2) / np.sum(sv ** 2)
+            r = min(int(np.searchsorted(ratio, _PCR_VARIANCE_SHARE - 1e-12) + 1), positive)
+        n_components = r
+    return vt[:r].T @ ((u[:, :r].T @ q) / sv[:r]), n_components, flag
 
 
 def _resolve_columns(spec: ModelSpec, k: int, pre_period_col: int | None) -> np.ndarray:
@@ -433,33 +479,13 @@ def _resolve_columns(spec: ModelSpec, k: int, pre_period_col: int | None) -> np.
     return allowed
 
 
-def _ols(zs: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, int]:
-    """Minimum-norm least squares via SVD (rank-revealing)."""
-    w, _, rank, _ = np.linalg.lstsq(zs, yc, rcond=None)
-    return w, int(rank)
-
-
-def _moments(zs: np.ndarray, yc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix zs' zs / m and cross moments zs' yc / m.
-
-    They are all of the rows the penalized solvers read: the data term of
-    the objective is (yc'yc/m)/2 - w'c + w'Gw/2.
-    """
-    m = zs.shape[0]
-    return zs.T @ zs / m, zs.T @ yc / m
-
-
 def _penalized(spec: ModelSpec, gram: np.ndarray, c: np.ndarray, gamma: float,
                w0: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
     """Penalized coefficients at one gamma, and whether the solver converged."""
-    if spec.kind == "ridge":
-        return _ridge(gram, c, gamma), True
-    return _coordinate_descent(gram, c, gamma, _l1_weight(spec), w0=w0)
-
-
-def _ridge(gram: np.ndarray, c: np.ndarray, gamma: float) -> np.ndarray:
-    """Closed-form solution of the l2-penalized normal equations (G + gamma I) w = c."""
-    return np.linalg.solve(gram + gamma * np.eye(c.shape[0]), c)
+    if spec.kind == "ridge":  # closed form: (G + gamma I) w = c
+        return np.linalg.solve(gram + gamma * np.eye(c.shape[0]), c), True
+    return _coordinate_descent(gram, c, gamma, 1.0 if spec.kind == "lasso" else float(spec.mix),
+                               w0=w0)
 
 
 def _coordinate_descent(gram: np.ndarray, c: np.ndarray, gamma: float, lam: float,
@@ -467,8 +493,8 @@ def _coordinate_descent(gram: np.ndarray, c: np.ndarray, gamma: float, lam: floa
                         trace: list | None = None) -> tuple[np.ndarray, bool]:
     """Cyclic coordinate descent for the elastic-net objective, covariance form.
 
-    Works on the Gram moments of ``_moments`` (Friedman, Hastie & Tibshirani
-    2010, "covariance updates"): the partial residual correlation of
+    Works on the moments G = S'S/m and c = S'q/m (Friedman, Hastie &
+    Tibshirani 2010, "covariance updates"): the partial residual correlation of
     coordinate j is c_j - (Gw)_j + G_jj w_j, and G w is kept current with one
     column update per changed coefficient, so a sweep costs O(K^2) whatever
     the number of rows. Stops when the largest coefficient change in a sweep
@@ -487,7 +513,7 @@ def _coordinate_descent(gram: np.ndarray, c: np.ndarray, gamma: float, lam: floa
         for j in range(p):
             wj = w[j]
             rho = cs[j] - gw[j] + diag[j] * wj
-            new = _soft_threshold(rho, l1) / (diag[j] + l2)
+            new = (rho - l1 if rho > l1 else rho + l1 if rho < -l1 else 0.0) / (diag[j] + l2)
             if new != wj:
                 gw += gram[j] * (new - wj)  # G is symmetric: row j is column j
                 w[j] = new
@@ -499,14 +525,6 @@ def _coordinate_descent(gram: np.ndarray, c: np.ndarray, gamma: float, lam: floa
     return np.array(w), False
 
 
-def _soft_threshold(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
-
-
 def penalized_objective(zs: np.ndarray, yc: np.ndarray, w: np.ndarray,
                         gamma: float, lam: float) -> float:
     """The objective minimized by the penalized kinds (used by tests)."""
@@ -514,25 +532,6 @@ def penalized_objective(zs: np.ndarray, yc: np.ndarray, w: np.ndarray,
     resid = yc - zs @ w
     return float(resid @ resid / (2 * m)
                  + gamma * (lam * np.abs(w).sum() + 0.5 * (1 - lam) * (w @ w)))
-
-
-def _pcr(zs: np.ndarray, yc: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, int, bool]:
-    """OLS on the leading principal-component scores of the standardized design."""
-    u, s, vt = np.linalg.svd(zs, full_matrices=False)
-    positive = int(np.count_nonzero(s > s[0] * 1e-12)) if s.size and s[0] > 0 else 0
-    if positive == 0:
-        return np.zeros(zs.shape[1]), 0, False
-    clamped = False
-    if spec.n_components is not None:
-        r = spec.n_components
-        if r > positive:
-            r, clamped = positive, True
-    else:
-        ratio = np.cumsum(s ** 2) / np.sum(s ** 2)
-        r = int(np.searchsorted(ratio, spec.variance_threshold - 1e-12) + 1)
-        r = min(r, positive)
-    w_scores = (u[:, :r].T @ yc) / s[:r]
-    return vt[:r].T @ w_scores, r, clamped
 
 
 def _tweedie_deviance(y: np.ndarray, mu: np.ndarray, p: float) -> float:
@@ -543,7 +542,7 @@ def _tweedie_deviance(y: np.ndarray, mu: np.ndarray, p: float) -> float:
     return float(2.0 * term.sum())
 
 
-def _tweedie_irls(zs: np.ndarray, y: np.ndarray, power: float) -> tuple[float, np.ndarray]:
+def _tweedie_irls(zs: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Iteratively reweighted least squares for the log-link Tweedie GLM."""
     y_bar = float(y.mean())
     if y_bar <= 0:
@@ -552,15 +551,15 @@ def _tweedie_irls(zs: np.ndarray, y: np.ndarray, power: float) -> tuple[float, n
     x = np.column_stack([np.ones(m), zs])
     mu = (y + y_bar) / 2.0
     eta = np.log(mu)
-    dev = _tweedie_deviance(y, mu, power)
+    dev = _tweedie_deviance(y, mu, _TWEEDIE_POWER)
     for _ in range(IRLS_MAX_ITER):
-        weights = np.power(mu, 2.0 - power)  # (dmu/deta)^2 / V(mu) at log link
+        weights = np.power(mu, 2.0 - _TWEEDIE_POWER)  # (dmu/deta)^2 / V(mu) at log link
         working = eta + (y - mu) / mu
         sw = np.sqrt(weights)
         beta, *_ = np.linalg.lstsq(x * sw[:, None], working * sw, rcond=None)
         eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
         mu = np.exp(eta)
-        new_dev = _tweedie_deviance(y, mu, power)
+        new_dev = _tweedie_deviance(y, mu, _TWEEDIE_POWER)
         if abs(new_dev - dev) <= IRLS_TOL * max(1.0, abs(dev)):
             return float(beta[0]), beta[1:]
         dev = new_dev

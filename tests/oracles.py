@@ -170,6 +170,52 @@ def rowspace_fit(y, z, grid, lam, folds=5, seed=0):
     return gamma, scores, w, converged
 
 
+# --- row-space ols and pcr ---------------------------------------------------
+# Least squares and principal components straight from the standardized rows:
+# lstsq with its default cutoff, and the SVD of the rows. Constant columns are
+# those whose minimum equals their maximum.
+
+def rowspace_ols(zs, yc):
+    """Minimum-norm least squares via SVD; returns (w, rank)."""
+    w, _, rank, _ = np.linalg.lstsq(zs, yc, rcond=None)
+    return w, int(rank)
+
+
+def rowspace_pcr(zs, yc, n_components=None, variance_share=0.90):
+    """OLS on the leading principal-component scores of the rows; returns
+    (w, number of components, whether n_components was clamped to the rank)."""
+    u, s, vt = np.linalg.svd(zs, full_matrices=False)
+    positive = int(np.count_nonzero(s > s[0] * 1e-12)) if s.size and s[0] > 0 else 0
+    if positive == 0:
+        return np.zeros(zs.shape[1]), 0, False
+    clamped = False
+    if n_components is not None:
+        r = n_components
+        if r > positive:
+            r, clamped = positive, True
+    else:
+        ratio = np.cumsum(s ** 2) / np.sum(s ** 2)
+        r = min(int(np.searchsorted(ratio, variance_share - 1e-12) + 1), positive)
+    return vt[:r].T @ ((u[:, :r].T @ yc) / s[:r]), r, clamped
+
+
+def rowspace_linear_fit(y, z, kind, n_components=None):
+    """(standardized coefficients of the non-constant columns, flags,
+    n_components) of ``ols`` or ``pcr``, as ``fit`` reports them."""
+    y = np.asarray(y, float)
+    z = np.asarray(z, float)
+    keep = z.min(axis=0) != z.max(axis=0)
+    zk = z[:, keep]
+    zs = (zk - zk.mean(axis=0)) / zk.std(axis=0)
+    yc = y - y.mean()
+    flags = () if keep.all() else ("dropped_zero_variance",)
+    if kind == "ols":
+        w, rank = rowspace_ols(zs, yc)
+        return w, flags + (("rank_deficient",) if rank < zs.shape[1] else ()), None
+    w, r, clamped = rowspace_pcr(zs, yc, n_components)
+    return w, flags + (("pcr_rank_clamped",) if clamped else ()), r
+
+
 # --- A/A splits on the row path ----------------------------------------------
 
 def per_split_reference(data, arm, models, s_splits, alpha, seed):

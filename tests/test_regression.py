@@ -16,7 +16,12 @@ from gobe.regression import (
     predict,
 )
 
-from oracles import ridge_standardized, rowspace_cross_validate, rowspace_fit
+from oracles import (
+    ridge_standardized,
+    rowspace_cross_validate,
+    rowspace_fit,
+    rowspace_linear_fit,
+)
 
 
 def linear_arm(n=200, k=3, noise=1.0, seed=0):
@@ -168,6 +173,106 @@ def test_rank_deficient_design_is_flagged_not_fatal():
     model = fit(ModelSpec("ols"), y, z)
     assert "rank_deficient" in model.flags
     assert np.isfinite(predict(model, z)).all()
+
+
+def test_a_column_constant_up_to_rounding_is_dropped():
+    # 0.1 in every row has a row std of ~3e-17, not 0: constancy is decided
+    # from the column's minimum and maximum instead
+    rng = np.random.default_rng(22)
+    z3 = rng.standard_normal((50, 3)) * np.array([1.0, 2.0, 3.0])
+    y = z3.sum(axis=1) + rng.standard_normal(50)
+    z = np.column_stack([z3, np.full(50, 0.1)])
+    assert z[:, 3].std() > 0
+    for name in ("ols", "pcr", "ridge", "lasso"):
+        model = fit(parse_model(name), y, z, seed=0)
+        assert "dropped_zero_variance" in model.flags, name
+        assert model.used.tolist() == [True, True, True, False], name
+    assert fit(ModelSpec("pcr"), y, z).n_components == fit(ModelSpec("pcr"), y, z3).n_components
+    assert fit(ModelSpec("pcr"), y, z).n_components == 3
+
+
+def test_ols_with_no_more_rows_than_columns_is_rank_deficient():
+    # m rows have centered rank <= m - 1, so p >= m used columns cannot be full rank
+    rng = np.random.default_rng(23)
+    cases = [(4, 4)] + [(int(rng.integers(2, k + 1)), k) for k in rng.integers(2, 7, size=300)]
+    for m, k in cases:
+        z = rng.standard_normal((m, k)) * rng.uniform(0.1, 10.0, k) + rng.uniform(-1e3, 1e3, k)
+        model = fit(ModelSpec("ols"), rng.standard_normal(m), z)
+        assert model.used.sum() >= m
+        assert "rank_deficient" in model.flags, (m, k)
+        assert np.isfinite(predict(model, z)).all()
+
+
+def test_ols_rank_uses_the_lstsq_cutoff_of_the_rows():
+    # a near-duplicate whose singular value lies below eps * m * s_0 but far
+    # above eps * (K + 1) * s_0: the cutoff scales with the rows, not the triangle
+    rng = np.random.default_rng(25)
+    z0 = rng.standard_normal(2000)
+    z = np.column_stack([z0, z0 + 1e-13 * rng.standard_normal(2000)])
+    y = z0 + rng.standard_normal(2000)
+    assert fit(ModelSpec("ols"), y, z).flags == rowspace_linear_fit(y, z, "ols")[1] == (
+        "rank_deficient",)
+
+
+@st.composite
+def linear_problems(draw):
+    """Equicorrelated columns with offsets of up to 1e3 sds, optionally an
+    exact duplicate and a constant column, and an ``n_components`` that may
+    exceed the rank."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(k + 2, 300))
+    rho = draw(st.floats(0.0, 0.999))
+    common = rng.standard_normal((m, 1))
+    sd = rng.uniform(0.1, 10.0, k)
+    offset = draw(st.floats(0.0, 1e3)) * sd * rng.choice([-1.0, 1.0], k)
+    z = (np.sqrt(rho) * common + np.sqrt(1.0 - rho) * rng.standard_normal((m, k))) * sd + offset
+    y = 1.0 + z @ (rng.standard_normal(k) / sd) + draw(st.sampled_from([1e-3, 1.0])) * (
+        rng.standard_normal(m))
+    extra = []
+    if draw(st.booleans()):
+        extra.append(z[:, 0])
+    if draw(st.booleans()):
+        extra.append(np.full(m, 0.1))
+    z = np.column_stack([z, *extra])
+    return y, z, draw(st.one_of(st.none(), st.integers(1, z.shape[1] + 1)))
+
+
+@settings(max_examples=60)
+@given(problem=linear_problems())
+def test_ols_and_pcr_match_the_rowspace_reference(problem):
+    y, z, n_components = problem
+    keep = z.min(axis=0) != z.max(axis=0)
+    for spec in (ModelSpec("ols"), ModelSpec("pcr"), ModelSpec("pcr", n_components=n_components)):
+        model = fit(spec, y, z)
+        w, flags, n_comp = rowspace_linear_fit(y, z, spec.kind, spec.n_components)
+        assert model.flags == flags, spec
+        assert model.n_components == n_comp, spec
+        np.testing.assert_allclose(model.coefficients[keep], w, rtol=0,
+                                   atol=1e-10 * max(1.0, np.abs(w).max()))
+        assert not model.coefficients[~keep].any()
+
+
+def test_linear_kinds_never_solve_on_the_rows(monkeypatch):
+    # every linear kind reads the arm's QR triangle; lstsq or an SVD on a
+    # matrix taller than K + 2 would be a row-space solve
+    rng = np.random.default_rng(24)
+    m, k = 20_000, 4
+    z = rng.standard_normal((m, k)) * np.array([1.0, 3.0, 0.5, 2.0]) + 5.0
+    y = z @ np.array([0.5, -1.0, 2.0, 0.0]) + rng.standard_normal(m)
+
+    def small_only(solver):
+        def checked(a, *args, **kwargs):
+            if np.shape(a)[0] > k + 2:
+                raise AssertionError(f"{solver.__name__} on a {np.shape(a)} matrix")
+            return solver(a, *args, **kwargs)
+        return checked
+
+    monkeypatch.setattr(np.linalg, "lstsq", small_only(np.linalg.lstsq))
+    monkeypatch.setattr(np.linalg, "svd", small_only(np.linalg.svd))
+    for name in ("ols", "pcr", "ridge", "lasso", "elastic_net:0.5"):
+        model = fit(parse_model(name), y, z, seed=1)
+        assert model.used.all(), name
 
 
 # --- cross-validation -------------------------------------------------------
@@ -355,7 +460,6 @@ def test_parse_rejects_bad_names(bad):
     dict(kind="elastic_net"),
     dict(kind="elastic_net", mix=1.5),
     dict(kind="pcr", n_components=0),
-    dict(kind="tweedie", power=2.5),
     dict(kind="two_step"),
     dict(kind="dim", base=None, columns=(0, 0)),
 ])
