@@ -34,8 +34,7 @@ import numpy as np
 
 from .dataset import ExperimentData, restrict_to_arm
 from .errors import MODEL_FAILURES, ValidationError
-from .estimator import check_alpha, estimate_arms
-from .normal import z_for_alpha
+from .estimator import arm_mse, ate_variance, check_alpha, estimate_arms, z_for_alpha
 from .regression import ModelSpec, _resolve_columns, with_dim_baseline
 from .rng import child_rng, child_seed
 
@@ -180,15 +179,18 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
             fit_rows(s, control, treated, row_models)
 
     total = w.T @ w
-    halves = ((n - n // 2, total - grams), (n // 2, grams))
+    sizes = (n - n // 2, n // 2)
+    halves = tuple(zip(sizes, (total - grams, grams)))
     z_crit = z_for_alpha(alpha)
     refit = np.zeros((s_splits, n_models), dtype=bool)
     for j, cols in affine.items():
         idx = np.append(np.searchsorted(used, cols) + 1, w.shape[1] - 1)
-        ok, est, se = _affine_estimates(halves, np.diagonal(total)[idx], idx, n)
+        ok, est, rss = _affine_estimates(halves, np.diagonal(total)[idx], idx, n)
+        mses = [arm_mse(r[ok], n_t) for r, n_t in zip(rss, sizes)]
+        half_width = z_crit * np.sqrt(ate_variance(mses, sizes))
         ate[ok, j] = est[ok]
-        ci_lo[ok, j] = est[ok] - z_crit * se[ok]
-        ci_hi[ok, j] = est[ok] + z_crit * se[ok]
+        ci_lo[ok, j] = est[ok] - half_width
+        ci_hi[ok, j] = est[ok] + half_width
         refit[:, j] = ~ok
     for s in np.flatnonzero(refit.any(axis=1)):
         control, treated = _halves(n, seed, s)
@@ -205,8 +207,9 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
 def _halves(n: int, seed: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Split s's control and treated row indices, ascending, so every block
     matches a boolean-mask split bit for bit."""
-    perm = child_rng(seed, s).permutation(n)
-    return np.sort(perm[n // 2:]), np.sort(perm[: n // 2])
+    treated = np.zeros(n, dtype=bool)
+    treated[child_rng(seed, s).permutation(n)[: n // 2]] = True
+    return np.flatnonzero(~treated), np.flatnonzero(treated)
 
 
 def _affine_columns(spec: ModelSpec, k: int, pre_period_col: int) -> np.ndarray | None:
@@ -223,22 +226,23 @@ def _affine_columns(spec: ModelSpec, k: int, pre_period_col: int) -> np.ndarray 
 
 
 def _affine_estimates(halves, arm_ss: np.ndarray, idx: np.ndarray,
-                      n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ok, ate, standard error) of one affine model for every split.
+                      n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """(ok, ate, [RSS_0, RSS_1]) of one affine model for every split.
 
     ``halves`` holds (n_t, Gram matrices) of the control and treated halves
     over ``[1, Z, y]``, Z and y shifted by the arm mean; ``idx`` picks the
     model's columns, outcome last, and ``arm_ss`` is their sum of squares
     over the arm. Each half's slopes solve its correlation-scaled normal
-    equations, and the estimate is assembled as ``estimate_arms`` does for
-    an affine fit: ate = dy - dmu'(n1 b0 + n0 b1)/N, mse_t = RSS_t/(n_t - 1)
-    and se = sqrt(mse1/n1 + mse0/n0). ``ok`` is False where a half fails a
+    equations, and the ATE is assembled as ``estimate_arms`` does for an
+    affine fit: ate = dy - dmu'(n1 b0 + n0 b1)/N. Each half's residual sum of
+    squares is returned for ``run_aa`` to form the interval through
+    ``arm_mse`` and ``ate_variance``. ``ok`` is False where a half fails a
     check the module constants set; a half with no residual degrees of
     freedom (K + 1 >= n_t) fails as a perfect fit or a singular matrix.
     """
     k = idx.size - 1
     ok = np.ones(halves[0][1].shape[0], dtype=bool)
-    means, slopes, mses = [], [], []
+    means, slopes, rss = [], [], []
     for n_t, grams in halves:
         s_t = grams[:, 0, idx]
         cen = grams[:, idx[:, None], idx] - s_t[:, :, None] * s_t[:, None, :] / n_t
@@ -258,11 +262,11 @@ def _affine_estimates(halves, arm_ss: np.ndarray, idx: np.ndarray,
         ok &= unexplained > _MIN_UNEXPLAINED * (1.0 + np.einsum("sk,sk->s", u, u))
         means.append(s_t / n_t)
         slopes.append(u * sd[:, k:] / sd[:, :k])
-        mses.append(ss[:, k] * unexplained / (n_t - 1))
+        rss.append(ss[:, k] * unexplained)
     (n0, _), (n1, _) = halves
     diff = means[1] - means[0]
     ate = diff[:, k] - np.einsum("sk,sk->s", diff[:, :k], n1 * slopes[0] + n0 * slopes[1]) / n
-    return ok, ate, np.sqrt(np.where(ok, mses[1] / n1 + mses[0] / n0, 0.0))
+    return ok, ate, rss
 
 
 def bucket_metrics(run: AaRun, kappa: int | None = None) -> BucketMetrics:

@@ -29,7 +29,7 @@ import numpy as np
 from . import aa as aa_mod
 from . import dataset, power, report, stress
 from .errors import MODEL_FAILURES, SchemaError, ValidationError
-from .estimator import estimate, variance_reduction
+from .estimator import AteEstimate, checked_arms, estimate_arms, variance_reduction
 from .regression import ModelSpec, parse_model, with_dim_baseline
 from .rng import child_seed
 
@@ -243,19 +243,26 @@ def _recording_failure(spec: ModelSpec, failures: list[dict]):
                          "message": str(exc)})
 
 
-def _estimate_doc(data: dataset.ExperimentData, specs: list[ModelSpec],
-                  alpha: float, seed: int, day_filter: int | None) -> dict:
-    """Estimates for every model; a non-baseline model failure is recorded
-    instead of aborting the run."""
-    estimates = []
-    failures = []
-    baseline = None
+def _estimates(data: dataset.ExperimentData, specs: list[ModelSpec], alpha: float,
+               seed: int, failures: list[dict]) -> list[tuple[ModelSpec, AteEstimate]]:
+    """Each model's estimate from one split of the rows by arm; a non-baseline
+    model failure is recorded in ``failures`` instead of aborting the run."""
+    arms = checked_arms(data, alpha)
+    fitted = []
     for spec in specs:
         with _recording_failure(spec, failures):
-            estimates.append(estimate(data, spec, alpha=alpha, seed=seed))
-            if spec.kind == "dim" and baseline is None:
-                baseline = estimates[-1]
-    vr = {est.model_id: variance_reduction(est, baseline) for est in estimates}
+            fitted.append((spec, estimate_arms(arms, spec, data.pre_period_col, alpha, seed)))
+    return fitted
+
+
+def _estimate_doc(data: dataset.ExperimentData, specs: list[ModelSpec],
+                  alpha: float, seed: int, day_filter: int | None) -> dict:
+    """Estimates for every model, with their variance reduction against the
+    first difference-in-means run."""
+    failures = []
+    fitted = _estimates(data, specs, alpha, seed, failures)
+    baseline = next(est for spec, est in fitted if spec.kind == "dim")
+    vr = {est.model_id: variance_reduction(est, baseline) for _, est in fitted}
     doc = {
         "kind": "estimate",
         "seed": seed,
@@ -266,7 +273,7 @@ def _estimate_doc(data: dataset.ExperimentData, specs: list[ModelSpec],
             "n_per_arm": list(data.arm_sizes()),
             "day_filter": day_filter,
         },
-        "estimates": [report.ate_to_dict(est) for est in estimates],
+        "estimates": [asdict(est) for _, est in fitted],
         "variance_reduction": vr,
     }
     if failures:
@@ -336,13 +343,10 @@ def _cmd_power(args: argparse.Namespace, out_dir: Path) -> None:
     data = _load_input(args)
     analysis = dataset.filter_by_day(data, args.day)
     forecast = power.forecast_arm_sizes(data, args.day, args.horizon)
-    recs = []
     failures = []
-    for spec in _model_specs(args):
-        with _recording_failure(spec, failures):
-            est = estimate(analysis, spec, alpha=args.alpha, seed=args.seed)
-            recs.append(power.recommend_duration(est, forecast, args.delta, args.alpha,
-                                                 args.power_target))
+    recs = [power.recommend_duration(est, forecast, args.delta, args.alpha, args.power_target)
+            for _, est in _estimates(analysis, _model_specs(args), args.alpha, args.seed,
+                                     failures)]
     doc = {
         "kind": "power",
         "seed": args.seed,

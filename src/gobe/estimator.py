@@ -6,6 +6,8 @@ difference. The difference-in-means estimator is the covariate-free special
 case, so it shares this exact code path. The reported variance is the sum of
 per-arm in-sample mean squared errors scaled by arm size, and intervals are
 Gaussian; arm sizes are recorded so consumers can judge the asymptotics.
+``arm_mse``, ``ate_variance`` and ``z_for_alpha`` state that uncertainty
+once, for this module, the A/A moment form and the power projection alike.
 
 Each call splits the rows by arm once, into ``(y0, Z0)`` and ``(y1, Z1)``;
 ``estimate_arms`` fits and assembles on those blocks. The assembly takes
@@ -18,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .dataset import ExperimentData
 from .errors import ValidationError
-from .normal import z_for_alpha
 from .regression import FittedArmModel, ModelSpec, evaluate, fit, parse_model
 
 ArmBlock = tuple[np.ndarray, np.ndarray]  # (outcome, covariate rows) of one arm
@@ -99,7 +101,7 @@ def estimate(data: ExperimentData, spec: ModelSpec | str,
     """
     if isinstance(spec, str):
         spec = parse_model(spec)
-    return estimate_arms(_checked_arms(data, alpha), spec, data.pre_period_col, alpha, seed)
+    return estimate_arms(checked_arms(data, alpha), spec, data.pre_period_col, alpha, seed)
 
 
 def estimate_two_step(data: ExperimentData, base_spec: ModelSpec | str,
@@ -162,7 +164,26 @@ def check_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _checked_arms(data: ExperimentData, alpha: float) -> tuple[ArmBlock, ArmBlock]:
+def z_for_alpha(alpha: float) -> float:
+    """Two-sided critical value z_{1-alpha/2} for a significance level, from
+    ``statistics.NormalDist`` (Wichura's AS241 quantile, ~1e-16 relative)."""
+    check_alpha(alpha)
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
+
+
+def arm_mse(rss, n):
+    """An arm's in-sample mean squared error, RSS / (n - 1); elementwise on arrays."""
+    return rss / (n - 1)
+
+
+def ate_variance(mses, sizes):
+    """Variance of the ATE, mse_1/n_1 + mse_0/n_0, from per-arm MSEs and sizes
+    in (control, treated) order; elementwise on arrays."""
+    (mse0, mse1), (n0, n1) = mses, sizes
+    return mse1 / n1 + mse0 / n0
+
+
+def checked_arms(data: ExperimentData, alpha: float) -> tuple[ArmBlock, ArmBlock]:
     """Validate alpha, split by arm and require >= 2 units in each arm."""
     check_alpha(alpha)
     arms = split_arms(data)
@@ -185,8 +206,8 @@ def _assemble(arms: tuple[ArmBlock, ArmBlock],
     mses = []
     for (y, z), model in zip(arms, models):
         resid = y - evaluate(model, z)
-        mses.append(float(resid @ resid / (y.shape[0] - 1)))
-    variance = mses[1] / n1 + mses[0] / n0
+        mses.append(float(arm_mse(resid @ resid, y.shape[0])))
+    variance = ate_variance(mses, (n0, n1))
     half_width = z_for_alpha(alpha) * math.sqrt(variance)
     control_mean = float(y0.mean())
     flags = tuple(f"arm{t}:{flag}" for t in (0, 1) for flag in models[t].flags)

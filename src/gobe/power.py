@@ -4,20 +4,22 @@ Given an estimate at analysis day D, arm sizes are extrapolated linearly in
 calendar time (units keep arriving at the observed average rate) and the
 per-arm error estimates are held frozen at their day-D values. The
 recommendation is the first day at which a two-sample z-test against a fixed
-relative effect reaches the target power.
+relative effect reaches the target power. The projected variance is
+``estimator.ate_variance`` at the projected sizes, the critical value is
+``estimator.z_for_alpha`` and Phi is ``statistics.NormalDist``'s CDF.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from .dataset import ExperimentData
 from .errors import ValidationError
-from .estimator import AteEstimate, check_alpha
-from .normal import normal_cdf, z_for_alpha
+from .estimator import AteEstimate, ate_variance, check_alpha, z_for_alpha
 
 DEFAULT_HORIZON_FACTOR = 10
 
@@ -87,7 +89,7 @@ def projected_power(variance: float, effect: float, alpha: float) -> float:
     """Two-sample z-test power at a given estimator variance and true effect."""
     if variance <= 0.0:
         return 1.0
-    return normal_cdf(abs(effect) / math.sqrt(variance) - z_for_alpha(alpha))
+    return NormalDist().cdf(abs(effect) / math.sqrt(variance) - z_for_alpha(alpha))
 
 
 def recommend_duration(estimate: AteEstimate, forecast: ArmForecast, delta: float,
@@ -108,13 +110,12 @@ def recommend_duration(estimate: AteEstimate, forecast: ArmForecast, delta: floa
     effect = delta * abs(estimate.control_mean)
     if effect == 0.0:
         raise ValidationError("control mean is zero; the relative effect has no scale")
-    mse0, mse1 = estimate.mse_per_arm
     day_found = None
     variance_found = None
     for day, n0, n1 in zip(forecast.days, forecast.n0, forecast.n1):
         if day <= forecast.anchor_day or n0 < 1 or n1 < 1:
             continue
-        variance = mse1 / n1 + mse0 / n0
+        variance = ate_variance(estimate.mse_per_arm, (n0, n1))
         if projected_power(variance, effect, alpha) >= target_power:
             day_found = int(day)
             variance_found = float(variance)

@@ -269,7 +269,7 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
         return dim_model()
 
     allowed = _resolve_columns(spec, k, pre_period_col)
-    x, shift, varies = _shifted(y, z[:, allowed])
+    x, shift, varies = _shifted(y, z, np.flatnonzero(allowed))
     used = allowed.copy()
     used[allowed] = varies
     if not varies.all():
@@ -329,14 +329,17 @@ def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
     is |R_i a|^2; the total sum of squares comes from fold i's outcomes, and
     a constant target scores exactly 0. Returns the gamma with the highest
     mean R^2 (ties go to the larger gamma, the stronger regularization) and
-    the per-gamma mean scores. The caller refits on the full arm.
+    the per-gamma mean scores. The caller refits on the full arm. Without
+    ``grid`` or ``spec.hyper_grid``, the default grid is read off the QR of
+    the stacked fold triangles, as ``fit`` reads it, so both pick one grid.
     """
     if spec.kind not in _PENALIZED:
         raise ValidationError(f"cross-validation applies to {_PENALIZED}, not {spec.kind!r}")
     x, _, varies = _shifted(outcome, covariates)
     folds = _folds(x, seed)
     if grid is None:
-        grid = spec.hyper_grid or default_gamma_grid(_cross_moments(x, varies))
+        r = np.linalg.qr(np.vstack([f[0] for f in folds]), mode="r")
+        grid = spec.hyper_grid or default_gamma_grid(_cross_moments(r, x.shape[0], varies))
     return _cross_validate(spec, folds, grid)
 
 
@@ -349,7 +352,8 @@ def _folds(x: np.ndarray, seed: int) -> list[tuple]:
             f"{m} rows cannot support {_CV_FOLDS}-fold cross-validation; use fewer folds")
     folds = []
     for idx in np.array_split(np.random.default_rng(seed).permutation(m), _CV_FOLDS):
-        rows = x[np.sort(idx)]  # ascending, so the gather streams down x's columns
+        # ascending and column by column, so the gather streams down x's columns
+        rows = np.take(x.T, np.sort(idx), axis=1).T
         lo, hi, y_te = rows.min(axis=0), rows.max(axis=0), rows[:, -1]
         ss_tot = 0.0 if lo[-1] == hi[-1] else float(np.sum((y_te - y_te.mean()) ** 2))
         folds.append((np.linalg.qr(rows, mode="r"), lo, hi, ss_tot, idx.size))
@@ -403,25 +407,32 @@ def lasso_gamma_max(outcome: np.ndarray, covariates: np.ndarray) -> float:
     slopes vanish exactly (not just approximately) at this value.
     """
     x, _, varies = _shifted(outcome, covariates)
-    return _gamma_max(_cross_moments(x, varies))
+    return _gamma_max(_cross_moments(np.linalg.qr(x, mode="r"), x.shape[0], varies))
 
 
 def _gamma_max(c: np.ndarray) -> float:
     return float(np.max(np.abs(c))) if c.size else 0.0
 
 
-def _cross_moments(x: np.ndarray, varies: np.ndarray) -> np.ndarray:
-    """S'q/m of the shifted rows x over their varying columns, as ``fit`` forms it."""
-    *_, s, q = _standardize(np.linalg.qr(x, mode="r"), x.shape[0], varies)
-    return s.T @ q / x.shape[0]
+def _cross_moments(r: np.ndarray, m: int, varies: np.ndarray) -> np.ndarray:
+    """S'q/m over the varying columns of the triangle r of m shifted rows,
+    as ``fit`` forms it."""
+    *_, s, q = _standardize(r, m, varies)
+    return s.T @ q / m
 
 
-def _shifted(y: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows [1, z, y], z and y shifted by their means (so that offset columns
-    lose no accuracy to the intercept), z's means, and which columns of z
-    vary. Stored column by column, as the QR reads them."""
-    x = np.empty((len(y), np.shape(z)[1] + 2), order="F")
-    x[:, 0], x[:, 1:-1], x[:, -1] = 1.0, z, y
+def _shifted(y: np.ndarray, z: np.ndarray, cols: np.ndarray | None = None,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows [1, z[:, cols], y] (all of z's columns by default), z and y shifted
+    by their means (so that offset columns lose no accuracy to the
+    intercept), z's means, and which columns of z vary. Stored column by
+    column, as the QR reads them, and filled straight from z's columns."""
+    z = np.asarray(z, dtype=np.float64)
+    cols = range(z.shape[1]) if cols is None else cols
+    x = np.empty((len(y), len(cols) + 2), order="F")
+    x[:, 0], x[:, -1] = 1.0, y
+    for i, c in enumerate(cols):
+        x[:, 1 + i] = z[:, c]
     shift = x[:, 1:].mean(axis=0)
     x[:, 1:] -= shift
     return x, shift[:-1], x[:, 1:-1].min(axis=0) != x[:, 1:-1].max(axis=0)

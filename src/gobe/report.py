@@ -20,7 +20,6 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from .aa import AaRun, BucketMetrics, pooled_coverage
-from .estimator import AteEstimate
 from .power import DurationRecommendation
 from .stress import StressResult
 
@@ -65,22 +64,6 @@ def write_manifest(path, command: str, config: dict, seed: int,
         "timings_ms": timings_ms,
     })
     _atomic_write(json.dumps(doc, indent=2, allow_nan=False) + "\n", path)
-
-
-def ate_to_dict(est: AteEstimate) -> dict:
-    return {
-        "model_id": est.model_id,
-        "ate": est.ate,
-        "variance": est.variance,
-        "mse_per_arm": list(est.mse_per_arm),
-        "ci": list(est.ci),
-        "alpha": est.alpha,
-        "n_per_arm": list(est.n_per_arm),
-        "control_mean": est.control_mean,
-        "lift": est.lift,
-        "lift_ci": None if est.lift_ci is None else list(est.lift_ci),
-        "flags": list(est.flags),
-    }
 
 
 def aa_to_dict(run: AaRun, metrics: BucketMetrics, splits_csv: str) -> dict:

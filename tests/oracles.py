@@ -126,9 +126,9 @@ def rowspace_penalized(zs, yc, gamma, lam, w0=None):
 
 
 def _standardize(z, like):
-    mu, sd = like.mean(axis=0), like.std(axis=0)
-    keep = sd > 0
-    return (z[:, keep] - mu[keep]) / sd[keep]
+    """z standardized by the columns of ``like`` that vary (minimum below maximum)."""
+    keep = like.min(axis=0) != like.max(axis=0)
+    return (z[:, keep] - like.mean(axis=0)[keep]) / like.std(axis=0)[keep]
 
 
 def rowspace_cross_validate(y, z, grid, lam, folds=5, seed=0):
@@ -160,7 +160,7 @@ def rowspace_fit(y, z, grid, lam, folds=5, seed=0):
     for the non-constant columns, with the grid given explicitly."""
     y = np.asarray(y, float)
     z = np.asarray(z, float)
-    keep = z.std(axis=0) > 0
+    keep = z.min(axis=0) != z.max(axis=0)
     scores = None
     gamma = grid[0]
     if len(grid) > 1:

@@ -1,12 +1,13 @@
 import argparse
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gobe import cli
+from gobe import cli, dataset, estimator, power, report
 from gobe.cli import aggregate, build_parser, main
 from gobe.report import validate_report
 
@@ -577,3 +578,69 @@ def test_benchmark_command_lines_parse_with_the_attributes_replay_reads():
             for name in _REPLAY_NONE_DEFAULTS:
                 assert bare.get(name) is None, (args.command, name)
     assert commands == set(_REPLAY_READS_BY_COMMAND)
+
+
+ZOO = "dim,ols,ridge,lasso,elastic_net:0.5,pcr,tweedie,two_step:ols,ols@pre"
+SIM_FLAGS = ["--assignment-col", "assignment", "--outcome-col", "outcome",
+             "--covariate-cols", "z1,z2,z3", "--pre-period-col", "z1", "--day-col", "day"]
+
+
+@pytest.fixture
+def daily_csv(tmp_path):
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--n-units", "400", "--outcome-cor", "0.6",
+                   "--daily-arrivals", "20", "--true-ate", "0.3", "--seed", "8",
+                   "--out", sim) == 0
+    return sim / "synthetic.csv"
+
+
+def test_estimate_day_filter_matches_estimates_on_the_filtered_data(daily_csv, tmp_path):
+    out = tmp_path / "est"
+    assert run_cli("estimate", "--input", daily_csv, *SIM_FLAGS, "--models", "dim,ols,ridge",
+                   "--day", "7", "--seed", "4", "--out", out) == 0
+    doc = read_report(out)
+    data = dataset.filter_by_day(dataset.load_csv(daily_csv, dataset.CsvSchema(
+        assignment="assignment", outcome="outcome", covariates=("z1", "z2", "z3"),
+        pre_period="z1", day="day")), 7)
+    assert doc["input"]["day_filter"] == 7
+    assert doc["input"]["n_units"] == data.n_units < 400
+    assert doc["estimates"] == [report.jsonable(asdict(estimator.estimate(data, name, seed=4)))
+                                for name in ("dim", "ols", "ridge")]
+
+
+def test_power_records_a_failed_model_and_keeps_the_baseline(tmp_path):
+    rng = np.random.default_rng(9)
+    n = 120
+    arm, day = np.arange(n) % 2, 1 + np.arange(n) // 10
+    kpi = 1.0 + rng.standard_normal(n)  # negative outcomes: tweedie cannot fit
+    path = tmp_path / "neg.csv"
+    path.write_text("arm,kpi,pre,day\n" + "".join(
+        f"{a},{y!r},{z!r},{d}\n" for a, y, z, d in zip(arm, kpi.tolist(),
+                                                       rng.standard_normal(n).tolist(), day)),
+        encoding="utf-8")
+    out = tmp_path / "power"
+    assert run_cli("power", "--input", path, *SCHEMA_FLAGS, "--day-col", "day",
+                   "--models", "dim,tweedie", "--day", "4", "--delta", "0.5",
+                   "--seed", "2", "--out", out) == 0
+    doc = read_report(out)
+    assert doc["failures"] == [{"model_id": "tweedie", "type": "ValidationError",
+                                "message": "tweedie requires non-negative outcomes"}]
+    data = dataset.load_csv(path, dataset.CsvSchema(
+        assignment="arm", outcome="kpi", covariates=("pre",), pre_period="pre", day="day"))
+    analysis = dataset.filter_by_day(data, 4)
+    rec = power.recommend_duration(estimator.estimate(analysis, "dim", seed=2),
+                                   power.forecast_arm_sizes(data, 4), 0.5)
+    assert doc["recommendations"] == [report.jsonable(report.recommendation_to_dict(rec))]
+
+
+@pytest.mark.parametrize("command", [["estimate"], ["power", "--day", "7", "--delta", "0.2"]])
+def test_estimate_and_power_split_the_rows_by_arm_once(command, daily_csv, tmp_path,
+                                                       monkeypatch):
+    calls = []
+    split_arms = estimator.split_arms
+    monkeypatch.setattr(estimator, "split_arms", lambda data: calls.append(1) or split_arms(data))
+    out = tmp_path / "out"
+    assert run_cli(*command, "--input", daily_csv, *SIM_FLAGS, "--models", ZOO,
+                   "--out", out) == 0
+    assert len(read_report(out)["failures"]) == 1  # tweedie, on negative outcomes
+    assert len(calls) == 1

@@ -22,7 +22,7 @@ from gobe import (
 from gobe import estimator
 from gobe.dataset import with_assignment
 from gobe.errors import MODEL_FAILURES
-from gobe.normal import z_for_alpha
+from gobe.estimator import z_for_alpha
 from gobe.regression import fit, lasso_gamma_max, predict
 
 from oracles import dim_ate, lin_interacted_ate, z_quantile

@@ -330,6 +330,20 @@ def test_cv_refits_on_full_data():
     np.testing.assert_allclose(model.coefficients, direct.coefficients, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["ridge", "lasso", "elastic_net:0.5"])
+def test_cross_validate_picks_the_default_grid_fit_picks(name):
+    # both read the grid off the stacked fold triangles, so they agree bit for bit
+    spec = parse_model(name)
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 16])
+        m, k = int(rng.integers(10, 200)), int(rng.integers(1, 6))
+        sd = rng.uniform(0.1, 10.0, k)
+        z = rng.standard_normal((m, k)) * sd + rng.choice([0.0, 1.0, 1e3], k) * sd
+        y = 1.0 + z @ (rng.standard_normal(k) / sd) + rng.standard_normal(m)
+        model = fit(spec, y, z, seed=seed)
+        assert cross_validate(spec, y, z, seed=seed) == (model.chosen_gamma, model.cv_scores)
+
+
 # --- Gram-form fits against the row-space reference ------------------------
 
 _CV_SEED = 3
@@ -340,8 +354,9 @@ _L1_WEIGHTS = {"ridge": None, "lasso": 1.0, "elastic_net:0.25": 0.25, "elastic_n
 def penalized_problems(draw):
     """An arm whose columns may include one that varies only on one CV fold's
     rows (so it is constant on that fold's training rows), an exact duplicate
-    (collinear) column and a constant column, with a grid of one or more
-    gammas around gamma_max."""
+    (collinear) column, a constant dyadic column and a constant 0.1 column
+    (whose row std is 2.8e-17, not 0), with a grid of one or more gammas
+    around gamma_max."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m, k = draw(st.integers(12, 60)), draw(st.integers(1, 4))
     z = rng.standard_normal((m, k)) * rng.uniform(0.1, 10.0, k)
@@ -356,6 +371,8 @@ def penalized_problems(draw):
         extra.append(z[:, 0])
     if draw(st.booleans()):
         extra.append(np.full(m, -1.25))
+    if draw(st.booleans()):
+        extra.append(np.full(m, 0.1))
     z = np.column_stack([z, *extra])
     # gammas far above gamma_max zero every fold's lasso fit: CV scores tie there
     fractions = draw(st.lists(st.one_of(st.floats(0.05, 1.5), st.sampled_from([3.0, 6.0])),
@@ -368,7 +385,7 @@ def penalized_problems(draw):
 @given(problem=penalized_problems())
 def test_gram_fits_match_the_rowspace_reference(problem):
     y, z, grid = problem
-    constant = z.std(axis=0) == 0
+    constant = z.min(axis=0) == z.max(axis=0)
     for name, lam in _L1_WEIGHTS.items():
         spec = parse_model(name)
         model = fit(ModelSpec(spec.kind, mix=spec.mix, hyper_grid=grid), y, z, seed=_CV_SEED)
