@@ -340,6 +340,7 @@ def _cmd_power(args: argparse.Namespace, out_dir: Path) -> None:
         raise ValidationError("--day (analysis day) is required for power")
     if args.delta is None:
         raise ValidationError("--delta (hypothesized relative effect) is required for power")
+    power.check_power_args(args.delta, args.alpha, args.power_target)
     data = _load_input(args)
     analysis = dataset.filter_by_day(data, args.day)
     forecast = power.forecast_arm_sizes(data, args.day, args.horizon)

@@ -7,6 +7,7 @@ rather than imputing or dropping.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from dataclasses import dataclass, replace
@@ -301,11 +302,17 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
     return data
 
 
-# Characters on which numpy's reader and the row parser could disagree: a
-# quote (a quoted field may hold a comma), a carriage return not ending a
-# line, and the separators U+001C-U+001F, which numpy strips around a number
-# and float() does not.
-_ROW_PARSER_ONLY = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+# Bytes read per step by ``_read_columns_fast``'s scan of the file.
+_CHUNK_BYTES = 1 << 20
+
+# Bytes on which numpy's reader and the row parser could disagree: a quote (a
+# quoted field may hold a comma) and the separators U+001C-U+001F, which numpy
+# strips around a number and float() does not. A carriage return not ending a
+# line is checked for apart from these. None of them, and neither "," nor
+# "\n", occurs inside a multi-byte UTF-8 sequence, so the scan reads bytes.
+_ROW_PARSER_ONLY = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Every byte but "," and "\n", deleted to leave a chunk's line structure.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
 
 
 def _read_columns_fast(path, schema: CsvSchema):
@@ -314,39 +321,35 @@ def _read_columns_fast(path, schema: CsvSchema):
 
     Returns what ``_read_rows`` returns, value for value, for every file it
     accepts. It declines a file that is not UTF-8 or holds a
-    ``_ROW_PARSER_ONLY`` character, an empty header line, a row whose field
-    count differs from the header's (a blank line included), fewer than two
-    data rows, a number numpy does not read (``1_000``, non-ASCII digits),
-    or a value the row parser rejects: non-finite numbers, an assignment
-    other than 0/1, or a day that is not an integer >= 1 (days from 2**53
-    up are declined too).
+    ``_ROW_PARSER_ONLY`` character or a carriage return outside a CRLF pair,
+    an empty header line, a row whose field count differs from the header's
+    (a blank line included), fewer than two data rows, a number numpy does
+    not read (``1_000``, non-ASCII digits), or a value the row parser
+    rejects: non-finite numbers, an assignment other than 0/1, or a day that
+    is not an integer >= 1 (days from 2**53 up are declined too).
+
+    The file is streamed, never held whole: ``_scan_rows`` checks it in
+    ``_CHUNK_BYTES`` chunks, ``np.loadtxt`` then parses it from the open
+    file, and a mapped unit-id column is read line by line. Beyond the header
+    line, one chunk and numpy's read buffer, the memory held is the parsed
+    table (and the unit ids as strings).
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read().replace("\r\n", "\n")
-    except UnicodeDecodeError:
+    header, n_rows = _scan_rows(path)
+    if n_rows is None:
         return None
-    if any(ch in text for ch in _ROW_PARSER_ONLY):
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    # csv.reader reads an empty line as no fields, not as one empty field.
-    if len(lines) < 3 or not lines[0]:
-        return None
-    header = lines[0].split(",")
     col = _resolve_columns(header, schema, path)
-    if {line.count(",") for line in lines} != {len(header) - 1}:
-        return None
     numeric = [schema.assignment, schema.outcome, *schema.covariates]
     if schema.day is not None:
         numeric.append(schema.day)
-    try:
-        table = np.loadtxt(lines[1:], delimiter=",", comments=None,
-                           usecols=[col[c] for c in numeric], ndmin=2)
-    except ValueError:
-        return None
-    if not np.isfinite(table).all():
+    # The scan leaves no lone carriage return, so universal newlines read
+    # exactly the lines it counted.
+    with open(path, encoding="utf-8") as fh:
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1,
+                               usecols=[col[c] for c in numeric], ndmin=2)
+        except ValueError:
+            return None
+    if table.shape[0] != n_rows or not np.isfinite(table).all():
         return None
     assignment = table[:, 0]
     if not ((assignment == 0) | (assignment == 1)).all():
@@ -359,9 +362,70 @@ def _read_columns_fast(path, schema: CsvSchema):
         days = days.astype(np.int64)
     ids = None
     if schema.unit_id is not None:
-        ids = np.array([line.split(",")[col[schema.unit_id]] for line in lines[1:]])
+        with open(path, encoding="utf-8") as fh:
+            next(fh)
+            ids = np.array([line.rstrip("\n").split(",")[col[schema.unit_id]] for line in fh])
     return (ids, assignment.astype(np.int8), table[:, 1],
             table[:, 2:2 + len(schema.covariates)], days)
+
+
+def _scan_rows(path) -> tuple[list[str] | None, int | None]:
+    """The header's fields and the number of data rows, or (None, None) if
+    the file is not fit for the fast path: not strict UTF-8, holding a
+    ``_ROW_PARSER_ONLY`` byte or a carriage return that does not start a
+    CRLF pair, an empty header line, a line whose comma count differs from
+    the header's, or fewer than two data rows.
+
+    Reads the header line, then ``_CHUNK_BYTES`` at a time; a line, a CRLF
+    pair or a character may straddle two chunks.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        # csv.reader reads an empty line as no fields, not as one empty field.
+        if header in (b"", b"\n", b"\r\n"):
+            return None, None
+        commas = header.count(b",")
+        lines = 0        # line feeds seen, the header's included
+        carry = 0        # commas since the last line feed
+        open_line = cr_pending = False
+        chunk = header
+        while chunk:
+            try:
+                decoder.decode(chunk)
+            except UnicodeDecodeError:
+                return None, None
+            if any(b in chunk for b in _ROW_PARSER_ONLY) or (
+                    cr_pending and not chunk.startswith(b"\n")) or (
+                    b"\r" in chunk and chunk.count(b"\r")
+                    != chunk.count(b"\r\n") + chunk.endswith(b"\r")):
+                return None, None
+            cr_pending = chunk.endswith(b"\r")
+            separators = np.frombuffer(chunk.translate(None, _NOT_SEPARATOR), dtype=np.uint8)
+            feeds = np.flatnonzero(separators == ord("\n"))
+            if feeds.size:
+                # commas on each line the chunk ends: the gaps between its feeds
+                if (np.diff(feeds, prepend=-1 - carry) - 1 != commas).any():
+                    return None, None
+                lines += feeds.size
+                carry = separators.size - 1 - int(feeds[-1])
+            else:
+                carry += separators.size
+            open_line = not chunk.endswith(b"\n")
+            chunk = fh.read(_CHUNK_BYTES)
+    try:
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        return None, None
+    if cr_pending:
+        return None, None
+    if open_line:  # a last line without a final newline
+        if carry != commas:
+            return None, None
+        lines += 1
+    if lines < 3:
+        return None, None
+    return header.rstrip(b"\r\n").decode("utf-8").split(","), lines - 1
 
 
 def _read_rows(path, schema: CsvSchema):

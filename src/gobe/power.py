@@ -92,6 +92,16 @@ def projected_power(variance: float, effect: float, alpha: float) -> float:
     return NormalDist().cdf(abs(effect) / math.sqrt(variance) - z_for_alpha(alpha))
 
 
+def check_power_args(delta: float, alpha: float, target_power: float) -> None:
+    """Raise ValidationError unless ``delta`` is non-zero and ``alpha`` and
+    ``target_power`` lie in (0, 1)."""
+    if delta == 0.0:
+        raise ValidationError("delta must be non-zero; power cannot exceed alpha at zero effect")
+    check_alpha(alpha)
+    if not 0.0 < target_power < 1.0:
+        raise ValidationError(f"target_power must be in (0, 1), got {target_power}")
+
+
 def recommend_duration(estimate: AteEstimate, forecast: ArmForecast, delta: float,
                        alpha: float = 0.05, target_power: float = 0.8,
                        ) -> DurationRecommendation:
@@ -102,11 +112,7 @@ def recommend_duration(estimate: AteEstimate, forecast: ArmForecast, delta: floa
     are frozen at the analysis day, so the projected variance only shrinks
     through the growing arm sizes.
     """
-    if delta == 0.0:
-        raise ValidationError("delta must be non-zero; power cannot exceed alpha at zero effect")
-    check_alpha(alpha)
-    if not 0.0 < target_power < 1.0:
-        raise ValidationError(f"target_power must be in (0, 1), got {target_power}")
+    check_power_args(delta, alpha, target_power)
     effect = delta * abs(estimate.control_mean)
     if effect == 0.0:
         raise ValidationError("control mean is zero; the relative effect has no scale")

@@ -302,7 +302,9 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
         if not converged:
             flags.append("cd_max_sweeps")
     else:  # tweedie, on the rows standardized as above
-        intercept, w = _tweedie_irls((x[:, 1:-1][:, varies] - offsets[:-1]) / sds, y)
+        design = _tweedie_design(x, varies, offsets[:-1], sds)
+        del x  # the IRLS loop reads only the design
+        intercept, w = _tweedie_irls(design, y)
         link = "log"
 
     coefficients = np.zeros(k)
@@ -553,13 +555,26 @@ def _tweedie_deviance(y: np.ndarray, mu: np.ndarray, p: float) -> float:
     return float(2.0 * term.sum())
 
 
-def _tweedie_irls(zs: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Iteratively reweighted least squares for the log-link Tweedie GLM."""
+def _tweedie_design(x: np.ndarray, varies: np.ndarray, offsets: np.ndarray,
+                    sds: np.ndarray) -> np.ndarray:
+    """The IRLS design [1, zs], written column by column into one
+    column-major matrix: the shifted rows x's varying columns, less their
+    offsets, over their sds."""
+    design = np.empty((x.shape[0], 1 + len(sds)), order="F")
+    design[:, 0] = 1.0
+    for j, c in enumerate(1 + np.flatnonzero(varies)):
+        np.subtract(x[:, c], offsets[j], out=design[:, 1 + j])
+    design[:, 1:] /= sds
+    return design
+
+
+def _tweedie_irls(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Iteratively reweighted least squares for the log-link Tweedie GLM on
+    the design x = [1, zs]."""
     y_bar = float(y.mean())
     if y_bar <= 0:
         raise ValidationError("tweedie with log link needs a positive mean outcome")
-    m, p = zs.shape
-    x = np.column_stack([np.ones(m), zs])
+    weighted = np.empty_like(x)
     mu = (y + y_bar) / 2.0
     eta = np.log(mu)
     dev = _tweedie_deviance(y, mu, _TWEEDIE_POWER)
@@ -567,7 +582,8 @@ def _tweedie_irls(zs: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         weights = np.power(mu, 2.0 - _TWEEDIE_POWER)  # (dmu/deta)^2 / V(mu) at log link
         working = eta + (y - mu) / mu
         sw = np.sqrt(weights)
-        beta, *_ = np.linalg.lstsq(x * sw[:, None], working * sw, rcond=None)
+        np.multiply(x, sw[:, None], out=weighted)
+        beta, *_ = np.linalg.lstsq(weighted, working * sw, rcond=None)
         eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
         mu = np.exp(eta)
         new_dev = _tweedie_deviance(y, mu, _TWEEDIE_POWER)

@@ -176,6 +176,11 @@ def test_power_command_and_horizon_exhaustion(tmp_path):
 @pytest.mark.parametrize("given, message", [
     (["--delta", "0.01"], "--day (analysis day) is required for power"),
     (["--day", "7"], "--delta (hypothesized relative effect) is required for power"),
+    (["--day", "7", "--delta", "0"],
+     "delta must be non-zero; power cannot exceed alpha at zero effect"),
+    (["--day", "7", "--delta", "0.1", "--power-target", "1"],
+     "target_power must be in (0, 1), got 1.0"),
+    (["--day", "7", "--delta", "0.1", "--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
 ])
 def test_power_checks_day_and_delta_before_loading_the_input(four_row_csv, tmp_path,
                                                              monkeypatch, given, message):

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -131,6 +132,22 @@ def csv_datasets(draw):
 
 @given(data=csv_datasets())
 def test_csv_round_trip_is_bit_exact(tmp_path_factory, data):
+    check_round_trip_is_bit_exact(tmp_path_factory, data)
+
+
+# Chunk sizes that put CRLF pairs, multi-byte characters, rows and the header
+# across the edges of the ingest scan's chunks.
+SMALL_CHUNKS = (1, 2, 3, 7)
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@given(data=csv_datasets())
+def test_csv_round_trip_is_bit_exact_in_small_chunks(tmp_path_factory, chunk, data):
+    with mock.patch.object(dataset, "_CHUNK_BYTES", chunk):
+        check_round_trip_is_bit_exact(tmp_path_factory, data)
+
+
+def check_round_trip_is_bit_exact(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     schema = write_csv(data, path)
     assert dataset._read_columns_fast(path, schema) is not None
@@ -215,6 +232,17 @@ def valid_csv_files(draw):
 
 @given(case=valid_csv_files())
 def test_fast_path_loads_valid_files_as_the_row_parser_does(tmp_path_factory, case):
+    check_fast_path_loads_as_the_row_parser_does(tmp_path_factory, case)
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@given(case=valid_csv_files())
+def test_fast_path_loads_valid_files_in_small_chunks(tmp_path_factory, chunk, case):
+    with mock.patch.object(dataset, "_CHUNK_BYTES", chunk):
+        check_fast_path_loads_as_the_row_parser_does(tmp_path_factory, case)
+
+
+def check_fast_path_loads_as_the_row_parser_does(tmp_path_factory, case):
     raw, schema = case
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_bytes(raw)
@@ -275,6 +303,15 @@ MALFORMED_CORPUS = {
     "bom_on_unmapped_column": ("\ufeffname," + _HEAD + "a,0,1.5,0.2,1.0\nb,1,2.5,0.1,2.0\n",
                                SCHEMA, None),
     "invalid_utf8_after_first_block": (_BAD_UTF8_LATE, SCHEMA, UnicodeDecodeError),
+    "cr_as_last_byte": (_HEAD + _ROWS + "1,2.5,0.1,2.0\r", SCHEMA, None),
+    "cr_cr_lf": (_HEAD + "0,1.5,0.2,1.0\r\r\n1,2.5,0.1,2.0\r\n", SCHEMA, ParseError),
+    "long_header": ("arm,kpi,pre,extra," + "n" * 100 + "\n0,1.5,0.2,1.0,a\n1,2.5,0.1,2.0,b\n",
+                    SCHEMA, None),
+    "three_byte_char_unmapped": ("arm,kpi,pre,extra,note\n0,1.5,0.2,1.0,\u20ac\n"
+                                 "1,2.5,0.1,2.0,a\u20acb\n", SCHEMA, None),
+    "short_last_row_no_final_newline": (_HEAD + _ROWS + "1,2.5,0.1", SCHEMA, ParseError),
+    "utf8_cut_at_end_of_file": ((_HEAD + _ROWS + "1,2.5,0.1,").encode() + b"\xe2\x82", SCHEMA,
+                                UnicodeDecodeError),
 }
 
 
@@ -285,11 +322,35 @@ def _load_or_error(load, path, schema):
         return exc
 
 
-@pytest.mark.parametrize("name", list(MALFORMED_CORPUS))
-def test_malformed_file_fails_as_the_row_parser_does(tmp_path, name):
+def write_corpus_file(tmp_path, name):
+    """(path, schema, what the row parser does) of a MALFORMED_CORPUS entry."""
     contents, schema, row_parser_error = MALFORMED_CORPUS[name]
     path = tmp_path / "in.csv"
     path.write_bytes(contents if isinstance(contents, bytes) else contents.encode("utf-8"))
+    return path, schema, row_parser_error
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_CORPUS))
+def test_malformed_file_fails_as_the_row_parser_does(tmp_path, name):
+    check_fails_as_the_row_parser_does(*write_corpus_file(tmp_path, name))
+
+
+def _fast_path_outcome(path, schema):
+    got = _load_or_error(dataset._read_columns_fast, path, schema)
+    return type(got) if isinstance(got, Exception) else got is not None
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@pytest.mark.parametrize("name", list(MALFORMED_CORPUS))
+def test_malformed_file_in_small_chunks(tmp_path, name, chunk):
+    path, schema, row_parser_error = write_corpus_file(tmp_path, name)
+    whole = _fast_path_outcome(path, schema)
+    with mock.patch.object(dataset, "_CHUNK_BYTES", chunk):
+        assert _fast_path_outcome(path, schema) == whole
+        check_fails_as_the_row_parser_does(path, schema, row_parser_error)
+
+
+def check_fails_as_the_row_parser_does(path, schema, row_parser_error):
     want = _load_or_error(load_by_row_parser, path, schema)
     got = _load_or_error(load_csv, path, schema)
     if row_parser_error is None:
@@ -298,6 +359,25 @@ def test_malformed_file_fails_as_the_row_parser_does(tmp_path, name):
     else:
         assert type(want) is row_parser_error
         assert (type(got), str(got)) == (type(want), str(want))
+
+
+def test_ingest_memory_is_bounded_by_the_parsed_table(tmp_path):
+    data = generate(SyntheticConfig(n_units=8000, k_covariates=3, daily_arrivals=50.0, seed=3))
+    path = tmp_path / "big.csv"
+    schema = write_csv(data, path)
+    chunk = 1 << 16
+    assert path.stat().st_size >= 8 * chunk
+    with mock.patch.object(dataset, "_CHUNK_BYTES", chunk):
+        tracemalloc.start()
+        try:
+            back = load_csv(path, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert_same_data(back, load_by_row_parser(path, schema))
+    returned = sum(a.nbytes for a in (back.unit_ids, back.assignment, back.outcome,
+                                      back.covariates, back.day_index))
+    assert peak <= 3 * returned
 
 
 def test_generate_independent_case():
