@@ -25,7 +25,6 @@ from .errors import ConvergenceError, ParseError, SchemaError, ValidationError
 from .estimator import (
     AteEstimate,
     estimate,
-    estimate_two_step,
     fit_arm_models,
     impute,
     variance_reduction,
@@ -70,7 +69,6 @@ __all__ = [
     "cross_validate",
     "error_distribution",
     "estimate",
-    "estimate_two_step",
     "filter_by_day",
     "fit",
     "fit_arm_models",

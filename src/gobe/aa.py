@@ -12,17 +12,17 @@ source from the bucketed metrics. Each split draws from its own seed stream
 and computes the imbalance ``zeta`` from its sorted gathered rows.
 
 The affine models (``dim``, ``ols``, ``ols@cols``) need no per-split fit:
-their imputation ATE and per-arm MSE depend only on each fake arm's means
-and centered cross-products (the moment view of Lin 2013 and CUPED). A
-split reduces its treated rows to the Gram matrix of ``[1, Z, y]``, which
-holds their count, sums and cross-products; control is the arm total minus
-treated, and each model solves every split's small system in one batched
-call. A split whose moments cannot certify the fit (a near-constant column
-or outcome in a half, a badly conditioned half, a near-perfect fit) is
-fitted from its rows instead, as are the kinds with no moment form
-(``pcr``, penalized, ``tweedie``, ``two_step``). Those records match one
-``estimate`` per relabelled dataset bit for bit; the moment-form records
-match it within 1e-9 of each split's half-width. Splits run serially.
+each fake arm's size, means, slopes and RSS (the moment view of Lin 2013 and
+CUPED) go to ``estimator.affine_ate`` and ``estimator.interval``, as they do
+in ``estimate``. A split reduces its treated rows to the Gram matrix of
+``[1, Z, y]``, which holds their count, sums and cross-products; control is
+the arm total minus treated, and each model solves every split's small
+system in one batched call. A split whose moments cannot certify the fit (a
+near-constant column or outcome in a half, a badly conditioned half, a
+near-perfect fit) is fitted from its rows instead, as are the kinds with no
+moment form (``pcr``, penalized, ``tweedie``, ``two_step``). Those records
+match one ``estimate`` per relabelled dataset bit for bit; the moment-form
+records match it within 1e-9 of each split's half-width. Splits run serially.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .dataset import ExperimentData, restrict_to_arm
 from .errors import MODEL_FAILURES, ValidationError
-from .estimator import arm_mse, ate_variance, check_alpha, estimate_arms, z_for_alpha
+from .estimator import affine_ate, check_alpha, estimate_arms, interval
 from .regression import ModelSpec, _resolve_columns, with_dim_baseline
 from .rng import child_rng, child_seed
 
@@ -114,17 +114,13 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
     bucket count, default ``min(20, s_splits)``) are checked before any
     split. Splits run serially; ``n_jobs`` is accepted and ignored.
 
-    ``dim``, ``ols`` and ``ols@cols`` are estimated from moments: each
-    split's treated rows of ``[1, Z_used, y]``, Z and y shifted by the arm
-    mean, are reduced to one Gram matrix (control is the arm total minus
-    treated), and each model solves all splits' K x K systems in one
-    batched call. A split whose halves fail a check of ``_affine_estimates``
-    (a used column or the outcome near-constant in a half, a badly
-    conditioned half correlation matrix, a near-perfect fit) is fitted from
-    its rows by ``estimate_arms``, as is every split of the other kinds.
-    ``zeta``, ``failed`` and the records fitted from rows equal one
-    ``estimate`` per relabelled dataset bit for bit; moment-form ``ate``
-    and interval ends lie within 1e-9 of that split's half-width of it.
+    ``dim``, ``ols`` and ``ols@cols`` take the moment form of the module
+    docstring, Z and y shifted by the arm mean; a split whose halves fail a
+    check of ``_affine_estimates`` goes to ``estimate_arms`` on its rows, as
+    does every split of the other kinds. ``zeta``, ``failed`` and the
+    records fitted from rows equal one ``estimate`` per relabelled dataset
+    bit for bit; moment-form ``ate`` and interval ends lie within 1e-9 of
+    that split's half-width of it.
     """
     specs = with_dim_baseline(models)
     if s_splits < 1:
@@ -181,16 +177,13 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
     total = w.T @ w
     sizes = (n - n // 2, n // 2)
     halves = tuple(zip(sizes, (total - grams, grams)))
-    z_crit = z_for_alpha(alpha)
     refit = np.zeros((s_splits, n_models), dtype=bool)
     for j, cols in affine.items():
         idx = np.append(np.searchsorted(used, cols) + 1, w.shape[1] - 1)
-        ok, est, rss = _affine_estimates(halves, np.diagonal(total)[idx], idx, n)
-        mses = [arm_mse(r[ok], n_t) for r, n_t in zip(rss, sizes)]
-        half_width = z_crit * np.sqrt(ate_variance(mses, sizes))
-        ate[ok, j] = est[ok]
-        ci_lo[ok, j] = est[ok] - half_width
-        ci_hi[ok, j] = est[ok] + half_width
+        ok, gaps, slopes, rss = _affine_estimates(halves, np.diagonal(total)[idx], idx)
+        est = affine_ate(sizes, gaps, slopes)[ok]
+        _, _, (lo, hi) = interval(est, [r[ok] for r in rss], sizes, alpha)
+        ate[ok, j], ci_lo[ok, j], ci_hi[ok, j] = est, lo, hi
         refit[:, j] = ~ok
     for s in np.flatnonzero(refit.any(axis=1)):
         control, treated = _halves(n, seed, s)
@@ -226,19 +219,17 @@ def _affine_columns(spec: ModelSpec, k: int, pre_period_col: int) -> np.ndarray 
 
 
 def _affine_estimates(halves, arm_ss: np.ndarray, idx: np.ndarray,
-                      n: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """(ok, ate, [RSS_0, RSS_1]) of one affine model for every split.
+                      ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """(ok, mean gaps, [b_0, b_1], [RSS_0, RSS_1]) of one affine model for
+    every split, for ``estimator.affine_ate`` and ``estimator.interval``.
 
     ``halves`` holds (n_t, Gram matrices) of the control and treated halves
     over ``[1, Z, y]``, Z and y shifted by the arm mean; ``idx`` picks the
     model's columns, outcome last, and ``arm_ss`` is their sum of squares
     over the arm. Each half's slopes solve its correlation-scaled normal
-    equations, and the ATE is assembled as ``estimate_arms`` does for an
-    affine fit: ate = dy - dmu'(n1 b0 + n0 b1)/N. Each half's residual sum of
-    squares is returned for ``run_aa`` to form the interval through
-    ``arm_mse`` and ``ate_variance``. ``ok`` is False where a half fails a
-    check the module constants set; a half with no residual degrees of
-    freedom (K + 1 >= n_t) fails as a perfect fit or a singular matrix.
+    equations. ``ok`` is False where a half fails a check the module
+    constants set; a half with no residual degrees of freedom (K + 1 >= n_t)
+    fails as a perfect fit or a singular matrix.
     """
     k = idx.size - 1
     ok = np.ones(halves[0][1].shape[0], dtype=bool)
@@ -263,10 +254,7 @@ def _affine_estimates(halves, arm_ss: np.ndarray, idx: np.ndarray,
         means.append(s_t / n_t)
         slopes.append(u * sd[:, k:] / sd[:, :k])
         rss.append(ss[:, k] * unexplained)
-    (n0, _), (n1, _) = halves
-    diff = means[1] - means[0]
-    ate = diff[:, k] - np.einsum("sk,sk->s", diff[:, :k], n1 * slopes[0] + n0 * slopes[1]) / n
-    return ok, ate, rss
+    return ok, means[1] - means[0], slopes, rss
 
 
 def bucket_metrics(run: AaRun, kappa: int | None = None) -> BucketMetrics:

@@ -440,16 +440,19 @@ def _read_rows(path, schema: CsvSchema):
         col = _resolve_columns(header, schema, path)
         assignment, outcome, days, ids = [], [], [], []
         cov_rows = []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ParseError(f"row {i}: expected {len(header)} fields, got {len(row)}")
-            assignment.append(_parse_assignment(row[col[schema.assignment]], i, schema.assignment))
-            outcome.append(_parse_number(row[col[schema.outcome]], i, schema.outcome))
-            cov_rows.append([_parse_number(row[col[c]], i, c) for c in schema.covariates])
-            if schema.day is not None:
-                days.append(_parse_day(row[col[schema.day]], i, schema.day))
-            if schema.unit_id is not None:
-                ids.append(row[col[schema.unit_id]])
+        try:
+            for i, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise ParseError(f"row {i}: expected {len(header)} fields, got {len(row)}")
+                assignment.append(_parse_assignment(row[col[schema.assignment]], i, schema.assignment))
+                outcome.append(_parse_number(row[col[schema.outcome]], i, schema.outcome))
+                cov_rows.append([_parse_number(row[col[c]], i, c) for c in schema.covariates])
+                if schema.day is not None:
+                    days.append(_parse_day(row[col[schema.day]], i, schema.day))
+                if schema.unit_id is not None:
+                    ids.append(row[col[schema.unit_id]])
+        except csv.Error as exc:  # raised by the reader, before the row is parsed
+            raise ParseError(f"row {len(outcome) + 1}: {exc}") from None
     n = len(outcome)
     if n < 2:
         raise ValidationError(f"{path}: experiment needs at least 2 data rows, got {n}")

@@ -6,27 +6,25 @@ difference. The difference-in-means estimator is the covariate-free special
 case, so it shares this exact code path. The reported variance is the sum of
 per-arm in-sample mean squared errors scaled by arm size, and intervals are
 Gaussian; arm sizes are recorded so consumers can judge the asymptotics.
-``arm_mse``, ``ate_variance`` and ``z_for_alpha`` state that uncertainty
-once, for this module, the A/A moment form and the power projection alike.
 
-Each call splits the rows by arm once, into ``(y0, Z0)`` and ``(y1, Z1)``;
-``estimate_arms`` fits and assembles on those blocks. The assembly takes
-ATE = (sum_treated(y - f0(z)) + sum_control(f1(z) - y)) / N, each arm's MSE
-from its own-arm residuals and the control mean from ``y0``, so no N x 2
-imputation matrix is built (``impute`` builds one for callers that want it).
+Each call splits the rows by arm once and fits each arm's block. The ATE,
+(sum_treated(y - f0(z)) + sum_control(f1(z) - y)) / N, needs for
+identity-link fits only each arm's size, means and slopes (Lin 2013), and
+each MSE only the RSS the fit keeps, so assembly reads no rows: only a log
+link pair (``tweedie``) sums predictions over the other arm. ``affine_ate``
+and ``interval`` state this once, for ``estimate`` and the A/A moment form.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
 
 from .dataset import ExperimentData
 from .errors import ValidationError
-from .regression import FittedArmModel, ModelSpec, evaluate, fit, parse_model
+from .regression import FittedArmModel, ModelSpec, evaluate, fit, mean_parts, parse_model
 
 ArmBlock = tuple[np.ndarray, np.ndarray]  # (outcome, covariate rows) of one arm
 
@@ -104,21 +102,6 @@ def estimate(data: ExperimentData, spec: ModelSpec | str,
     return estimate_arms(checked_arms(data, alpha), spec, data.pre_period_col, alpha, seed)
 
 
-def estimate_two_step(data: ExperimentData, base_spec: ModelSpec | str,
-                      alpha: float = 0.05, seed: int = 0) -> AteEstimate:
-    """Two-step estimator: fit a base model per arm, then calibrate each arm
-    with a linear model whose only covariate is that arm model's prediction.
-
-    Arm t's step-two regression uses the base model's prediction as a fixed
-    function of the covariates, so cross-arm imputation evaluates at each
-    unit's imputed value. Point estimate, error terms, and interval all come
-    from the second step.
-    """
-    if isinstance(base_spec, str):
-        base_spec = parse_model(base_spec)
-    return estimate(data, ModelSpec(kind="two_step", base=base_spec), alpha=alpha, seed=seed)
-
-
 def estimate_arms(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, pre_period_col: int,
                   alpha: float, seed: int) -> AteEstimate:
     """``estimate`` on rows already split into ``(y0, Z0), (y1, Z1)``, for
@@ -130,8 +113,9 @@ def estimate_arms(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, pre_period_c
         arms = tuple((y, np.column_stack([evaluate(b, z) for b in base])) for y, z in arms)
         if not all(np.isfinite(z).all() for _, z in arms):
             raise ValidationError("covariates contain non-finite values")
-        models = tuple(fit(ModelSpec(kind="ols", columns=(t,)), y, z, seed=seed)
-                       for t, (y, z) in enumerate(arms))
+        # each fit allows only its own column; the assembly reads both columns' means
+        models = tuple(replace(fit(ModelSpec(kind="ols", columns=(t,)), y, z, seed=seed),
+                               mean_parts=mean_parts(y, z)) for t, (y, z) in enumerate(arms))
     else:
         models = tuple(fit(spec, y, z, seed=seed, pre_period_col=pre_period_col) for y, z in arms)
     return _assemble(arms, models, spec.name, alpha)
@@ -171,9 +155,22 @@ def z_for_alpha(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
-def arm_mse(rss, n):
-    """An arm's in-sample mean squared error, RSS / (n - 1); elementwise on arrays."""
-    return rss / (n - 1)
+def affine_ate(sizes, gaps, slopes):
+    """ate = dy - dz'(n_1 b_0 + n_0 b_1)/N for identity-link fits through
+    their arm means: (n_0, n_1), the treated-minus-control mean gaps of the
+    covariates and the outcome (last), and each arm's raw slopes b_t.
+    Elementwise over leading axes."""
+    (n0, n1), (b0, b1) = sizes, slopes
+    weights = n1 * b0 + n0 * b1
+    return gaps[..., -1] - np.einsum("...k,...k->...", gaps[..., :-1], weights) / (n0 + n1)
+
+
+def interval(ate, rss, sizes, alpha):
+    """Per-arm MSEs RSS/(n - 1), the ATE variance and the interval ends; elementwise."""
+    mses = tuple(r / (n - 1) for r, n in zip(rss, sizes))
+    variance = ate_variance(mses, sizes)
+    half_width = z_for_alpha(alpha) * np.sqrt(variance)
+    return mses, variance, (ate - half_width, ate + half_width)
 
 
 def ate_variance(mses, sizes):
@@ -199,16 +196,15 @@ def _assemble(arms: tuple[ArmBlock, ArmBlock],
               models: tuple[FittedArmModel, FittedArmModel],
               model_id: str, alpha: float) -> AteEstimate:
     (y0, z0), (y1, z1) = arms
-    model0, model1 = models
     n0, n1 = y0.shape[0], y1.shape[0]
-    ate = (float(np.sum(y1 - evaluate(model0, z1)))
-           + float(np.sum(evaluate(model1, z0) - y0))) / (n0 + n1)
-    mses = []
-    for (y, z), model in zip(arms, models):
-        resid = y - evaluate(model, z)
-        mses.append(float(arm_mse(resid @ resid, y.shape[0])))
-    variance = ate_variance(mses, (n0, n1))
-    half_width = z_for_alpha(alpha) * math.sqrt(variance)
+    if models[0].link == models[1].link == "identity":
+        gaps = (models[1].mean_parts - models[0].mean_parts).sum(axis=0)  # part by part
+        ate = float(affine_ate((n0, n1), gaps, [m.coefficients / m.sds for m in models]))
+    else:
+        ate = (float(np.sum(y1 - evaluate(models[0], z1)))
+               + float(np.sum(evaluate(models[1], z0) - y0))) / (n0 + n1)
+    mses, variance, ci = interval(ate, [m.rss for m in models], (n0, n1), alpha)
+    lo, hi = float(ci[0]), float(ci[1])
     control_mean = float(y0.mean())
     flags = tuple(f"arm{t}:{flag}" for t in (0, 1) for flag in models[t].flags)
     if control_mean == 0.0:
@@ -217,13 +213,13 @@ def _assemble(arms: tuple[ArmBlock, ArmBlock],
     else:
         scale = abs(control_mean)
         lift = ate / scale
-        lift_ci = ((ate - half_width) / scale, (ate + half_width) / scale)
+        lift_ci = (lo / scale, hi / scale)
     return AteEstimate(
         model_id=model_id,
         ate=ate,
         variance=variance,
-        mse_per_arm=(mses[0], mses[1]),
-        ci=(ate - half_width, ate + half_width),
+        mse_per_arm=mses,
+        ci=(lo, hi),
         alpha=alpha,
         n_per_arm=(n0, n1),
         control_mean=control_mean,

@@ -23,9 +23,10 @@ first row gives the means; below it, the standardized covariates and the
 centered outcome are Q S and Q q for a small S and q. ``ols`` and ``pcr``
 solve on the SVD of S; ridge solves (G + gamma I) w = c with G = S'S/m and
 c = S'q/m, and lasso/elastic-net run coordinate descent with covariance
-updates on (G, c). Cross-validation reduces each fold to its own triangle,
-and the arm's triangle is then the QR of the folds' stacked triangles. A
-column is constant when its minimum equals its maximum.
+updates on (G, c); the RSS is |q - S w|^2. Cross-validation reduces each
+fold to its own triangle, and the arm's triangle is then the QR of the
+folds' stacked triangles. A column is constant when its minimum equals its
+maximum.
 """
 
 from __future__ import annotations
@@ -169,18 +170,22 @@ class FittedArmModel:
     """One arm's fitted regression, reduced to standardized-space form.
 
     ``coefficients`` live in the standardized covariate space and are zero
-    for columns the model does not use; ``means``/``sds`` store the
-    standardization applied at fit time (sd 1.0 sentinel for unused
-    columns). Predictions are ``intercept + coefficients . (z - means)/sds``
-    passed through the inverse link.
+    for columns the model does not use; ``sds`` store the standardization
+    applied at fit time (sd 1.0 sentinel for unused columns). The two rows
+    of ``mean_parts`` sum to the means of the allowed columns and the outcome
+    (last; zero elsewhere): the column means, and the means left after
+    subtracting them, so two arms' gaps keep the digits of large offsets.
+    Predictions are ``intercept + coefficients . (z - means)/sds``, means the
+    sum, through the inverse link; ``rss`` is the RSS on the arm's rows.
     """
 
     spec: ModelSpec
     intercept: float
     coefficients: np.ndarray
-    means: np.ndarray
+    mean_parts: np.ndarray
     sds: np.ndarray
     used: np.ndarray
+    rss: float
     link: str = "identity"
     chosen_gamma: float | None = None
     cv_scores: tuple[tuple[float, float], ...] | None = None
@@ -189,7 +194,7 @@ class FittedArmModel:
     flags: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        for name in ("coefficients", "means", "sds", "used"):
+        for name in ("coefficients", "mean_parts", "sds", "used"):
             arr = np.ascontiguousarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -218,11 +223,9 @@ def evaluate(model: FittedArmModel, z: np.ndarray) -> np.ndarray:
     ``predict`` checks, e.g. by passing rows of an ``ExperimentData``.
     """
     cols = np.flatnonzero(model.used)
-    if cols.size == 0:
-        eta = np.full(z.shape[0], model.intercept)
-    else:
-        zs = ((z if cols.size == z.shape[1] else z[:, cols]) - model.means[cols]) / model.sds[cols]
-        eta = model.intercept + zs @ model.coefficients[cols]
+    means = model.mean_parts.sum(axis=0)[cols]
+    zs = ((z if cols.size == z.shape[1] else z[:, cols]) - means) / model.sds[cols]
+    eta = model.intercept + zs @ model.coefficients[cols]
     return np.exp(np.clip(eta, -_ETA_CLIP, _ETA_CLIP)) if model.link == "log" else eta
 
 
@@ -257,15 +260,18 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
 
     y_bar = float(y.mean())
     flags: list[str] = []
+    mean_parts = np.zeros((2, k + 1))
 
     def dim_model(extra_flags=()):
+        resid = y - y_bar
         return FittedArmModel(
-            spec=spec, intercept=y_bar, coefficients=np.zeros(k),
-            means=np.zeros(k), sds=np.ones(k), used=np.zeros(k, dtype=bool),
+            spec=spec, intercept=y_bar, coefficients=np.zeros(k), mean_parts=mean_parts,
+            sds=np.ones(k), used=np.zeros(k, dtype=bool), rss=float(resid @ resid),
             n_obs=m, flags=tuple(flags) + tuple(extra_flags),
         )
 
     if spec.kind == "dim":
+        mean_parts[0, -1] = y_bar
         return dim_model()
 
     allowed = _resolve_columns(spec, k, pre_period_col)
@@ -274,17 +280,16 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
     used[allowed] = varies
     if not varies.all():
         flags.append("dropped_zero_variance")
-    if not varies.any():
-        return dim_model(("dim_fallback",))
 
     # a cross-validated fit reads the arm's triangle off its folds' triangles
-    cv = (spec.kind in _PENALIZED and m >= _CV_FOLDS
+    cv = (varies.any() and spec.kind in _PENALIZED and m >= _CV_FOLDS
           and (spec.hyper_grid is None or len(spec.hyper_grid) > 1))
     folds = _folds(x, seed) if cv else None
     r = np.linalg.qr(x if folds is None else np.vstack([f[0] for f in folds]), mode="r")
     offsets, sds, s, q = _standardize(r, m, varies)
-    means, out_sds = np.zeros(k), np.ones(k)
-    means[used], out_sds[used] = shift[varies] + offsets[:-1], sds
+    mean_parts[:, np.append(allowed, True)] = shift, offsets
+    if not varies.any():
+        return dim_model(("dim_fallback",))
     intercept, link, chosen_gamma, cv_scores, n_components = y_bar, "identity", None, None, None
 
     if spec.kind in ("ols", "pcr"):
@@ -302,19 +307,28 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
         if not converged:
             flags.append("cd_max_sweeps")
     else:  # tweedie, on the rows standardized as above
-        design = _tweedie_design(x, varies, offsets[:-1], sds)
+        design = _tweedie_design(x, varies, offsets, sds)
         del x  # the IRLS loop reads only the design
-        intercept, w = _tweedie_irls(design, y)
+        intercept, w, rss = _tweedie_irls(design, y)
         link = "log"
+    if link == "identity":  # Q (q - S w) is the centered outcome less the fit
+        rss = float(np.sum((q - s @ w) ** 2))
 
-    coefficients = np.zeros(k)
-    coefficients[used] = w
+    coefficients, out_sds = np.zeros(k), np.ones(k)
+    coefficients[used], out_sds[used] = w, sds
     return FittedArmModel(
-        spec=spec, intercept=intercept, coefficients=coefficients,
-        means=means, sds=out_sds, used=used, link=link,
+        spec=spec, intercept=intercept, coefficients=coefficients, mean_parts=mean_parts,
+        sds=out_sds, used=used, rss=rss, link=link,
         chosen_gamma=chosen_gamma, cv_scores=cv_scores,
         n_components=n_components, n_obs=m, flags=tuple(flags),
     )
+
+
+def mean_parts(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The means of z's columns and of y (last) in the two parts of
+    ``FittedArmModel.mean_parts``."""
+    x, shift, _ = _shifted(y, z)
+    return np.stack([shift, x[:, 1:].mean(axis=0)])
 
 
 def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
@@ -383,7 +397,7 @@ def _cross_validate(spec: ModelSpec, folds: list[tuple], grid: tuple[float, ...]
             w, _ = _penalized(spec, gram, c, grid[idx], w0=w)
             v[idx] = w / sds
         a = np.zeros((r_te.shape[1], len(grid)))
-        a[0], a[-1] = v @ offsets[:-1] - offsets[-1], 1.0
+        a[0], a[-1] = v @ offsets[:-1][keep] - offsets[-1], 1.0
         a[1:-1][keep] = -v.T
         resid = r_te @ a
         scores += 1.0 - np.einsum("ij,ij->j", resid, resid) / ss_tot
@@ -427,8 +441,8 @@ def _shifted(y: np.ndarray, z: np.ndarray, cols: np.ndarray | None = None,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows [1, z[:, cols], y] (all of z's columns by default), z and y shifted
     by their means (so that offset columns lose no accuracy to the
-    intercept), z's means, and which columns of z vary. Stored column by
-    column, as the QR reads them, and filled straight from z's columns."""
+    intercept), those means, and which columns of z vary. Stored column by
+    column, as the QR reads them (and as numpy sums pairwise)."""
     z = np.asarray(z, dtype=np.float64)
     cols = range(z.shape[1]) if cols is None else cols
     x = np.empty((len(y), len(cols) + 2), order="F")
@@ -437,20 +451,20 @@ def _shifted(y: np.ndarray, z: np.ndarray, cols: np.ndarray | None = None,
         x[:, 1 + i] = z[:, c]
     shift = x[:, 1:].mean(axis=0)
     x[:, 1:] -= shift
-    return x, shift[:-1], x[:, 1:-1].min(axis=0) != x[:, 1:-1].max(axis=0)
+    return x, shift, x[:, 1:-1].min(axis=0) != x[:, 1:-1].max(axis=0)
 
 
 def _standardize(r: np.ndarray, m: int, keep: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read the triangle r of m shifted rows [1, z, y] as standardized least squares:
-    the shifted means of z's ``keep`` columns and of y (r's first row), those
-    columns' sds, and S, q with the standardized columns Q S and the centered
+    the shifted means of z and y (r's first row), the sds of z's ``keep``
+    columns, and S, q with those standardized columns Q S and the centered
     outcome Q q for one orthonormal Q, so S'S = zs'zs and S'q = zs'yc."""
     offsets = r[0, 1:] / r[0, 0]
     t = r[1:, 1:]
     tz = t[:, :-1][:, keep]
     sds = np.sqrt(np.einsum("ij,ij->j", tz, tz) / m)
-    return np.append(offsets[:-1][keep], offsets[-1]), sds, tz / sds, t[:, -1]
+    return offsets, sds, tz / sds, t[:, -1]
 
 
 def _svd_fit(spec: ModelSpec, s: np.ndarray, q: np.ndarray, m: int,
@@ -538,15 +552,6 @@ def _coordinate_descent(gram: np.ndarray, c: np.ndarray, gamma: float, lam: floa
     return np.array(w), False
 
 
-def penalized_objective(zs: np.ndarray, yc: np.ndarray, w: np.ndarray,
-                        gamma: float, lam: float) -> float:
-    """The objective minimized by the penalized kinds (used by tests)."""
-    m = zs.shape[0]
-    resid = yc - zs @ w
-    return float(resid @ resid / (2 * m)
-                 + gamma * (lam * np.abs(w).sum() + 0.5 * (1 - lam) * (w @ w)))
-
-
 def _tweedie_deviance(y: np.ndarray, mu: np.ndarray, p: float) -> float:
     """Total Tweedie deviance for power p in (1, 2); handles y = 0."""
     term = (np.power(y, 2.0 - p) / ((1.0 - p) * (2.0 - p))
@@ -559,18 +564,18 @@ def _tweedie_design(x: np.ndarray, varies: np.ndarray, offsets: np.ndarray,
                     sds: np.ndarray) -> np.ndarray:
     """The IRLS design [1, zs], written column by column into one
     column-major matrix: the shifted rows x's varying columns, less their
-    offsets, over their sds."""
+    offsets (indexed like x's columns past the first), over their sds."""
     design = np.empty((x.shape[0], 1 + len(sds)), order="F")
     design[:, 0] = 1.0
     for j, c in enumerate(1 + np.flatnonzero(varies)):
-        np.subtract(x[:, c], offsets[j], out=design[:, 1 + j])
+        np.subtract(x[:, c], offsets[c - 1], out=design[:, 1 + j])
     design[:, 1:] /= sds
     return design
 
 
-def _tweedie_irls(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+def _tweedie_irls(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Iteratively reweighted least squares for the log-link Tweedie GLM on
-    the design x = [1, zs]."""
+    the design x = [1, zs]: (intercept, slopes, RSS of the final means)."""
     y_bar = float(y.mean())
     if y_bar <= 0:
         raise ValidationError("tweedie with log link needs a positive mean outcome")
@@ -588,7 +593,7 @@ def _tweedie_irls(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         mu = np.exp(eta)
         new_dev = _tweedie_deviance(y, mu, _TWEEDIE_POWER)
         if abs(new_dev - dev) <= IRLS_TOL * max(1.0, abs(dev)):
-            return float(beta[0]), beta[1:]
+            return float(beta[0]), beta[1:], float(np.sum((y - mu) ** 2))
         dev = new_dev
     raise ConvergenceError(
         f"tweedie IRLS did not converge in {IRLS_MAX_ITER} iterations",

@@ -8,6 +8,7 @@ audit's arm-block and moment-form splits are held to.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.stats import norm
@@ -51,6 +52,44 @@ def gobe_ols_ate(y, j, z):
         out[:, t] = full @ beta
         out[mask, t] = y[mask]
     return float(np.mean(out[:, 1] - out[:, 0]))
+
+
+def exact_ols_ate(y, j, z):
+    """The per-arm ``ols`` imputation ATE in exact rational arithmetic, as a
+    ``Fraction``. Every float is an integer over one common power of two, so
+    each arm's centered normal equations are integers; Gauss-Jordan
+    elimination over ``Fraction`` solves them (full-rank arms assumed). The
+    ATE is the mean over all units of the treated-arm value less the
+    control-arm value, each unit's own outcome standing in for its own arm's
+    prediction; the predictions are summed over each arm's rows."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in np.column_stack([z, y]).tolist()]
+    scale = max(d for row in ratios for _, d in row)
+    w = [[n * (scale // d) for n, d in row] for row in ratios]  # [z, y] * scale
+    k = len(w[0]) - 1
+    arms = [[r for r, t in zip(w, j) if t == arm] for arm in (0, 1)]
+    sums = [[sum(r[c] for r in rows) for c in range(k + 1)] for rows in arms]
+    fits = []
+    for rows, s in zip(arms, sums):
+        m = len(rows)
+        a = [[Fraction(m * sum(r[c] * r[d] for r in rows) - s[c] * s[d]) for d in range(k + 1)]
+             for c in range(k)]
+        for c in range(k):
+            p = next(i for i in range(c, k) if a[i][c] != 0)
+            a[c], a[p] = a[p], a[c]
+            a[c] = [v / a[c][c] for v in a[c]]
+            for i in range(k):
+                if i != c and a[i][c] != 0:
+                    a[i] = [v - a[i][c] * u for v, u in zip(a[i], a[c])]
+        fits.append(([Fraction(v, m) for v in s], [a[c][k] for c in range(k)]))
+
+    def predicted_sum(t, s, n):
+        """Sum of arm t's predictions over n rows whose [z, y] column sums are s."""
+        means, b = fits[t]
+        return n * means[k] + sum(bc * (s[c] - n * means[c]) for c, bc in enumerate(b))
+
+    (n0, n1), (s0, s1) = (len(rows) for rows in arms), sums
+    total = (s1[k] - predicted_sum(0, s1, n1)) + (predicted_sum(1, s0, n0) - s0[k])
+    return total / (len(w) * scale)
 
 
 def ridge_standardized(y, z, gamma):
@@ -115,6 +154,15 @@ def rowspace_coordinate_descent(zs, yc, gamma, lam, w0=None):
         if delta < CD_TOL:
             return w, True
     return w, False
+
+
+def penalized_objective(zs, yc, w, gamma, lam):
+    """The objective the penalized kinds minimize, on standardized rows zs
+    and the centered outcome yc."""
+    m = zs.shape[0]
+    resid = yc - zs @ w
+    return float(resid @ resid / (2 * m)
+                 + gamma * (lam * np.abs(w).sum() + 0.5 * (1 - lam) * (w @ w)))
 
 
 def rowspace_penalized(zs, yc, gamma, lam, w0=None):

@@ -332,6 +332,18 @@ def test_day_beyond_int64_writes_a_validation_error(tmp_path):
     assert error["message"].startswith("row 4, column 'day'")
 
 
+def test_quoted_field_over_the_csv_limit_writes_a_parse_error(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("arm,kpi,pre,note\n0,1.0,0.5,a\n0,2.0,0.4,b\n1,4.0,0.6,c\n"
+                    f"1,6.0,0.7,\"{'x' * 140_000}\"\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("estimate", "--input", path, *SCHEMA_FLAGS, "--models", "dim", "--out", out)
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith("row 4: field larger than field limit")
+
+
 def test_env_var_default_out_dir(four_row_csv, tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("GOBE_OUT", str(target))

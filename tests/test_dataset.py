@@ -312,6 +312,8 @@ MALFORMED_CORPUS = {
     "short_last_row_no_final_newline": (_HEAD + _ROWS + "1,2.5,0.1", SCHEMA, ParseError),
     "utf8_cut_at_end_of_file": ((_HEAD + _ROWS + "1,2.5,0.1,").encode() + b"\xe2\x82", SCHEMA,
                                 UnicodeDecodeError),
+    "quoted_field_over_csv_limit": ("arm,kpi,pre,extra,note\n0,1.5,0.2,1.0,a\n"
+                                    f"1,2.5,0.1,2.0,\"{'x' * 140_000}\"\n", SCHEMA, ParseError),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from gobe import (
     SyntheticConfig,
     ValidationError,
     estimate,
-    estimate_two_step,
     fit_arm_models,
     generate,
     impute,
@@ -25,7 +25,7 @@ from gobe.errors import MODEL_FAILURES
 from gobe.estimator import z_for_alpha
 from gobe.regression import fit, lasso_gamma_max, predict
 
-from oracles import dim_ate, lin_interacted_ate, z_quantile
+from oracles import dim_ate, exact_ols_ate, lin_interacted_ate, z_quantile
 
 
 def dataset(y, j, z, pre_col=0):
@@ -231,7 +231,7 @@ def test_two_step_of_dim_equals_dim():
     data = generate(SyntheticConfig(n_units=500, k_covariates=2,
                                     outcome_cor=0.5, true_ate=0.4, seed=7))
     a = estimate(data, "dim")
-    b = estimate_two_step(data, "dim")
+    b = estimate(data, "two_step:dim")
     assert abs(a.ate - b.ate) < 1e-10
     assert b.model_id == "two_step:dim"
 
@@ -272,9 +272,8 @@ def test_two_step_rejects_non_finite_base_predictions(monkeypatch):
 
 
 def test_two_step_cannot_nest():
-    data = generate(SyntheticConfig(n_units=100, seed=10))
     with pytest.raises(ValidationError, match="nested"):
-        estimate_two_step(data, ModelSpec("two_step", base=ModelSpec("ols")))
+        ModelSpec("two_step", base=ModelSpec("two_step", base=ModelSpec("ols")))
 
 
 # --- variance reduction ----------------------------------------------------------
@@ -340,7 +339,9 @@ def imputation_reference(data, spec, alpha, seed):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 50), k=st.integers(1, 4),
        n_constant=st.integers(0, 2),
-       name=st.sampled_from(["dim", "ols", "ols@pre", "pcr", "two_step:ols", "tweedie"]))
+       name=st.sampled_from(["dim", "ols", "ols@pre", "pcr", "ridge", "lasso",
+                             "elastic_net:0.5", "two_step:ols", "tweedie",
+                             "two_step:tweedie"]))
 def test_block_assembly_matches_imputation_matrix(seed, n, k, n_constant, name):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, k)) * rng.uniform(0.1, 10.0, k)
@@ -348,7 +349,7 @@ def test_block_assembly_matches_imputation_matrix(seed, n, k, n_constant, name):
     j = np.zeros(n, dtype=np.int8)
     j[rng.permutation(n)[: int(rng.integers(2, n - 1))]] = 1
     y = 2.0 + z @ rng.standard_normal(k) * 0.1 + rng.standard_normal(n)
-    if name == "tweedie":
+    if "tweedie" in name:
         y = np.exp(y) * (rng.random(n) < 0.8)
     data = ExperimentData(unit_ids=np.arange(n), assignment=j, outcome=y, covariates=z,
                           pre_period_col=int(rng.integers(k)))
@@ -369,3 +370,52 @@ def test_block_assembly_matches_imputation_matrix(seed, n, k, n_constant, name):
 
     swapped = estimate(with_assignment(data, 1 - j), spec, alpha=0.1, seed=seed)
     assert abs(swapped.ate + est.ate) <= tol
+
+
+@pytest.mark.parametrize("name, rows_evaluated", [
+    *((name, 0) for name in ("dim", "ols", "ols@pre", "pcr", "ridge", "lasso",
+                             "elastic_net:0.5")),
+    ("tweedie", 2),
+])
+def test_assembly_evaluates_rows_only_for_a_log_link(monkeypatch, name, rows_evaluated):
+    """Identity-link pairs assemble from each fit's means, slopes and RSS;
+    a log-link pair sums each model's predictions over the other arm."""
+    data = generate(SyntheticConfig(n_units=400, k_covariates=3, outcome_cor=0.6, seed=14))
+    data = replace(data, outcome=np.exp(data.outcome))
+    calls = []
+    real_evaluate = estimator.evaluate
+
+    def evaluate(model, z):
+        calls.append(model.spec.name)
+        return real_evaluate(model, z)
+
+    monkeypatch.setattr(estimator, "evaluate", evaluate)
+    estimate(data, name)
+    assert len(calls) == rows_evaluated
+
+
+# --- accuracy against exact arithmetic ----------------------------------------
+
+def offset_experiment(seed, n=658, k=4, rho=0.9, r2=0.9999):
+    """K equicorrelated columns (correlation rho) at random scales, each
+    offset by 1e3 of its sd, and an outcome at R^2 = r2 on them offset by 1e4."""
+    rng = np.random.default_rng(seed)
+    cov = np.full((k, k), rho) + (1.0 - rho) * np.eye(k)
+    z = rng.standard_normal((n, k)) @ np.linalg.cholesky(cov).T
+    signal = z @ rng.standard_normal(k)
+    y = np.sqrt(r2) * signal / signal.std() + np.sqrt(1.0 - r2) * rng.standard_normal(n)
+    sd = rng.uniform(0.1, 10.0, k)
+    j = (rng.random(n) < 0.5).astype(np.int8)
+    return dataset(1e4 + 3.0 * y, j, z * sd + 1e3 * sd * rng.choice([-1.0, 1.0], k))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ols_ate_at_large_offsets_matches_exact_arithmetic(seed):
+    # two_step:ols equals ols exactly: an arm's least-squares predictions
+    # regress on themselves with slope 1 and intercept 0
+    data = offset_experiment(seed)
+    exact = exact_ols_ate(data.outcome, data.assignment, data.covariates)
+    for name in ("ols", "two_step:ols"):
+        est = estimate(data, name)
+        half_width = (est.ci[1] - est.ci[0]) / 2
+        assert abs(float(Fraction(est.ate) - exact)) <= 1e-10 * half_width, name

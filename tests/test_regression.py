@@ -12,11 +12,11 @@ from gobe.regression import (
     fit,
     lasso_gamma_max,
     parse_model,
-    penalized_objective,
     predict,
 )
 
 from oracles import (
+    penalized_objective,
     ridge_standardized,
     rowspace_cross_validate,
     rowspace_fit,
@@ -420,8 +420,8 @@ def test_tweedie_rejects_negative_outcomes():
 def test_tweedie_unit_prediction_at_zero_linear_predictor():
     model = FittedArmModel(
         spec=ModelSpec("tweedie"), intercept=0.0, coefficients=np.zeros(2),
-        means=np.zeros(2), sds=np.ones(2), used=np.ones(2, dtype=bool),
-        link="log",
+        mean_parts=np.zeros((2, 3)), sds=np.ones(2), used=np.ones(2, dtype=bool),
+        rss=0.0, link="log",
     )
     assert predict(model, np.zeros(2)) == 1.0
 
@@ -435,7 +435,8 @@ def test_tweedie_recovers_log_linear_signal():
     assert model.link == "log"
     raw = slopes_in_raw_space(model)
     np.testing.assert_allclose(raw[model.used], [0.3, -0.2], atol=0.05)
-    assert abs(model.intercept + (model.coefficients * model.means / model.sds).sum()
+    means = model.mean_parts.sum(axis=0)[:-1]
+    assert abs(model.intercept + (model.coefficients * means / model.sds).sum()
                - 0.5) < 0.05
 
 
