@@ -76,7 +76,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, with_input=True):
+    def common(p, with_input=True, with_models=True):
         p.add_argument("--config", help="INI config file; flags override it")
         if with_input:
             p.add_argument("--input", help="experiment CSV file")
@@ -84,11 +84,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         p.add_argument("--out", default=os.environ.get(ENV_OUT_DIR) or "gobe_out",
                        help=f"output directory (default %(default)s, from ${ENV_OUT_DIR} if set)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
-        p.add_argument("--alpha", type=float, default=0.05,
-                       help="significance level (default %(default)s)")
-        p.add_argument("--models", default="dim,ols",
-                       help="comma-separated model names (default %(default)s; others: ridge, "
-                            "lasso, elastic_net:0.5, pcr, tweedie, two_step:ols, ols@pre)")
+        if with_models:
+            p.add_argument("--alpha", type=float, default=0.05,
+                           help="significance level (default %(default)s)")
+            p.add_argument("--models", default="dim,ols",
+                           help="comma-separated model names (default %(default)s; others: "
+                                "ridge, lasso, elastic_net:0.5, pcr, tweedie, two_step:ols, "
+                                "ols@pre)")
 
     p = sub.add_parser("estimate", help="treatment effect estimates for one experiment")
     common(p)
@@ -120,7 +122,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
                    f"{power.DEFAULT_HORIZON_FACTOR}x the analysis day)")
 
     p = sub.add_parser("simulate", help="write a synthetic experiment CSV")
-    common(p, with_input=False)
+    common(p, with_input=False, with_models=False)
     _simulate_flags(p)
 
     p = sub.add_parser("batch", help="simulate and analyze many experiments, then aggregate")
@@ -380,7 +382,7 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> None:
 
 def _cmd_batch(args: argparse.Namespace, out_dir: Path) -> None:
     config = _synthetic_config(args)
-    if any(args.day_filters) and config.daily_arrivals <= 0:
+    if args.day_filters and config.daily_arrivals <= 0:
         config = replace(config, daily_arrivals=max(1.0, config.n_units / 28))
     specs = _model_specs(args)
     reports_dir = out_dir / "reports"

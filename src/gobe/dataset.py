@@ -7,8 +7,8 @@ rather than imputing or dropping.
 
 from __future__ import annotations
 
-import codecs
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 
@@ -284,7 +284,10 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
     with an error naming the offending data row (1-based, header excluded).
     Unit ids from a mapped ``unit_id`` column come back as strings, whatever
     type they had when written; without one they are the row positions
-    0..N-1. Numbers parse bit-exactly from ``write_csv``'s output.
+    0..N-1. Numbers parse bit-exactly from ``write_csv``'s output. A file
+    with no quote or bare CR is opened once, checked in blocks of whole lines
+    and parsed by numpy, holding beyond the table at most one 1 MiB chunk
+    plus the longest line; others go to the row parser, which holds every row.
     """
     columns = _read_columns_fast(path, schema)
     if columns is None:
@@ -302,16 +305,16 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
     return data
 
 
-# Bytes read per step by ``_read_columns_fast``'s scan of the file.
+# Bytes read per step by ``_line_blocks``.
 _CHUNK_BYTES = 1 << 20
 
 # Bytes on which numpy's reader and the row parser could disagree: a quote (a
 # quoted field may hold a comma) and the separators U+001C-U+001F, which numpy
 # strips around a number and float() does not. A carriage return not ending a
 # line is checked for apart from these. None of them, and neither "," nor
-# "\n", occurs inside a multi-byte UTF-8 sequence, so the scan reads bytes.
+# "\n", occurs inside a multi-byte UTF-8 sequence, so the checks read bytes.
 _ROW_PARSER_ONLY = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-# Every byte but "," and "\n", deleted to leave a chunk's line structure.
+# Every byte but "," and "\n", deleted to leave a block's line structure.
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
 
 
@@ -320,35 +323,50 @@ def _read_columns_fast(path, schema: CsvSchema):
     file to the row parser.
 
     Returns what ``_read_rows`` returns, value for value, for every file it
-    accepts. It declines a file that is not UTF-8 or holds a
-    ``_ROW_PARSER_ONLY`` character or a carriage return outside a CRLF pair,
-    an empty header line, a row whose field count differs from the header's
-    (a blank line included), fewer than two data rows, a number numpy does
-    not read (``1_000``, non-ASCII digits), or a value the row parser
-    rejects: non-finite numbers, an assignment other than 0/1, or a day that
-    is not an integer >= 1 (days from 2**53 up are declined too).
+    accepts. It declines a file with a line ``_plain_lines`` rejects (a blank
+    one included), an empty header line or one that does not resolve the
+    schema's columns, fewer than two data rows, a number numpy does not read
+    (``1_000``, non-ASCII digits), or a value the row parser rejects:
+    non-finite numbers, an assignment other than 0/1, or a day that is not
+    an integer >= 1 (days from 2**53 up are declined too).
 
-    The file is streamed, never held whole: ``_scan_rows`` checks it in
-    ``_CHUNK_BYTES`` chunks, ``np.loadtxt`` then parses it from the open
-    file, and a mapped unit-id column is read line by line. Beyond the header
-    line, one chunk and numpy's read buffer, the memory held is the parsed
-    table (and the unit ids as strings).
+    The file is opened once: ``_plain_lines`` checks each of ``_line_blocks``
+    and the unit ids are split from it, then ``np.loadtxt`` parses the rows
+    from the same handle. Beyond the table and ids it holds one block.
     """
-    header, n_rows = _scan_rows(path)
-    if n_rows is None:
-        return None
-    col = _resolve_columns(header, schema, path)
-    numeric = [schema.assignment, schema.outcome, *schema.covariates]
-    if schema.day is not None:
-        numeric.append(schema.day)
-    # The scan leaves no lone carriage return, so universal newlines read
-    # exactly the lines it counted.
-    with open(path, encoding="utf-8") as fh:
-        try:
-            table = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1,
-                               usecols=[col[c] for c in numeric], ndmin=2)
-        except ValueError:
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        commas = header.count(b",")
+        # csv.reader reads an empty line as no fields, not as one empty field.
+        if header in (b"\n", b"\r\n") or not _plain_lines(header, commas):
             return None
+        try:
+            col = _resolve_columns(header.rstrip(b"\r\n").decode().split(","), schema, path)
+        except SchemaError:  # the row parser raises it, unless the rows fail first
+            return None
+        n_rows, ids = 0, []
+        for block in _line_blocks(fh):
+            lines = _plain_lines(block, commas)
+            if lines is None:
+                return None
+            n_rows += lines
+            if schema.unit_id is not None:
+                # every carriage return ends a CRLF pair, and every line a feed
+                ids.extend(line.split(",")[col[schema.unit_id]] for line in
+                           block.decode("utf-8").replace("\r", "").split("\n")[:-1])
+        if n_rows < 2:
+            return None
+        ids = np.array(ids) if ids else None  # frees the id strings before the parse
+        numeric = [schema.assignment, schema.outcome, *schema.covariates]
+        if schema.day is not None:
+            numeric.append(schema.day)
+        fh.seek(len(header))
+        with io.TextIOWrapper(fh, encoding="utf-8") as text:  # less memory than bytes lines
+            try:
+                table = np.loadtxt(text, delimiter=",", comments=None,
+                                   usecols=[col[c] for c in numeric], ndmin=2)
+            except ValueError:
+                return None
     if table.shape[0] != n_rows or not np.isfinite(table).all():
         return None
     assignment = table[:, 0]
@@ -360,72 +378,38 @@ def _read_columns_fast(path, schema: CsvSchema):
         if not ((days >= 1) & (days < 2.0 ** 53) & (days == np.floor(days))).all():
             return None
         days = days.astype(np.int64)
-    ids = None
-    if schema.unit_id is not None:
-        with open(path, encoding="utf-8") as fh:
-            next(fh)
-            ids = np.array([line.rstrip("\n").split(",")[col[schema.unit_id]] for line in fh])
     return (ids, assignment.astype(np.int8), table[:, 1],
             table[:, 2:2 + len(schema.covariates)], days)
 
 
-def _scan_rows(path) -> tuple[list[str] | None, int | None]:
-    """The header's fields and the number of data rows, or (None, None) if
-    the file is not fit for the fast path: not strict UTF-8, holding a
-    ``_ROW_PARSER_ONLY`` byte or a carriage return that does not start a
-    CRLF pair, an empty header line, a line whose comma count differs from
-    the header's, or fewer than two data rows.
+def _line_blocks(fh):
+    """The rest of ``fh`` as ``_CHUNK_BYTES`` reads completed to whole lines; a
+    last line gets a missing line feed unless it ends in CR, for the CR check."""
+    while block := fh.read(_CHUNK_BYTES):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+            if not block.endswith((b"\n", b"\r")):
+                block += b"\n"
+        yield block
 
-    Reads the header line, then ``_CHUNK_BYTES`` at a time; a line, a CRLF
-    pair or a character may straddle two chunks.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        # csv.reader reads an empty line as no fields, not as one empty field.
-        if header in (b"", b"\n", b"\r\n"):
-            return None, None
-        commas = header.count(b",")
-        lines = 0        # line feeds seen, the header's included
-        carry = 0        # commas since the last line feed
-        open_line = cr_pending = False
-        chunk = header
-        while chunk:
-            try:
-                decoder.decode(chunk)
-            except UnicodeDecodeError:
-                return None, None
-            if any(b in chunk for b in _ROW_PARSER_ONLY) or (
-                    cr_pending and not chunk.startswith(b"\n")) or (
-                    b"\r" in chunk and chunk.count(b"\r")
-                    != chunk.count(b"\r\n") + chunk.endswith(b"\r")):
-                return None, None
-            cr_pending = chunk.endswith(b"\r")
-            separators = np.frombuffer(chunk.translate(None, _NOT_SEPARATOR), dtype=np.uint8)
-            feeds = np.flatnonzero(separators == ord("\n"))
-            if feeds.size:
-                # commas on each line the chunk ends: the gaps between its feeds
-                if (np.diff(feeds, prepend=-1 - carry) - 1 != commas).any():
-                    return None, None
-                lines += feeds.size
-                carry = separators.size - 1 - int(feeds[-1])
-            else:
-                carry += separators.size
-            open_line = not chunk.endswith(b"\n")
-            chunk = fh.read(_CHUNK_BYTES)
+
+def _plain_lines(block: bytes, commas: int) -> int | None:
+    """The number of lines ``block`` ends, or None if it is not strict UTF-8,
+    holds a ``_ROW_PARSER_ONLY`` byte or a carriage return outside a CRLF
+    pair, or ends a line whose comma count is not ``commas``."""
     try:
-        decoder.decode(b"", final=True)
+        block.decode("utf-8")
     except UnicodeDecodeError:
-        return None, None
-    if cr_pending:
-        return None, None
-    if open_line:  # a last line without a final newline
-        if carry != commas:
-            return None, None
-        lines += 1
-    if lines < 3:
-        return None, None
-    return header.rstrip(b"\r\n").decode("utf-8").split(","), lines - 1
+        return None
+    if any(b in block for b in _ROW_PARSER_ONLY) or (
+            b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
+        return None
+    separators = np.frombuffer(block.translate(None, _NOT_SEPARATOR), dtype=np.uint8)
+    feeds = np.flatnonzero(separators == ord("\n"))
+    # commas on each line: the gaps between its feed and the one before
+    if (np.diff(feeds, prepend=-1) - 1 != commas).any():
+        return None
+    return feeds.size
 
 
 def _read_rows(path, schema: CsvSchema):
@@ -434,7 +418,10 @@ def _read_rows(path, schema: CsvSchema):
     ``float()`` and checked in the row that holds it."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ParseError(f"header: {exc}") from None
         if header is None:
             raise SchemaError(f"{path}: file is empty")
         col = _resolve_columns(header, schema, path)

@@ -153,13 +153,23 @@ def parse_model(text: str) -> ModelSpec:
     return ModelSpec(kind=kind, columns=columns)
 
 
+def parse_models(models) -> list[ModelSpec]:
+    """Parse model names; reports key results by name, so each may appear once."""
+    specs = [parse_model(m) if isinstance(m, str) else m for m in models]
+    names = [s.name for s in specs]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValidationError(f"model {name!r} is listed more than once")
+    return specs
+
+
 def with_dim_baseline(models) -> list[ModelSpec]:
     """Parse model names and prepend ``dim`` when no dim spec is listed.
 
     Difference-in-means is the baseline for variance reduction and for the
     relative A/A metrics, so every multi-model run carries it.
     """
-    specs = [parse_model(m) if isinstance(m, str) else m for m in models]
+    specs = parse_models(models)
     if not any(s.kind == "dim" for s in specs):
         specs.insert(0, ModelSpec(kind="dim"))
     return specs

@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import ExperimentData, SyntheticConfig, generate
 from .errors import MODEL_FAILURES, ValidationError
 from .estimator import AteEstimate, estimate, estimate_arms, split_arms, variance_reduction
-from .regression import ModelSpec, parse_model, with_dim_baseline
+from .regression import ModelSpec, parse_models, with_dim_baseline
 from .rng import child_seed
 
 _TIMING_REPS = 3
@@ -43,7 +43,7 @@ class StressConfig:
             raise ValidationError("folds must be >= 1")
         if self.mc_draws < 1:
             raise ValidationError("mc_draws must be >= 1")
-        specs = tuple(parse_model(m) if isinstance(m, str) else m for m in self.models)
+        specs = tuple(parse_models(self.models))
         if not specs:
             raise ValidationError("at least one model is required")
         object.__setattr__(self, "models", specs)

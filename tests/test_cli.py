@@ -344,6 +344,28 @@ def test_quoted_field_over_the_csv_limit_writes_a_parse_error(tmp_path):
     assert error["message"].startswith("row 4: field larger than field limit")
 
 
+@pytest.mark.parametrize("command", [["estimate"], ["aa", "--s-splits", "4"],
+                                     ["stress", "--folds", "1", "--draws", "1"]])
+@pytest.mark.parametrize("models", ["ols,ols", "dim,elastic_net:0.5,elastic_net:0.50"])
+def test_a_model_listed_twice_writes_a_validation_error(four_row_csv, tmp_path, command,
+                                                         models):
+    out = tmp_path / "out"
+    assert run_cli(*command, "--input", four_row_csv, *SCHEMA_FLAGS, "--models", models,
+                   "--out", out) == 1
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].endswith("is listed more than once")
+    assert not (out / "report.json").exists()
+
+
+def test_batch_day_filter_zero_fails_as_filter_by_day_does(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("batch", "--experiments", "1", "--n-units", "40", "--day-filters", "0",
+                   "--out", out) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == {
+        "type": "ValidationError", "message": "day filter must be >= 1"}
+
+
 def test_env_var_default_out_dir(four_row_csv, tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("GOBE_OUT", str(target))
@@ -502,6 +524,8 @@ def test_config_value_parses_like_its_flag(command, dest, flag, tmp_path, monkey
     ("aa", "run", "delta"),
     ("simulate", "schema", "outcome"),
     ("simulate", "run", "input"),
+    ("simulate", "run", "models"),
+    ("simulate", "run", "alpha"),
     ("estimate", "run", "command"),
 ])
 def test_config_key_without_a_flag_in_the_command_is_rejected(command, section, key, tmp_path):

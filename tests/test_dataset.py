@@ -1,4 +1,7 @@
+import builtins
+import os
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -314,6 +317,10 @@ MALFORMED_CORPUS = {
                                 UnicodeDecodeError),
     "quoted_field_over_csv_limit": ("arm,kpi,pre,extra,note\n0,1.5,0.2,1.0,a\n"
                                     f"1,2.5,0.1,2.0,\"{'x' * 140_000}\"\n", SCHEMA, ParseError),
+    "quoted_header_over_csv_limit": (f"arm,kpi,pre,extra,\"{'n' * 140_000}\"\n"
+                                     "0,1.5,0.2,1.0,a\n1,2.5,0.1,2.0,b\n", SCHEMA, ParseError),
+    "missing_column_and_invalid_utf8": (b"arm,kpi,pre\n0,1.5,0.2\n\xff\n", SCHEMA,
+                                        UnicodeDecodeError),
 }
 
 
@@ -380,6 +387,26 @@ def test_ingest_memory_is_bounded_by_the_parsed_table(tmp_path):
     returned = sum(a.nbytes for a in (back.unit_ids, back.assignment, back.outcome,
                                       back.covariates, back.day_index))
     assert peak <= 3 * returned
+
+
+@pytest.mark.parametrize("unit_id", ["unit_id", None])
+def test_fast_path_opens_the_input_once(tmp_path, monkeypatch, unit_id):
+    data = generate(SyntheticConfig(n_units=50, daily_arrivals=5.0, seed=4))
+    path = tmp_path / "in.csv"
+    schema = replace(write_csv(data, path), unit_id=unit_id)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(path):
+            opened.append(args)
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", counting_open)
+        back = load_csv(path, schema)
+    assert len(opened) == 1
+    assert_same_data(back, load_by_row_parser(path, schema))
 
 
 def test_generate_independent_case():

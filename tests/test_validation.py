@@ -47,6 +47,11 @@ LATE_ARM = {"day_index": np.array([3, 4, 3, 4, 3, 4, 3, 4])}  # arm 1 arrives on
                  "s_splits must be >= 1", id="aa-no-splits"),
     pytest.param(lambda: StressConfig(folds=1, mc_draws=1, models=()),
                  "at least one model is required", id="stress-no-models"),
+    pytest.param(lambda: StressConfig(folds=1, mc_draws=1, models=("ols", "ols")),
+                 "model 'ols' is listed more than once", id="stress-repeated-model"),
+    pytest.param(lambda: run_aa(eight_units(), 0, ["dim", "elastic_net:0.5",
+                                                   "elastic_net:0.50"], s_splits=4),
+                 "model 'elastic_net:0.5' is listed more than once", id="aa-repeated-model"),
 ])
 def test_precondition_is_a_validation_error(call, message):
     with pytest.raises(ValidationError, match=message):
