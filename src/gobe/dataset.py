@@ -42,7 +42,8 @@ class CsvSchema:
             raise SchemaError(
                 f"pre-period column {self.pre_period!r} is not among the covariates"
             )
-        names = [self.assignment, self.outcome, *self.covariates]
+        names = [self.assignment, self.outcome, *self.covariates,
+                 *(name for name in (self.day, self.unit_id) if name is not None)]
         if len(set(names)) != len(names):
             raise SchemaError("schema maps the same column to more than one role")
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .dataset import ExperimentData
 from .errors import ValidationError
-from .regression import FittedArmModel, ModelSpec, evaluate, fit, mean_parts, parse_model
+from .regression import (FittedArmModel, ModelSpec, evaluate, fit, fit_blocks, mean_parts,
+                         parse_model)
 
 ArmBlock = tuple[np.ndarray, np.ndarray]  # (outcome, covariate rows) of one arm
 
@@ -60,7 +61,7 @@ def fit_arm_models(data: ExperimentData, spec: ModelSpec,
     for t, (y, _) in enumerate(arms):
         if y.shape[0] == 0:
             raise ValidationError(f"arm {t} is empty")
-    return tuple(fit(spec, y, z, seed=seed, pre_period_col=data.pre_period_col) for y, z in arms)
+    return tuple(fit_blocks(spec, arms, seed, data.pre_period_col))
 
 
 def impute(data: ExperimentData,
@@ -108,7 +109,7 @@ def estimate_arms(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, pre_period_c
     callers that fit many models on one split. The caller guarantees what
     ``estimate`` checks: alpha in (0, 1), >= 2 finite rows per arm."""
     if spec.kind == "two_step":
-        base = [fit(spec.base, y, z, seed=seed, pre_period_col=pre_period_col) for y, z in arms]
+        base = fit_blocks(spec.base, arms, seed, pre_period_col)
         # step-two covariates of arm t's rows: [f0(Z_t), f1(Z_t)]
         arms = tuple((y, np.column_stack([evaluate(b, z) for b in base])) for y, z in arms)
         if not all(np.isfinite(z).all() for _, z in arms):
@@ -117,7 +118,7 @@ def estimate_arms(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, pre_period_c
         models = tuple(replace(fit(ModelSpec(kind="ols", columns=(t,)), y, z, seed=seed),
                                mean_parts=mean_parts(y, z)) for t, (y, z) in enumerate(arms))
     else:
-        models = tuple(fit(spec, y, z, seed=seed, pre_period_col=pre_period_col) for y, z in arms)
+        models = tuple(fit_blocks(spec, arms, seed, pre_period_col))
     return _assemble(arms, models, spec.name, alpha)
 
 

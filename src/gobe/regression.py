@@ -27,6 +27,13 @@ updates on (G, c); the RSS is |q - S w|^2. Cross-validation reduces each
 fold to its own triangle, and the arm's triangle is then the QR of the
 folds' stacked triangles. A column is constant when its minimum equals its
 maximum.
+
+``fit_blocks`` fits both arms of an experiment at once: it reduces every
+block first, then runs the coordinate-descent chains of all blocks in lock
+step, one vectorised step per coordinate across the chains: both arms' CV
+folds (10 warm-started gamma paths) in one batch, then both final fits.
+Each chain ends where it would alone, bit for bit. ``fit`` is the one-block
+case.
 """
 
 from __future__ import annotations
@@ -256,6 +263,22 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
     pre_period_col : int, optional
         Needed to resolve a ``columns="pre"`` subset.
     """
+    return fit_blocks(spec, [(outcome, covariates)], seed, pre_period_col)[0]
+
+
+def fit_blocks(spec: ModelSpec, blocks, seed: int = 0,
+               pre_period_col: int | None = None) -> list[FittedArmModel]:
+    """``fit`` on each ``(outcome, covariates)`` block, e.g. both arms of an
+    experiment, with one seed. Every block is reduced first (shift, folds,
+    triangles); then the coordinate-descent chains of all blocks run in lock
+    step: every block's cross-validation folds in one batch, then every
+    block's final fit in one more. Each model is the one ``fit`` returns."""
+    return _in_lock_step(spec, [_fit(spec, y, z, seed, pre_period_col) for y, z in blocks])
+
+
+def _fit(spec: ModelSpec, outcome, covariates, seed: int, pre_period_col: int | None):
+    """``fit`` as a generator: it yields the penalized chains it needs, as
+    ``_in_lock_step`` serves them, and returns the model."""
     if spec.kind == "two_step":
         raise ValidationError("two_step is an estimator-level composition; fit its base instead")
     y = np.asarray(outcome, dtype=np.float64)
@@ -310,11 +333,15 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
         gram, c = s.T @ s / m, s.T @ q / m
         grid = spec.hyper_grid or default_gamma_grid(c)
         if len(grid) > 1:
-            chosen_gamma, cv_scores = _cross_validate(spec, folds or _folds(x, seed), grid)
+            folds = folds or _folds(x, seed)
+        del x  # the chains read only the triangles; other blocks reduce meanwhile
+        if len(grid) > 1:
+            chosen_gamma, cv_scores = yield from _cross_validate(folds, grid)
         else:
             chosen_gamma = grid[0]
-        w, converged = _penalized(spec, gram, c, chosen_gamma)
-        if not converged:
+        [(path, converged)] = yield [(gram, c, (chosen_gamma,))]
+        w = path[0]
+        if not converged[0]:
             flags.append("cd_max_sweeps")
     else:  # tweedie, on the rows standardized as above
         design = _tweedie_design(x, varies, offsets, sds)
@@ -332,6 +359,26 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
         chosen_gamma=chosen_gamma, cv_scores=cv_scores,
         n_components=n_components, n_obs=m, flags=tuple(flags),
     )
+
+
+def _in_lock_step(spec: ModelSpec, steps: list) -> list:
+    """Run generators that yield lists of ``(gram, c, gammas)`` chains and are
+    sent those chains' paths (``_paths``), and return what each returns. Each
+    round advances every generator to its next request, then solves the
+    requests of all of them in one ``_paths`` call."""
+    results = [None] * len(steps)
+    answers = dict.fromkeys(range(len(steps)))
+    while answers:
+        requests = {}
+        for i, answer in answers.items():
+            try:
+                requests[i] = steps[i].send(answer)
+            except StopIteration as done:
+                results[i] = done.value
+        chains = [chain for chains in requests.values() for chain in chains]
+        paths = iter(_paths(spec, chains) if chains else ())
+        answers = {i: [next(paths) for _ in chains] for i, chains in requests.items()}
+    return results
 
 
 def mean_parts(y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -366,7 +413,7 @@ def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
     if grid is None:
         r = np.linalg.qr(np.vstack([f[0] for f in folds]), mode="r")
         grid = spec.hyper_grid or default_gamma_grid(_cross_moments(r, x.shape[0], varies))
-    return _cross_validate(spec, folds, grid)
+    return _in_lock_step(spec, [_cross_validate(folds, grid)])[0]
 
 
 def _folds(x: np.ndarray, seed: int) -> list[tuple]:
@@ -374,8 +421,8 @@ def _folds(x: np.ndarray, seed: int) -> list[tuple]:
     each cross-validation fold of the shifted rows x."""
     m = x.shape[0]
     if m < _CV_FOLDS:
-        raise ValidationError(
-            f"{m} rows cannot support {_CV_FOLDS}-fold cross-validation; use fewer folds")
+        raise ValidationError(f"{m} rows are too few for {_CV_FOLDS}-fold cross-validation: "
+                              f"an arm needs >= {_CV_FOLDS} rows")
     folds = []
     for idx in np.array_split(np.random.default_rng(seed).permutation(m), _CV_FOLDS):
         # ascending and column by column, so the gather streams down x's columns
@@ -386,12 +433,13 @@ def _folds(x: np.ndarray, seed: int) -> list[tuple]:
     return folds
 
 
-def _cross_validate(spec: ModelSpec, folds: list[tuple], grid: tuple[float, ...],
-                    ) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """``cross_validate`` on the fold reductions of ``_folds``."""
+def _cross_validate(folds: list[tuple], grid: tuple[float, ...]):
+    """``cross_validate`` on the fold reductions of ``_folds``, as a generator
+    that yields one chain per scored fold, its gamma path large to small, and
+    is sent their paths."""
     order = np.argsort(grid)[::-1]  # large-to-small for warm starts and tie-breaks
     m = sum(f[4] for f in folds)
-    scores = np.zeros(len(grid))
+    chains, tests = [], []
     for i, (r_te, _, _, ss_tot, m_te) in enumerate(folds):
         if ss_tot == 0.0:  # R^2 of a zero-variance target is 0.0
             continue
@@ -400,12 +448,13 @@ def _cross_validate(spec: ModelSpec, folds: list[tuple], grid: tuple[float, ...]
         keep = keep[1:-1]  # the z columns that vary on the training rows
         r_tr = np.linalg.qr(np.vstack([f[0] for f in train]), mode="r")
         offsets, sds, s, q = _standardize(r_tr, m - m_te, keep)
-        gram, c = s.T @ s / (m - m_te), s.T @ q / (m - m_te)
-        v = np.empty((len(grid), c.shape[0]))
-        w = np.zeros(c.shape[0])
-        for idx in order:
-            w, _ = _penalized(spec, gram, c, grid[idx], w0=w)
-            v[idx] = w / sds
+        chains.append((s.T @ s / (m - m_te), s.T @ q / (m - m_te), [grid[idx] for idx in order]))
+        tests.append((r_te, ss_tot, keep, offsets, sds))
+    paths = yield chains
+    scores = np.zeros(len(grid))
+    for (r_te, ss_tot, keep, offsets, sds), (path, _) in zip(tests, paths):
+        v = np.empty((len(grid), sds.shape[0]))
+        v[order] = path / sds
         a = np.zeros((r_te.shape[1], len(grid)))
         a[0], a[-1] = v @ offsets[:-1][keep] - offsets[-1], 1.0
         a[1:-1][keep] = -v.T
@@ -516,50 +565,103 @@ def _resolve_columns(spec: ModelSpec, k: int, pre_period_col: int | None) -> np.
     return allowed
 
 
-def _penalized(spec: ModelSpec, gram: np.ndarray, c: np.ndarray, gamma: float,
-               w0: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-    """Penalized coefficients at one gamma, and whether the solver converged."""
+def _paths(spec: ModelSpec, chains: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The coefficients of each ``(gram, c, gammas)`` chain at its gammas in
+    order, each warm-started from the last and the first from zero, and
+    whether the solver converged at each."""
     if spec.kind == "ridge":  # closed form: (G + gamma I) w = c
-        return np.linalg.solve(gram + gamma * np.eye(c.shape[0]), c), True
-    return _coordinate_descent(gram, c, gamma, 1.0 if spec.kind == "lasso" else float(spec.mix),
-                               w0=w0)
+        return [(np.array([np.linalg.solve(gram + g * np.eye(c.shape[0]), c) for g in gammas]),
+                 np.ones(len(gammas), dtype=bool)) for gram, c, gammas in chains]
+    return _coordinate_descent(chains, 1.0 if spec.kind == "lasso" else float(spec.mix))
 
 
-def _coordinate_descent(gram: np.ndarray, c: np.ndarray, gamma: float, lam: float,
-                        w0: np.ndarray | None = None,
-                        trace: list | None = None) -> tuple[np.ndarray, bool]:
-    """Cyclic coordinate descent for the elastic-net objective, covariance form.
+def _coordinate_descent(chains: list[tuple], lam: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Cyclic coordinate descent for the elastic-net objective, covariance
+    form, on many gamma paths in lock step; returns ``_paths``' result.
 
-    Works on the moments G = S'S/m and c = S'q/m (Friedman, Hastie &
-    Tibshirani 2010, "covariance updates"): the partial residual correlation of
-    coordinate j is c_j - (Gw)_j + G_jj w_j, and G w is kept current with one
-    column update per changed coefficient, so a sweep costs O(K^2) whatever
-    the number of rows. Stops when the largest coefficient change in a sweep
-    drops below CD_TOL, or after CD_MAX_SWEEPS sweeps (reported via the
-    returned flag). ``trace`` collects the coefficient vector after each sweep.
+    Each chain works on the moments G = S'S/m and c = S'q/m (Friedman, Hastie
+    & Tibshirani 2010, "covariance updates"): the partial residual
+    correlation of coordinate j is c_j - (Gw)_j + G_jj w_j, and G w is kept
+    current with one row update per step, so a sweep costs O(K^2) whatever
+    the number of rows. A gamma is done after the first sweep whose largest
+    coefficient change is below CD_TOL (converged), or after CD_MAX_SWEEPS
+    sweeps (not); the chain then takes its next gamma, with G w recomputed
+    from its own G, and leaves the batch after its last.
+
+    All chains take coordinate j's step together in a few ufunc calls. They
+    are padded to a common p with inert coordinates (unit diagonal, zero c
+    and off-diagonal G), which never move. The soft threshold
+    rho - clip(rho, -l1, l1) is +0.0 for |rho| <= l1, and a coefficient that
+    stays put adds only a zero to G w, so each chain's coefficients are the
+    ones it reaches alone (``tests/oracles.coordinate_descent``), bit for
+    bit; at l1 = 0 a zero may differ in sign.
     """
-    p = c.shape[0]
-    diag = np.diag(gram).tolist()  # ~1.0 after standardization
-    cs = c.tolist()
-    w = [0.0] * p if w0 is None else w0.tolist()
-    gw = gram @ np.array(w)
-    l1 = gamma * lam
-    l2 = gamma * (1.0 - lam)
-    for _ in range(CD_MAX_SWEEPS):
-        delta = 0.0
-        for j in range(p):
-            wj = w[j]
-            rho = cs[j] - gw[j] + diag[j] * wj
-            new = (rho - l1 if rho > l1 else rho + l1 if rho < -l1 else 0.0) / (diag[j] + l2)
-            if new != wj:
-                gw += gram[j] * (new - wj)  # G is symmetric: row j is column j
-                w[j] = new
-                delta = max(delta, abs(new - wj))
-        if trace is not None:
-            trace.append(np.array(w))
-        if delta < CD_TOL:
-            return np.array(w), True
-    return np.array(w), False
+    out = [(np.empty((len(gammas), c.shape[0])), np.empty(len(gammas), dtype=bool))
+           for _, c, gammas in chains]
+    ids = np.arange(len(chains))
+    sizes = np.array([c.shape[0] for _, c, _ in chains], dtype=int)
+    lengths = np.array([len(gammas) for _, _, gammas in chains], dtype=int)
+    n, p = ids.size, int(sizes.max(initial=0))
+    # coordinate-major: g[j, :, b] is row j of chain b's G, w[j] coordinate j of every chain
+    g, c = np.zeros((p, p, n)), np.zeros((p, n))
+    g[np.arange(p), np.arange(p)] = 1.0
+    for b, i in enumerate(ids):
+        gram, cb, _ = chains[i]
+        g[:sizes[b], :sizes[b], b], c[:sizes[b], b] = gram, cb
+    diag = np.einsum("jjb->jb", g).copy()
+    w, gw, dl2 = np.zeros((p, n)), np.zeros((p, n)), np.empty((p, n))
+    l1, neg_l1 = np.empty(n), np.empty(n)
+    step, sweeps = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+
+    def start(b):
+        """Set chain b to its next gamma, with G w from its own G."""
+        i, size = ids[b], sizes[b]
+        gamma = chains[i][2][step[b]]
+        l1[b] = gamma * lam
+        neg_l1[b] = -l1[b]
+        dl2[:, b] = diag[:, b] + gamma * (1.0 - lam)
+        gw[:size, b] = chains[i][0] @ w[:size, b].copy()
+        sweeps[b] = 0
+
+    for b in range(n):
+        start(b)
+    subtract, multiply, add, maximum, minimum, divide = (
+        np.subtract, np.multiply, np.add, np.maximum, np.minimum, np.divide)
+    while n:
+        rho, t, d, dg, w_new = (np.empty(n), np.empty(n), np.empty(n), np.empty((p, n)),
+                                np.empty((p, n)))
+        # views of coordinate j's entries; w holds the coefficients at the sweep's start
+        rows = list(zip(c, gw, diag, dl2, w, w_new, g))
+        live = np.ones(n, dtype=bool)
+        while live.all():
+            for cj, gwj, dj, dl2j, wj, new, gj in rows:
+                subtract(cj, gwj, out=rho)
+                multiply(dj, wj, out=t)
+                add(rho, t, out=rho)
+                minimum(maximum(rho, neg_l1, out=t), l1, out=t)
+                subtract(rho, t, out=t)
+                divide(t, dl2j, out=new)
+                subtract(new, wj, out=d)
+                multiply(gj, d, out=dg)
+                add(gw, dg, out=gw)
+            sweeps += 1
+            delta = np.max(np.abs(w_new - w), axis=0, initial=0.0)
+            w[...] = w_new
+            for b in np.flatnonzero((delta < CD_TOL) | (sweeps >= CD_MAX_SWEEPS)):
+                path, converged = out[ids[b]]
+                path[step[b]], converged[step[b]] = w[:sizes[b], b], delta[b] < CD_TOL
+                step[b] += 1
+                if step[b] < lengths[b]:
+                    start(b)
+                else:
+                    live[b] = False
+        # drop the finished chains, and the padding no live chain needs
+        ids, sizes, lengths, step, sweeps = (a[live] for a in (ids, sizes, lengths, step, sweeps))
+        l1, neg_l1 = l1[live], neg_l1[live]
+        n, p = ids.size, int(sizes.max(initial=0))
+        g, c, diag, w, gw, dl2 = (a[..., live][:p] for a in (g, c, diag, w, gw, dl2))
+        g = g[:, :p]
+    return out
 
 
 def _tweedie_deviance(y: np.ndarray, mu: np.ndarray, p: float) -> float:

@@ -17,15 +17,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture
 def ols_fit_has_a_bug(monkeypatch):
-    """Make every ``ols`` fit raise TypeError, as a programming error would."""
-    real_fit = estimator.fit
+    """Make every ``ols`` block fit raise TypeError, as a programming error would."""
+    real_fit_blocks = estimator.fit_blocks
 
-    def fit(spec, *args, **kwargs):
+    def fit_blocks(spec, *args, **kwargs):
         if spec.kind == "ols":
             raise TypeError("bug inside the ols fit")
-        return real_fit(spec, *args, **kwargs)
+        return real_fit_blocks(spec, *args, **kwargs)
 
-    monkeypatch.setattr(estimator, "fit", fit)
+    monkeypatch.setattr(estimator, "fit_blocks", fit_blocks)
 
 
 @pytest.fixture

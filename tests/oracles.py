@@ -156,6 +156,59 @@ def rowspace_coordinate_descent(zs, yc, gamma, lam, w0=None):
     return w, False
 
 
+# --- serial coordinate descent -----------------------------------------------
+# The covariance-form elastic-net solver on one chain at a time, with the
+# tolerance and sweep cap above.
+
+def coordinate_descent(gram, c, gamma, lam, w0=None, trace=None):
+    """Cyclic coordinate descent for the elastic-net objective, covariance form.
+
+    Works on the moments G = S'S/m and c = S'q/m (Friedman, Hastie &
+    Tibshirani 2010, "covariance updates"): the partial residual correlation of
+    coordinate j is c_j - (Gw)_j + G_jj w_j, and G w is kept current with one
+    column update per changed coefficient, so a sweep costs O(K^2) whatever
+    the number of rows. Stops when the largest coefficient change in a sweep
+    drops below CD_TOL, or after CD_MAX_SWEEPS sweeps (reported via the
+    returned flag). ``trace`` collects the coefficient vector after each sweep.
+    The package's lock-step kernel runs many of these chains at once and is
+    held to this one-chain form bit for bit.
+    """
+    p = c.shape[0]
+    diag = np.diag(gram).tolist()  # ~1.0 after standardization
+    cs = c.tolist()
+    w = [0.0] * p if w0 is None else w0.tolist()
+    gw = gram @ np.array(w)
+    l1 = gamma * lam
+    l2 = gamma * (1.0 - lam)
+    for _ in range(CD_MAX_SWEEPS):
+        delta = 0.0
+        for j in range(p):
+            wj = w[j]
+            rho = cs[j] - gw[j] + diag[j] * wj
+            new = (rho - l1 if rho > l1 else rho + l1 if rho < -l1 else 0.0) / (diag[j] + l2)
+            if new != wj:
+                gw += gram[j] * (new - wj)  # G is symmetric: row j is column j
+                w[j] = new
+                delta = max(delta, abs(new - wj))
+        if trace is not None:
+            trace.append(np.array(w))
+        if delta < CD_TOL:
+            return np.array(w), True
+    return np.array(w), False
+
+
+def coordinate_descent_path(gram, c, gammas, lam):
+    """``coordinate_descent`` at each gamma in order, each warm-started from
+    the last and the first from zero: (coefficients per gamma, converged per
+    gamma)."""
+    w = np.zeros(c.shape[0])
+    path, converged = np.empty((len(gammas), c.shape[0])), np.empty(len(gammas), dtype=bool)
+    for i, gamma in enumerate(gammas):
+        w, converged[i] = coordinate_descent(gram, c, gamma, lam, w0=w)
+        path[i] = w
+    return path, converged
+
+
 def penalized_objective(zs, yc, w, gamma, lam):
     """The objective the penalized kinds minimize, on standardized rows zs
     and the centered outcome yc."""

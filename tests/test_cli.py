@@ -332,6 +332,19 @@ def test_day_beyond_int64_writes_a_validation_error(tmp_path):
     assert error["message"].startswith("row 4, column 'day'")
 
 
+@pytest.mark.parametrize("role", [["--day-col", "kpi"], ["--unit-id-col", "arm"]])
+def test_a_day_or_unit_id_column_with_another_role_writes_a_schema_error(four_row_csv,
+                                                                         tmp_path, role):
+    out = tmp_path / "out"
+    code = run_cli("estimate", "--input", four_row_csv, *SCHEMA_FLAGS, *role,
+                   "--models", "dim", "--out", out)
+    assert code == 1
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error == {"type": "SchemaError",
+                     "message": "schema maps the same column to more than one role"}
+    assert not (out / "report.json").exists()
+
+
 def test_quoted_field_over_the_csv_limit_writes_a_parse_error(tmp_path):
     path = tmp_path / "long.csv"
     path.write_text("arm,kpi,pre,note\n0,1.0,0.5,a\n0,2.0,0.4,b\n1,4.0,0.6,c\n"

@@ -100,6 +100,13 @@ def test_pre_period_must_be_covariate():
         CsvSchema(assignment="a", outcome="y", covariates=("z",), pre_period="w")
 
 
+@pytest.mark.parametrize("roles", [{"day": "y"}, {"unit_id": "a"}, {"day": "z"},
+                                   {"day": "id", "unit_id": "id"}])
+def test_day_and_unit_id_take_columns_of_their_own(roles):
+    with pytest.raises(SchemaError, match="more than one role"):
+        CsvSchema(assignment="a", outcome="y", covariates=("z",), pre_period="z", **roles)
+
+
 def test_round_trip_is_identity(tmp_path):
     data = generate(SyntheticConfig(n_units=60, k_covariates=3, outcome_cor=0.4,
                                     daily_arrivals=10.0, seed=5))

@@ -3,19 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gobe import ConvergenceError, ValidationError
+import oracles
+from gobe import ConvergenceError, ValidationError, regression
 from gobe.regression import (
     FittedArmModel,
     ModelSpec,
     _coordinate_descent,
     cross_validate,
     fit,
+    fit_blocks,
     lasso_gamma_max,
     parse_model,
     predict,
 )
 
 from oracles import (
+    coordinate_descent,
+    coordinate_descent_path,
     penalized_objective,
     ridge_standardized,
     rowspace_cross_validate,
@@ -128,8 +132,8 @@ def test_coordinate_descent_objective_monotone():
     zs = (z - z.mean(axis=0)) / z.std(axis=0)
     yc = y - y.mean()
     trace = []
-    _coordinate_descent(zs.T @ zs / len(y), zs.T @ yc / len(y), gamma=0.05, lam=0.7,
-                        trace=trace)
+    coordinate_descent(zs.T @ zs / len(y), zs.T @ yc / len(y), gamma=0.05, lam=0.7,
+                       trace=trace)
     objs = [penalized_objective(zs, yc, w, 0.05, 0.7) for w in trace]
     diffs = np.diff(objs)
     assert np.all(diffs <= 1e-12)
@@ -323,6 +327,13 @@ def test_cv_needs_enough_rows():
         cross_validate(ModelSpec("ridge", hyper_grid=(0.1, 1.0)), y, z, seed=0)
 
 
+def test_an_arm_too_small_to_cross_validate_is_told_the_rows_it_needs():
+    y, z = linear_arm(n=4, seed=13)
+    with pytest.raises(ValidationError, match="an arm needs >= 5 rows") as info:
+        fit(ModelSpec("lasso"), y, z)
+    assert "fewer folds" not in str(info.value)
+
+
 def test_cv_refits_on_full_data():
     y, z = linear_arm(seed=14)
     model = fit(ModelSpec("ridge", hyper_grid=(0.05, 5.0)), y, z, seed=7)
@@ -408,6 +419,64 @@ def test_gram_fits_match_the_rowspace_reference(problem):
         assert [g for g, _ in cv_scores] == [g for g, _ in ref_scores]
         np.testing.assert_allclose([s for _, s in cv_scores], [s for _, s in ref_scores],
                                    rtol=1e-12, atol=1e-12)
+
+
+# --- the lock-step coordinate-descent kernel ---------------------------------
+
+@st.composite
+def cd_batches(draw):
+    """Chains for the lock-step kernel, one l1 weight and a sweep cap. Each of
+    1-12 chains holds the moments of standardized rows with 0-30 columns and
+    a gamma path of 1 or 50 points from gamma_max down. A chain may carry an
+    exact duplicate, a near duplicate or a near-constant column; a duplicate
+    under an l2 term takes sweeps up to the cap, which is sometimes low
+    enough to stop chains at most gammas."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chains = []
+    for p in draw(st.lists(st.integers(0, 30), min_size=1, max_size=12)):
+        m = int(rng.integers(2 * p + 10, 4 * p + 21))
+        z = rng.standard_normal((m, p))
+        duplicate, near, constant = rng.random(3) < 0.3
+        if p >= 2 and duplicate:
+            z[:, 1] = z[:, 0]
+        if p >= 3 and near:
+            z[:, 2] = z[:, 0] + 0.3 * rng.standard_normal(m)
+        if p >= 4 and constant:
+            z[:, 3] = 0.1 + 1e-9 * rng.standard_normal(m)
+        y = z[:, :3] @ rng.standard_normal(min(p, 3)) + rng.standard_normal(m)
+        zs = (z - z.mean(axis=0)) / z.std(axis=0)
+        gram, c = zs.T @ zs / m, zs.T @ (y - y.mean()) / m
+        gmax = float(np.abs(c).max()) if p else 1.0
+        chains.append((gram, c, list(np.geomspace(gmax, 1e-4 * gmax, rng.choice([1, 50])))))
+    return chains, draw(st.sampled_from([1.0, 0.5, 0.25])), draw(st.sampled_from([2, 30]))
+
+
+@settings(max_examples=25)
+@given(batch=cd_batches())
+def test_lock_step_kernel_is_the_serial_descent_chain_by_chain(batch):
+    chains, lam, cap = batch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regression, "CD_MAX_SWEEPS", cap)
+        patch.setattr(oracles, "CD_MAX_SWEEPS", cap)
+        paths = _coordinate_descent(chains, lam)
+        for (gram, c, gammas), (path, converged) in zip(chains, paths, strict=True):
+            ref_path, ref_converged = coordinate_descent_path(gram, c, gammas, lam)
+            assert np.array_equal(path, ref_path)
+            assert np.array_equal(converged, ref_converged)
+
+
+@pytest.mark.parametrize("name", ["ridge", "lasso", "elastic_net:0.5", "ols", "tweedie"])
+def test_block_fits_are_one_block_fits(name):
+    # the blocks differ in size and in which columns vary, so their chains are padded
+    blocks = [linear_arm(n=80, k=4, seed=31), linear_arm(n=120, k=4, seed=32)]
+    blocks[1][1][:, 2] = 3.0
+    blocks = [(np.exp(y / 10) if name == "tweedie" else y, z) for y, z in blocks]
+    spec = parse_model(name)
+    for block, model in zip(blocks, fit_blocks(spec, blocks, seed=4)):
+        alone = fit(spec, *block, seed=4)
+        assert np.array_equal(model.coefficients, alone.coefficients)
+        assert (model.chosen_gamma, model.cv_scores, model.rss, model.flags) == (
+            alone.chosen_gamma, alone.cv_scores, alone.rss, alone.flags)
 
 
 # --- tweedie ----------------------------------------------------------------
