@@ -10,6 +10,8 @@ a spurious-covariate stress protocol, and power-based experiment duration
 recommendations.
 """
 
+__version__ = "0.1.0"
+
 from .aa import AaRun, BucketMetrics, bucket_metrics, pooled_coverage, run_aa
 from .dataset import (
     CsvSchema,

@@ -114,9 +114,13 @@ def estimate_arms(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, pre_period_c
         arms = tuple((y, np.column_stack([evaluate(b, z) for b in base])) for y, z in arms)
         if not all(np.isfinite(z).all() for _, z in arms):
             raise ValidationError("covariates contain non-finite values")
-        # each fit allows only its own column; the assembly reads both columns' means
-        models = tuple(replace(fit(ModelSpec(kind="ols", columns=(t,)), y, z, seed=seed),
-                               mean_parts=mean_parts(y, z)) for t, (y, z) in enumerate(arms))
+        # each fit allows only its own column; the assembly reads both columns' means.
+        # Arm t's base flags follow its own as base:<flag>.
+        models = []
+        for t, (y, z) in enumerate(arms):
+            step = fit(ModelSpec(kind="ols", columns=(t,)), y, z, seed=seed)
+            models.append(replace(step, mean_parts=mean_parts(y, z), flags=step.flags + tuple(
+                f"base:{flag}" for flag in base[t].flags)))
     else:
         models = tuple(fit_blocks(spec, arms, seed, pre_period_col))
     return _assemble(arms, models, spec.name, alpha)

@@ -22,11 +22,11 @@ their column means and keeps the R factor of their QR decomposition, a
 first row gives the means; below it, the standardized covariates and the
 centered outcome are Q S and Q q for a small S and q. ``ols`` and ``pcr``
 solve on the SVD of S; ridge solves (G + gamma I) w = c with G = S'S/m and
-c = S'q/m, and lasso/elastic-net run coordinate descent with covariance
-updates on (G, c); the RSS is |q - S w|^2. Cross-validation reduces each
-fold to its own triangle, and the arm's triangle is then the QR of the
-folds' stacked triangles. A column is constant when its minimum equals its
-maximum.
+c = S'q/m, a whole gamma path in one stacked solve; lasso/elastic-net run
+coordinate descent with covariance updates on (G, c); the RSS is
+|q - S w|^2. Cross-validation reduces each fold to its own triangle, and the
+arm's triangle is then the QR of the folds' stacked triangles. A column is
+constant when its minimum equals its maximum.
 
 ``fit_blocks`` fits both arms of an experiment at once: it reduces every
 block first, then runs the coordinate-descent chains of all blocks in lock
@@ -569,8 +569,9 @@ def _paths(spec: ModelSpec, chains: list[tuple]) -> list[tuple[np.ndarray, np.nd
     """The coefficients of each ``(gram, c, gammas)`` chain at its gammas in
     order, each warm-started from the last and the first from zero, and
     whether the solver converged at each."""
-    if spec.kind == "ridge":  # closed form: (G + gamma I) w = c
-        return [(np.array([np.linalg.solve(gram + g * np.eye(c.shape[0]), c) for g in gammas]),
+    if spec.kind == "ridge":  # closed form: (G + gamma I) w = c, every gamma in one stacked solve
+        return [(np.linalg.solve(gram + np.asarray(gammas)[:, None, None] * np.eye(len(c)),
+                                 np.broadcast_to(c, (len(gammas), len(c)))[:, :, None])[:, :, 0],
                  np.ones(len(gammas), dtype=bool)) for gram, c, gammas in chains]
     return _coordinate_descent(chains, 1.0 if spec.kind == "lasso" else float(spec.mix))
 

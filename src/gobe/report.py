@@ -4,6 +4,13 @@ Reports are deterministic functions of (config, seed) — wall-clock timings
 and version stamps go to the run manifest instead, so re-running a command
 reproduces the report byte for byte. Writes go through a temp file and an
 atomic rename.
+
+Every report is validated on every write. A small checker in this module
+applies the keywords the shipped schema uses, as JSON Schema draft 2020-12
+reads them, and accepts most documents alone; only a document it does not
+accept is handed to ``jsonschema``, imported then, which raises the error
+``jsonschema.validate`` would. So a successful run never imports
+``jsonschema``, and the manifest's version stamp is ``gobe.__version__``.
 """
 
 from __future__ import annotations
@@ -13,12 +20,11 @@ import math
 import os
 import platform
 import sys
-from importlib import metadata, resources
+from importlib import resources
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
+from . import __version__
 from .aa import AaRun, BucketMetrics, pooled_coverage
 from .power import DurationRecommendation
 from .stress import StressResult
@@ -26,9 +32,6 @@ from .stress import StressResult
 _SCHEMA = json.loads(
     resources.files("gobe").joinpath("schemas/report.schema.json").read_text("utf-8")
 )
-# Built once: the schema itself is checked against its metaschema by a test,
-# not on every report.
-_VALIDATOR = validator_for(_SCHEMA)(_SCHEMA)
 
 
 def validate_report(doc: dict) -> None:
@@ -36,9 +39,94 @@ def validate_report(doc: dict) -> None:
 
     The error raised is the one ``jsonschema.validate`` would raise.
     """
-    error = best_match(_VALIDATOR.iter_errors(doc))
+    try:
+        if _accepts(doc, _SCHEMA):
+            return
+    except _Undecided:
+        pass
+    # the schema itself is checked against its metaschema by a test, not here
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
+
+    error = best_match(validator_for(_SCHEMA)(_SCHEMA).iter_errors(doc))
     if error is not None:
         raise error
+
+
+class _Undecided(Exception):
+    """The checker cannot decide: a keyword it does not implement, a dialect
+    other than draft 2020-12, a value of a type ``json.loads`` does not
+    return, a ``$ref`` outside the root ``$defs``, or an ``enum``/``const``
+    with a member that is no string. jsonschema decides instead."""
+
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+_JSON = (*_TYPES.values(), int, float)
+_NUMBER = (int, float)  # exact types: a bool is no number
+
+
+def _is(value, name: str) -> bool:
+    if name == "integer":
+        return type(value) is int or type(value) is float and value.is_integer()
+    return type(value) in _NUMBER if name == "number" else type(value) is _TYPES[name]
+
+
+def _strings(members: list) -> list:
+    """``enum`` members, for which ``in`` is jsonschema's equality if all are strings."""
+    if not all(type(x) is str for x in members):
+        raise _Undecided
+    return members
+
+
+def _draft_2020_12(dialect: str) -> bool:
+    if dialect != "https://json-schema.org/draft/2020-12/schema":
+        raise _Undecided
+    return True
+
+
+def _ref(target: str) -> dict:
+    name, defs = target.removeprefix("#/$defs/"), _SCHEMA.get("$defs", {})
+    if name == target or name not in defs or any(c in name for c in "/~%"):
+        raise _Undecided
+    return defs[name]
+
+
+# keyword -> whether (value, argument, the schema holding it) passes, by draft 2020-12
+_KEYWORDS = {
+    "type": lambda v, a, s: any(_is(v, t) for t in ([a] if type(a) is str else a)),
+    "enum": lambda v, a, s: v in _strings(a),
+    "const": lambda v, a, s: v in _strings([a]),
+    "minimum": lambda v, a, s: type(v) not in _NUMBER or not v < a,
+    "exclusiveMinimum": lambda v, a, s: type(v) not in _NUMBER or not v <= a,
+    "exclusiveMaximum": lambda v, a, s: type(v) not in _NUMBER or not v >= a,
+    "minItems": lambda v, a, s: type(v) is not list or len(v) >= a,
+    "maxItems": lambda v, a, s: type(v) is not list or len(v) <= a,
+    "required": lambda v, a, s: type(v) is not dict or all(k in v for k in a),
+    "properties": lambda v, a, s: type(v) is not dict or all(
+        _accepts(v[k], sub) for k, sub in a.items() if k in v),
+    "additionalProperties": lambda v, a, s: type(v) is not dict or all(
+        _accepts(x, a) for k, x in v.items() if k not in s.get("properties", {})),
+    "items": lambda v, a, s: type(v) is not list or all(_accepts(x, a) for x in v),
+    "$ref": lambda v, a, s: _accepts(v, _ref(a)),
+    "allOf": lambda v, a, s: all(_accepts(v, sub) for sub in a),
+    "oneOf": lambda v, a, s: sum(_accepts(v, sub) for sub in a) == 1,
+    "if": lambda v, a, s: _accepts(v, s.get("then" if _accepts(v, a) else "else", {})),
+    "$schema": lambda v, a, s: _draft_2020_12(a),
+    # "then" and "else" are read by "if"; the rest only annotate
+    **dict.fromkeys(("then", "else", "$defs", "title"), lambda v, a, s: True),
+}
+
+
+
+def _accepts(value, schema: dict | bool) -> bool:
+    """Whether ``value`` is valid under ``schema``, a subschema of the shipped one."""
+    if type(value) not in _JSON:
+        raise _Undecided
+    if type(schema) is bool:  # a boolean schema accepts everything or nothing
+        return schema
+    if not schema.keys() <= _KEYWORDS.keys():  # any other keyword: jsonschema decides
+        raise _Undecided
+    return all(_KEYWORDS[key](value, arg, schema) for key, arg in schema.items())
 
 
 def write_report(doc: dict, path) -> None:
@@ -56,7 +144,7 @@ def write_manifest(path, command: str, config: dict, seed: int,
         "config": config,
         "seed": seed,
         "versions": {
-            "gobe": _package_version(),
+            "gobe": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "platform": platform.platform(),
@@ -146,13 +234,6 @@ def jsonable(value):
     if isinstance(value, (np.bool_,)):
         return bool(value)
     return value
-
-
-def _package_version() -> str:
-    try:
-        return metadata.version("gobe")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _atomic_write(text: str, path) -> None:

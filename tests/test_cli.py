@@ -1,12 +1,16 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gobe
 from gobe import cli, dataset, estimator, power, report
 from gobe.cli import aggregate, build_parser, main
 from gobe.report import validate_report
@@ -595,6 +599,31 @@ def test_manifest_echoes_typed_resolved_options(tmp_path, monkeypatch):
     assert config["models"] == "dim,ols"
     assert config["schema_outcome"] == "kpi" and config["schema_day"] is None
     assert config["out"] == str(out) and config["command"] == "aa"
+
+
+def test_a_successful_run_imports_neither_jsonschema_nor_importlib_metadata(tmp_path):
+    data = dataset.generate(dataset.SyntheticConfig(n_units=200, k_covariates=2,
+                                                    outcome_cor=0.5, seed=3))
+    dataset.write_csv(data, tmp_path / "in.csv")
+    schema = ["--input", str(tmp_path / "in.csv"), "--assignment-col", "assignment",
+              "--outcome-col", "outcome", "--covariate-cols", "z1,z2", "--pre-period-col", "z1"]
+    commands = [["estimate", *schema, "--models", "dim,ols,ridge", "--out", str(tmp_path / "est")],
+                ["aa", *schema, "--models", "dim,ols", "--s-splits", "20", "--out",
+                 str(tmp_path / "aa")]]
+    script = ("import json, sys\n"
+              "import gobe.cli\n"
+              f"codes = [gobe.cli.main(argv) for argv in {commands!r}]\n"
+              "print(json.dumps([codes, sorted({'jsonschema', 'importlib.metadata'}"
+              " & set(sys.modules))]))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(gobe.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert json.loads(run.stdout) == [[0, 0], []]
+    for out in ("est", "aa"):
+        read_report(tmp_path / out)
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["versions"]["gobe"] == gobe.__version__
 
 
 # Attributes perfbench/replay.py reads from the parsed namespace of each

@@ -276,6 +276,16 @@ def test_two_step_cannot_nest():
         ModelSpec("two_step", base=ModelSpec("two_step", base=ModelSpec("ols")))
 
 
+@pytest.mark.parametrize("base", ["ols", "lasso"])
+def test_two_step_reports_its_base_fits_flags(base):
+    data = generate(SyntheticConfig(n_units=400, k_covariates=2, outcome_cor=0.5, seed=11))
+    data = replace(data, covariates=np.column_stack([data.covariates, np.ones(400)]))
+    dropped = ("arm0:dropped_zero_variance", "arm1:dropped_zero_variance")
+    assert estimate(data, base).flags == dropped
+    assert estimate(data, f"two_step:{base}").flags == (
+        "arm0:base:dropped_zero_variance", "arm1:base:dropped_zero_variance")
+
+
 # --- variance reduction ----------------------------------------------------------
 
 def test_variance_reduction_of_baseline_is_zero():

@@ -465,6 +465,17 @@ def test_lock_step_kernel_is_the_serial_descent_chain_by_chain(batch):
             assert np.array_equal(converged, ref_converged)
 
 
+@settings(max_examples=25)
+@given(batch=cd_batches())
+def test_stacked_ridge_solve_is_the_per_gamma_solve(batch):
+    chains, _, _ = batch
+    paths = regression._paths(ModelSpec(kind="ridge"), chains)
+    for (gram, c, gammas), (path, converged) in zip(chains, paths, strict=True):
+        ref_path = [np.linalg.solve(gram + g * np.eye(c.shape[0]), c) for g in gammas]
+        assert np.array_equal(path, np.array(ref_path).reshape(len(gammas), c.shape[0]))
+        assert converged.all()
+
+
 @pytest.mark.parametrize("name", ["ridge", "lasso", "elastic_net:0.5", "ols", "tweedie"])
 def test_block_fits_are_one_block_fits(name):
     # the blocks differ in size and in which columns vary, so their chains are padded
