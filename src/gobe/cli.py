@@ -284,6 +284,7 @@ def _estimate_doc(data: dataset.ExperimentData, specs: list[ModelSpec],
 
 
 def _cmd_estimate(args: argparse.Namespace, out_dir: Path) -> None:
+    dataset.check_days(args.day)
     data = _load_input(args)
     if args.day is not None:
         data = dataset.filter_by_day(data, args.day)
@@ -343,6 +344,7 @@ def _cmd_power(args: argparse.Namespace, out_dir: Path) -> None:
     if args.delta is None:
         raise ValidationError("--delta (hypothesized relative effect) is required for power")
     power.check_power_args(args.delta, args.alpha, args.power_target)
+    dataset.check_days(args.day, args.horizon)
     data = _load_input(args)
     analysis = dataset.filter_by_day(data, args.day)
     forecast = power.forecast_arm_sizes(data, args.day, args.horizon)

@@ -229,12 +229,19 @@ def restrict_to_arm(data: ExperimentData, t: int) -> ExperimentData:
     return _subset(data, mask)
 
 
+def check_days(day: int | None, horizon: int | None = None) -> None:
+    """Raise ValidationError unless ``day`` >= 1 and ``horizon`` >= ``day``, where given."""
+    if day is not None and day < 1:
+        raise ValidationError("day filter must be >= 1")
+    if horizon is not None and horizon < day:
+        raise ValidationError("horizon must not precede the analysis day")
+
+
 def filter_by_day(data: ExperimentData, day: int) -> ExperimentData:
     """Keep only units that triggered on or before ``day``."""
     if data.day_index is None:
         raise ValidationError("day filtering requires a day column")
-    if day < 1:
-        raise ValidationError("day filter must be >= 1")
+    check_days(day)
     mask = data.day_index <= day
     if not mask.any():
         raise ValidationError(f"no units triggered by day {day}")

@@ -13,19 +13,21 @@ identity-link fits only each arm's size, means and slopes (Lin 2013), and
 each MSE only the RSS the fit keeps, so assembly reads no rows: only a log
 link pair (``tweedie``) sums predictions over the other arm. ``affine_ate``
 and ``interval`` state this once, for ``estimate`` and the A/A moment form.
+``two_step`` is its base with calibrated slopes (Cohen & Fogarty 2020): one
+scalar per arm, which an identity-link base's fit holds, so only a log-link
+base is evaluated on rows after its fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .dataset import ExperimentData
 from .errors import ValidationError
-from .regression import (FittedArmModel, ModelSpec, evaluate, fit, fit_blocks, mean_parts,
-                         parse_model)
+from .regression import FittedArmModel, ModelSpec, evaluate, fit_blocks, parse_model
 
 ArmBlock = tuple[np.ndarray, np.ndarray]  # (outcome, covariate rows) of one arm
 
@@ -108,22 +110,59 @@ def estimate_arms(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, pre_period_c
     """``estimate`` on rows already split into ``(y0, Z0), (y1, Z1)``, for
     callers that fit many models on one split. The caller guarantees what
     ``estimate`` checks: alpha in (0, 1), >= 2 finite rows per arm."""
+    models = fit_blocks(spec.base or spec, arms, seed, pre_period_col)
+    (y0, z0), (y1, z1) = arms
+    n0, n1 = y0.shape[0], y1.shape[0]
+    gaps = (models[1].mean_parts - models[0].mean_parts).sum(axis=0)  # part by part
+    slopes, rss = [m.coefficients / m.sds for m in models], [m.rss for m in models]
+    flags = [m.flags for m in models]
     if spec.kind == "two_step":
-        base = fit_blocks(spec.base, arms, seed, pre_period_col)
-        # step-two covariates of arm t's rows: [f0(Z_t), f1(Z_t)]
-        arms = tuple((y, np.column_stack([evaluate(b, z) for b in base])) for y, z in arms)
-        if not all(np.isfinite(z).all() for _, z in arms):
-            raise ValidationError("covariates contain non-finite values")
-        # each fit allows only its own column; the assembly reads both columns' means.
-        # Arm t's base flags follow its own as base:<flag>.
-        models = []
-        for t, (y, z) in enumerate(arms):
-            step = fit(ModelSpec(kind="ols", columns=(t,)), y, z, seed=seed)
-            models.append(replace(step, mean_parts=mean_parts(y, z), flags=step.flags + tuple(
-                f"base:{flag}" for flag in base[t].flags)))
+        gaps, slopes, rss, flags = _two_step(arms, models, gaps, slopes, rss)
+    if spec.kind == "two_step" or models[0].link == models[1].link == "identity":
+        ate = float(affine_ate((n0, n1), gaps, slopes))
     else:
-        models = tuple(fit_blocks(spec, arms, seed, pre_period_col))
-    return _assemble(arms, models, spec.name, alpha)
+        ate = (float(np.sum(y1 - evaluate(models[0], z1)))
+               + float(np.sum(evaluate(models[1], z0) - y0))) / (n0 + n1)
+    mses, variance, ci = interval(ate, rss, (n0, n1), alpha)
+    lo, hi = float(ci[0]), float(ci[1])
+    control_mean = float(y0.mean())
+    flags = tuple(f"arm{t}:{flag}" for t in (0, 1) for flag in flags[t])
+    if control_mean == 0.0:
+        lift, lift_ci = None, None
+        flags += ("lift_undefined",)
+    else:
+        scale = abs(control_mean)
+        lift, lift_ci = ate / scale, (lo / scale, hi / scale)
+    return AteEstimate(model_id=spec.name, ate=ate, variance=variance, mse_per_arm=mses,
+                       ci=(lo, hi), alpha=alpha, n_per_arm=(n0, n1), control_mean=control_mean,
+                       lift=lift, lift_ci=lift_ci, flags=flags)
+
+
+def _two_step(arms: tuple[ArmBlock, ArmBlock], base: list[FittedArmModel], gaps, slopes, rss):
+    """Step two of ``two_step`` on its base's gaps, slopes and RSS. Arm t
+    regresses its outcome on its base prediction f_t: with f and q the two
+    centered in one orthonormal basis (S w and q of identity-link fits; the
+    rows if either arm's base has a log link, and gaps and slopes of f_0, f_1),
+    the slope gamma_t = f.q / f.f scales b_t and the RSS is |q - gamma_t f|^2.
+    Where f is constant (no pair, or min == max) arm t's step two is ``dim``."""
+    pairs = [m.centered for m in base]
+    if any(m.link == "log" for m in base):
+        f = [[evaluate(m, z) for m in base] for _, z in arms]  # f[t][s] = f_s(Z_t)
+        if not all(np.isfinite(ft).all() for ft in f):
+            raise ValidationError("base predictions contain non-finite values")
+        gaps, slopes = np.append(np.mean(f[1], axis=1) - np.mean(f[0], axis=1), gaps[-1]), np.eye(2)
+        q = [y - y.mean() for y, _ in arms]
+        pairs = [None if f[t][t].min() == f[t][t].max() else (f[t][t] - f[t][t].mean(), q[t])
+                 for t in (0, 1)]
+        rss = [float(v @ v) for v in q]
+    gammas, flags = [0.0, 0.0], [tuple(f"base:{flag}" for flag in m.flags) for m in base]
+    for t, pair in enumerate(pairs):
+        if pair is None:
+            flags[t] = ("dropped_zero_variance", "dim_fallback") + flags[t]
+        else:
+            gammas[t] = float(pair[0] @ pair[1] / (pair[0] @ pair[0]))
+            rss[t] = float(np.sum((pair[1] - gammas[t] * pair[0]) ** 2))
+    return gaps, [g * b for g, b in zip(gammas, slopes)], rss, flags
 
 
 def variance_reduction(candidate: AteEstimate, baseline_dim: AteEstimate) -> float | None:
@@ -195,40 +234,3 @@ def checked_arms(data: ExperimentData, alpha: float) -> tuple[ArmBlock, ArmBlock
             f"need >= 2 units per arm for the error estimate (sizes: {n0}, {n1})"
         )
     return arms
-
-
-def _assemble(arms: tuple[ArmBlock, ArmBlock],
-              models: tuple[FittedArmModel, FittedArmModel],
-              model_id: str, alpha: float) -> AteEstimate:
-    (y0, z0), (y1, z1) = arms
-    n0, n1 = y0.shape[0], y1.shape[0]
-    if models[0].link == models[1].link == "identity":
-        gaps = (models[1].mean_parts - models[0].mean_parts).sum(axis=0)  # part by part
-        ate = float(affine_ate((n0, n1), gaps, [m.coefficients / m.sds for m in models]))
-    else:
-        ate = (float(np.sum(y1 - evaluate(models[0], z1)))
-               + float(np.sum(evaluate(models[1], z0) - y0))) / (n0 + n1)
-    mses, variance, ci = interval(ate, [m.rss for m in models], (n0, n1), alpha)
-    lo, hi = float(ci[0]), float(ci[1])
-    control_mean = float(y0.mean())
-    flags = tuple(f"arm{t}:{flag}" for t in (0, 1) for flag in models[t].flags)
-    if control_mean == 0.0:
-        lift, lift_ci = None, None
-        flags += ("lift_undefined",)
-    else:
-        scale = abs(control_mean)
-        lift = ate / scale
-        lift_ci = (lo / scale, hi / scale)
-    return AteEstimate(
-        model_id=model_id,
-        ate=ate,
-        variance=variance,
-        mse_per_arm=mses,
-        ci=(lo, hi),
-        alpha=alpha,
-        n_per_arm=(n0, n1),
-        control_mean=control_mean,
-        lift=lift,
-        lift_ci=lift_ci,
-        flags=flags,
-    )

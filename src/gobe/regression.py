@@ -194,6 +194,8 @@ class FittedArmModel:
     subtracting them, so two arms' gaps keep the digits of large offsets.
     Predictions are ``intercept + coefficients . (z - means)/sds``, means the
     sum, through the inverse link; ``rss`` is the RSS on the arm's rows.
+    ``centered`` holds S w and q, the arm's centered predictions and outcome
+    in one orthonormal basis, for an identity-link fit with a slope, else None.
     """
 
     spec: ModelSpec
@@ -204,6 +206,7 @@ class FittedArmModel:
     used: np.ndarray
     rss: float
     link: str = "identity"
+    centered: np.ndarray | None = None
     chosen_gamma: float | None = None
     cv_scores: tuple[tuple[float, float], ...] | None = None
     n_components: int | None = None
@@ -211,10 +214,11 @@ class FittedArmModel:
     flags: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        for name in ("coefficients", "mean_parts", "sds", "used"):
-            arr = np.ascontiguousarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("coefficients", "mean_parts", "sds", "used", "centered"):
+            if getattr(self, name) is not None:
+                arr = np.ascontiguousarray(getattr(self, name))
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
 
 def predict(model: FittedArmModel, z: np.ndarray) -> np.ndarray | float:
@@ -349,13 +353,15 @@ def _fit(spec: ModelSpec, outcome, covariates, seed: int, pre_period_col: int | 
         intercept, w, rss = _tweedie_irls(design, y)
         link = "log"
     if link == "identity":  # Q (q - S w) is the centered outcome less the fit
-        rss = float(np.sum((q - s @ w) ** 2))
+        sw = s @ w
+        rss = float(np.sum((q - sw) ** 2))
 
     coefficients, out_sds = np.zeros(k), np.ones(k)
     coefficients[used], out_sds[used] = w, sds
     return FittedArmModel(
         spec=spec, intercept=intercept, coefficients=coefficients, mean_parts=mean_parts,
         sds=out_sds, used=used, rss=rss, link=link,
+        centered=np.stack([sw, q]) if link == "identity" and sw.any() else None,
         chosen_gamma=chosen_gamma, cv_scores=cv_scores,
         n_components=n_components, n_obs=m, flags=tuple(flags),
     )
@@ -379,13 +385,6 @@ def _in_lock_step(spec: ModelSpec, steps: list) -> list:
         paths = iter(_paths(spec, chains) if chains else ())
         answers = {i: [next(paths) for _ in chains] for i, chains in requests.items()}
     return results
-
-
-def mean_parts(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The means of z's columns and of y (last) in the two parts of
-    ``FittedArmModel.mean_parts``."""
-    x, shift, _ = _shifted(y, z)
-    return np.stack([shift, x[:, 1:].mean(axis=0)])
 
 
 def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,

@@ -185,6 +185,9 @@ def test_power_command_and_horizon_exhaustion(tmp_path):
     (["--day", "7", "--delta", "0.1", "--power-target", "1"],
      "target_power must be in (0, 1), got 1.0"),
     (["--day", "7", "--delta", "0.1", "--alpha", "1.5"], "alpha must be in (0, 1), got 1.5"),
+    (["--day", "0", "--delta", "0.1"], "day filter must be >= 1"),
+    (["--day", "7", "--horizon", "3", "--delta", "0.1"],
+     "horizon must not precede the analysis day"),
 ])
 def test_power_checks_day_and_delta_before_loading_the_input(four_row_csv, tmp_path,
                                                              monkeypatch, given, message):
@@ -194,6 +197,17 @@ def test_power_checks_day_and_delta_before_loading_the_input(four_row_csv, tmp_p
     assert run_cli("power", "--input", four_row_csv, *SCHEMA_FLAGS, *given, "--out", out) == 1
     error = json.loads((out / "error.json").read_text())["error"]
     assert error == {"type": "ValidationError", "message": message}
+    assert loads == []
+
+
+def test_estimate_checks_the_day_before_loading_the_input(four_row_csv, tmp_path, monkeypatch):
+    loads = []
+    monkeypatch.setattr(cli.dataset, "load_csv", lambda *args: loads.append(args))
+    out = tmp_path / "estimate"
+    assert run_cli("estimate", "--input", four_row_csv, *SCHEMA_FLAGS, "--day", "0",
+                   "--out", out) == 1
+    error = json.loads((out / "error.json").read_text())["error"]
+    assert error == {"type": "ValidationError", "message": "day filter must be >= 1"}
     assert loads == []
 
 

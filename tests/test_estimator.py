@@ -258,17 +258,19 @@ def test_two_step_of_saturated_lasso_equals_dim():
 
 
 def test_two_step_rejects_non_finite_base_predictions(monkeypatch):
+    # only a log-link base is evaluated on rows
     data = generate(SyntheticConfig(n_units=100, k_covariates=2, seed=10))
+    data = replace(data, outcome=np.exp(data.outcome))
     real_evaluate = estimator.evaluate
 
     def evaluate(model, z):
-        if model.spec.kind == "pcr":
+        if model.spec.kind == "tweedie":
             return np.full(z.shape[0], np.inf)
         return real_evaluate(model, z)
 
     monkeypatch.setattr(estimator, "evaluate", evaluate)
     with pytest.raises(ValidationError, match="non-finite"):
-        estimate(data, "two_step:pcr")
+        estimate(data, "two_step:tweedie")
 
 
 def test_two_step_cannot_nest():
@@ -351,7 +353,9 @@ def imputation_reference(data, spec, alpha, seed):
        n_constant=st.integers(0, 2),
        name=st.sampled_from(["dim", "ols", "ols@pre", "pcr", "ridge", "lasso",
                              "elastic_net:0.5", "two_step:ols", "tweedie",
-                             "two_step:tweedie"]))
+                             "two_step:tweedie", "two_step:dim", "two_step:pcr",
+                             "two_step:ridge", "two_step:lasso",
+                             "two_step:elastic_net:0.5", "two_step:ols@pre"]))
 def test_block_assembly_matches_imputation_matrix(seed, n, k, n_constant, name):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, k)) * rng.uniform(0.1, 10.0, k)
@@ -382,14 +386,43 @@ def test_block_assembly_matches_imputation_matrix(seed, n, k, n_constant, name):
     assert abs(swapped.ate + est.ate) <= tol
 
 
+@pytest.mark.parametrize("flat_arm", [0, 1])
+def test_two_step_tweedie_with_one_intercept_only_arm_matches_imputation(flat_arm):
+    """A covariate constant in one arm only leaves that arm's tweedie base
+    an identity-link ``dim_fallback`` while the other arm keeps its log-link
+    fit; either labelling matches the N x 2 reference and negates on a swap."""
+    rng = np.random.default_rng(21)
+    n = 120
+    j = np.arange(n) % 2
+    z = rng.standard_normal(n)
+    z[j == flat_arm] = 0.5
+    y = np.exp(1.0 + 0.4 * z + 0.3 * rng.standard_normal(n))
+    data = dataset(y, j, z)
+    spec = parse_model("two_step:tweedie")
+    assert [m.link for m in fit_arm_models(data, spec.base)] == (
+        ["identity", "log"] if flat_arm == 0 else ["log", "identity"])
+    ate, mses, ci, scale = imputation_reference(data, spec, 0.1, 0)
+    est = estimate(data, spec, alpha=0.1)
+    tol = 1e-12 * max(scale, 1.0)
+    assert abs(est.ate - ate) <= tol
+    np.testing.assert_allclose(est.mse_per_arm, mses, rtol=1e-12)
+    np.testing.assert_allclose(est.ci, ci, rtol=0, atol=tol)
+    assert f"arm{1 - flat_arm}:dim_fallback" not in est.flags
+    swapped = estimate(with_assignment(data, 1 - j), spec, alpha=0.1)
+    assert abs(swapped.ate + est.ate) <= tol
+
+
 @pytest.mark.parametrize("name, rows_evaluated", [
-    *((name, 0) for name in ("dim", "ols", "ols@pre", "pcr", "ridge", "lasso",
-                             "elastic_net:0.5")),
+    *((prefix + name, 0) for prefix in ("", "two_step:")
+      for name in ("dim", "ols", "ols@pre", "pcr", "ridge", "lasso", "elastic_net:0.5")),
     ("tweedie", 2),
+    ("two_step:tweedie", 4),
 ])
 def test_assembly_evaluates_rows_only_for_a_log_link(monkeypatch, name, rows_evaluated):
-    """Identity-link pairs assemble from each fit's means, slopes and RSS;
-    a log-link pair sums each model's predictions over the other arm."""
+    """Identity-link pairs assemble from each fit's means, slopes and RSS,
+    and ``two_step`` of an identity-link base calibrates from its fits; a
+    log-link pair sums each model's predictions over the other arm, and its
+    ``two_step`` evaluates both models on both arms."""
     data = generate(SyntheticConfig(n_units=400, k_covariates=3, outcome_cor=0.6, seed=14))
     data = replace(data, outcome=np.exp(data.outcome))
     calls = []
