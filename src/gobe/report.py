@@ -147,7 +147,8 @@ def write_manifest(path, command: str, config: dict, seed: int,
             "gobe": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "platform": platform.platform(),
+            # not platform.platform(): its uname() processor field runs `uname -p`
+            "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
         },
         "timings_ms": timings_ms,
     })

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from gobe import aa, estimator
+from gobe import aa, dataset, estimator
 
 # Property tests draw the same examples on every run, so a tier-1 result
 # does not depend on the run; examples are timed by the suite, not per case.
@@ -13,6 +13,13 @@ settings.load_profile("gobe")
 
 # Make the sibling oracles module importable regardless of invocation dir.
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(autouse=True)
+def no_held_parse(monkeypatch):
+    """Start every test with no parse held by the CSV fast path, so the order
+    of tests cannot decide whether a load parses or reuses a parse."""
+    monkeypatch.setattr(dataset, "_last_parse", None)
 
 
 @pytest.fixture

@@ -416,6 +416,86 @@ def test_fast_path_opens_the_input_once(tmp_path, monkeypatch, unit_id):
     assert_same_data(back, load_by_row_parser(path, schema))
 
 
+@pytest.mark.parametrize("unit_id", ["unit_id", None])
+def test_the_same_bytes_and_schema_are_parsed_once(tmp_path, unit_id):
+    data = generate(SyntheticConfig(n_units=50, k_covariates=2, daily_arrivals=5.0, seed=4))
+    path = tmp_path / "in.csv"
+    schema = replace(write_csv(data, path), unit_id=unit_id)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        first = load_csv(path, schema)
+        second = load_csv(path, schema)
+        held = dataset._read_columns_fast(path, schema)
+    assert loadtxt.call_count == 1
+    assert_same_data(first, load_by_row_parser(path, schema))
+    assert_same_data(second, first)
+    assert all(not arr.flags.writeable for arr in held if arr is not None)
+
+
+def test_a_same_size_rewrite_keeping_the_mtime_is_parsed_again(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text(_HEAD + _ROWS, encoding="utf-8")
+    before = path.stat()
+    assert load_csv(path, SCHEMA).outcome.tolist() == [1.5, 2.5, 3.5]
+    path.write_text(_HEAD + _ROWS.replace("2.5", "7.5"), encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    back = load_csv(path, SCHEMA)
+    assert back.outcome.tolist() == [1.5, 7.5, 3.5]
+    assert_same_data(back, load_by_row_parser(path, SCHEMA))
+
+
+def test_a_parse_is_reused_for_the_same_bytes_only_under_the_same_schema(tmp_path):
+    data = generate(SyntheticConfig(n_units=60, k_covariates=3, seed=5))
+    path, copy = tmp_path / "in.csv", tmp_path / "copy.csv"
+    schema = write_csv(data, path)
+    copy.write_bytes(path.read_bytes())
+    reordered = replace(schema, covariates=tuple(reversed(schema.covariates)))
+    without_ids = replace(schema, unit_id=None)
+    loads = [(path, schema, 1), (copy, schema, 1), (copy, reordered, 2),
+             (copy, without_ids, 3), (path, schema, 4)]
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        for file, file_schema, parses in loads:
+            back = load_csv(file, file_schema)
+            assert loadtxt.call_count == parses
+            assert_same_data(back, load_by_row_parser(file, file_schema))
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_CORPUS))
+def test_malformed_file_loaded_twice_ends_the_same_way_both_times(tmp_path, name):
+    path, schema, _ = write_corpus_file(tmp_path, name)
+    with mock.patch.object(dataset, "_read_rows", wraps=dataset._read_rows) as read_rows:
+        first = _load_or_error(load_csv, path, schema)
+        second = _load_or_error(load_csv, path, schema)
+    if isinstance(first, Exception):
+        assert (type(second), str(second)) == (type(first), str(first))
+    else:
+        assert_same_data(second, first)
+    declined = _fast_path_outcome(path, schema) is False
+    assert read_rows.call_count == (2 if declined else 0)
+
+
+def test_a_reused_parse_opens_the_input_once(tmp_path, monkeypatch):
+    data = generate(SyntheticConfig(n_units=50, daily_arrivals=5.0, seed=4))
+    path = tmp_path / "in.csv"
+    schema = write_csv(data, path)
+    first = load_csv(path, schema)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(path):
+            opened.append(args)
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", counting_open)
+        patch.setattr(np, "loadtxt", None)  # a reused parse never calls numpy's reader
+        back = load_csv(path, schema)
+    assert len(opened) == 1
+    assert_same_data(back, first)
+
+
 def test_generate_independent_case():
     data = generate(SyntheticConfig(n_units=1000, outcome_cor=0.0, seed=7))
     corr = np.corrcoef(data.pre_period, data.outcome)[0, 1]
