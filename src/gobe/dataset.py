@@ -345,12 +345,11 @@ def _read_columns_fast(path, schema: CsvSchema):
     an integer >= 1 (days from 2**53 up are declined too).
 
     The file is opened once: ``_plain_lines`` checks each of ``_line_blocks``
-    and the unit ids are split from it, then ``np.loadtxt`` parses the rows
-    from the same handle. Beyond the table and ids it holds one block.
-
-    A call whose scanned bytes and schema equal the last accepted parse's
-    returns that parse without numpy; any other releases it before parsing and
-    keeps its own accepted result if the file's size and mtime did not change.
+    as its bytes are hashed. A call whose bytes and schema equal the last
+    accepted parse's returns that parse; any other releases it, splits the
+    unit ids off a second pass over the blocks, and ``np.loadtxt`` parses the
+    rows from the same handle. Beyond the table and ids it holds one block.
+    A result is kept if the file's size and mtime did not change.
     """
     import hashlib  # not at the top: ``import gobe.cli`` need not load OpenSSL
 
@@ -367,25 +366,26 @@ def _read_columns_fast(path, schema: CsvSchema):
             col = _resolve_columns(header.rstrip(b"\r\n").decode().split(","), schema, path)
         except SchemaError:  # the row parser raises it, unless the rows fail first
             return None
-        n_rows, ids, digest = 0, [], hashlib.sha256(header)
+        n_rows, digest = 0, hashlib.sha256(header)
         for block in _line_blocks(fh):
             lines = _plain_lines(block, commas)
             if lines is None:
                 return None
             digest.update(block)
             n_rows += lines
-            if schema.unit_id is not None:
-                # every carriage return ends a CRLF pair, and every line a feed
-                ids.extend(line.split(",")[col[schema.unit_id]] for line in
-                           block.decode("utf-8").replace("\r", "").split("\n")[:-1])
         if n_rows < 2:
             return None
         key = (schema, digest.digest())
         if held is not None and held[0] == key:
             _last_parse = held
             return held[1]
-        held = None
-        ids = np.array(ids) if ids else None  # frees the id strings before the parse
+        held, ids = None, None
+        if schema.unit_id is not None:  # every CR ends a CRLF pair, and every line a feed
+            fh.seek(len(header))
+            ids = np.array([line.split(",")[col[schema.unit_id]] for block in _line_blocks(fh)
+                            for line in block.decode("utf-8").replace("\r", "").split("\n")[:-1]])
+            if ids.shape[0] != n_rows:  # the file changed since the scan
+                return None
         numeric = [schema.assignment, schema.outcome, *schema.covariates]
         if schema.day is not None:
             numeric.append(schema.day)

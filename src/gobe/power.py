@@ -17,7 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import ExperimentData
+from .dataset import ExperimentData, check_days
 from .errors import ValidationError
 from .estimator import AteEstimate, ate_variance, check_alpha, z_for_alpha
 
@@ -65,11 +65,8 @@ def forecast_arm_sizes(data: ExperimentData, current_day: int,
     """
     if data.day_index is None:
         raise ValidationError("duration analysis requires a day column")
-    if current_day < 1:
-        raise ValidationError("current_day must be >= 1")
     horizon = DEFAULT_HORIZON_FACTOR * current_day if horizon is None else horizon
-    if horizon < current_day:
-        raise ValidationError("horizon must not precede the analysis day")
+    check_days(current_day, horizon)
     seen = data.day_index <= current_day
     n0_now = int(np.count_nonzero(seen & (data.assignment == 0)))
     n1_now = int(np.count_nonzero(seen & (data.assignment == 1)))

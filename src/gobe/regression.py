@@ -38,7 +38,7 @@ case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -390,29 +390,20 @@ def _in_lock_step(spec: ModelSpec, steps: list) -> list:
 def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
                    seed: int = 0, grid: tuple[float, ...] | None = None,
                    ) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """Pick the regularization level by k-fold out-of-fold R^2.
-
-    Folds are a seeded random partition with sizes differing by at most one.
-    Each fold's shifted rows [1, z, y] are gathered once and reduced to their
-    QR triangle R_f and column ranges. Fold i trains on the QR of the other
-    folds' stacked triangles, dropping columns constant on those rows, and
-    fits the gamma path large to small, warm-started. A gamma's residuals on
-    fold i are its rows times a = (intercept offset, -slopes, 1), so its SSE
-    is |R_i a|^2; the total sum of squares comes from fold i's outcomes, and
-    a constant target scores exactly 0. Returns the gamma with the highest
-    mean R^2 (ties go to the larger gamma, the stronger regularization) and
-    the per-gamma mean scores. The caller refits on the full arm. Without
-    ``grid`` or ``spec.hyper_grid``, the default grid is read off the QR of
-    the stacked fold triangles, as ``fit`` reads it, so both pick one grid.
-    """
+    """``fit``'s choice of penalty: the ``(chosen_gamma, cv_scores)`` that
+    ``fit(spec, outcome, covariates, seed)`` reports, with ``grid``, when
+    given, as the spec's ``hyper_grid``. The spec's column subset is honoured
+    (``@pre`` raises, as ``fit`` does without a pre-period column index).
+    Raises ValidationError when that fit does not cross-validate: its grid
+    has one gamma or no covariate column varies."""
     if spec.kind not in _PENALIZED:
         raise ValidationError(f"cross-validation applies to {_PENALIZED}, not {spec.kind!r}")
-    x, _, varies = _shifted(outcome, covariates)
-    folds = _folds(x, seed)
-    if grid is None:
-        r = np.linalg.qr(np.vstack([f[0] for f in folds]), mode="r")
-        grid = spec.hyper_grid or default_gamma_grid(_cross_moments(r, x.shape[0], varies))
-    return _in_lock_step(spec, [_cross_validate(folds, grid)])[0]
+    model = fit(replace(spec, hyper_grid=spec.hyper_grid if grid is None else grid),
+                outcome, covariates, seed)
+    if model.cv_scores is None:
+        raise ValidationError("nothing to cross-validate: the grid has one gamma "
+                              "or no covariate column varies")
+    return model.chosen_gamma, model.cv_scores
 
 
 def _folds(x: np.ndarray, seed: int) -> list[tuple]:
@@ -433,9 +424,13 @@ def _folds(x: np.ndarray, seed: int) -> list[tuple]:
 
 
 def _cross_validate(folds: list[tuple], grid: tuple[float, ...]):
-    """``cross_validate`` on the fold reductions of ``_folds``, as a generator
-    that yields one chain per scored fold, its gamma path large to small, and
-    is sent their paths."""
+    """``fit``'s cross-validation on the fold reductions of ``_folds``, as a
+    generator that yields one chain per scored fold, its gamma path large to
+    small, and is sent their paths. Fold i trains on the QR of the other
+    folds' stacked triangles, dropping columns constant on those rows; a
+    gamma's SSE on fold i is |R_i a|^2 for a = (intercept offset, -slopes, 1).
+    Returns the gamma of highest mean out-of-fold R^2 (a constant target
+    scores 0; ties go to the larger gamma) and the per-gamma mean scores."""
     order = np.argsort(grid)[::-1]  # large-to-small for warm starts and tie-breaks
     m = sum(f[4] for f in folds)
     chains, tests = [], []
@@ -481,18 +476,12 @@ def lasso_gamma_max(outcome: np.ndarray, covariates: np.ndarray) -> float:
     slopes vanish exactly (not just approximately) at this value.
     """
     x, _, varies = _shifted(outcome, covariates)
-    return _gamma_max(_cross_moments(np.linalg.qr(x, mode="r"), x.shape[0], varies))
+    *_, s, q = _standardize(np.linalg.qr(x, mode="r"), x.shape[0], varies)
+    return _gamma_max(s.T @ q / x.shape[0])
 
 
 def _gamma_max(c: np.ndarray) -> float:
     return float(np.max(np.abs(c))) if c.size else 0.0
-
-
-def _cross_moments(r: np.ndarray, m: int, varies: np.ndarray) -> np.ndarray:
-    """S'q/m over the varying columns of the triangle r of m shifted rows,
-    as ``fit`` forms it."""
-    *_, s, q = _standardize(r, m, varies)
-    return s.T @ q / m
 
 
 def _shifted(y: np.ndarray, z: np.ndarray, cols: np.ndarray | None = None,

@@ -431,6 +431,20 @@ def test_the_same_bytes_and_schema_are_parsed_once(tmp_path, unit_id):
     assert all(not arr.flags.writeable for arr in held if arr is not None)
 
 
+def test_unit_ids_are_split_only_for_a_parse(tmp_path):
+    # one pass over the lines scans a file; a parse with mapped ids makes one more
+    data = generate(SyntheticConfig(n_units=50, k_covariates=2, seed=6))
+    path = tmp_path / "in.csv"
+    schema = write_csv(data, path)
+    with mock.patch.object(dataset, "_line_blocks", wraps=dataset._line_blocks) as passes:
+        first = load_csv(path, schema)
+        assert passes.call_count == 2
+        second = load_csv(path, schema)
+        assert passes.call_count == 3
+    assert first.unit_ids.tolist() == [str(i) for i in data.unit_ids]
+    assert_same_data(second, first)
+
+
 def test_a_same_size_rewrite_keeping_the_mtime_is_parsed_again(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text(_HEAD + _ROWS, encoding="utf-8")

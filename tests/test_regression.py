@@ -355,6 +355,43 @@ def test_cross_validate_picks_the_default_grid_fit_picks(name):
         assert cross_validate(spec, y, z, seed=seed) == (model.chosen_gamma, model.cv_scores)
 
 
+@pytest.mark.parametrize("name, beta", [
+    ("lasso@0", [1.0, 0.0, 2.0]),
+    ("ridge@0,2", [1.0, 3.0, 2.0]),
+    ("elastic_net:0.5@1", [1.0, 0.0, 2.0]),
+])
+def test_cross_validate_reads_only_the_spec_columns(name, beta):
+    # the strongest column lies outside the subset, so the subset's default grid
+    # starts lower than the all-column grid
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((200, 3))
+    y = z @ np.array(beta) + rng.standard_normal(200)
+    spec = parse_model(name)
+    model = fit(spec, y, z, seed=1)
+    every_column = fit(ModelSpec(spec.kind, mix=spec.mix), y, z, seed=1)
+    assert model.cv_scores[0][0] < every_column.cv_scores[0][0]
+    assert cross_validate(spec, y, z, seed=1) == (model.chosen_gamma, model.cv_scores)
+
+
+def test_cross_validate_needs_the_pre_period_column_for_a_pre_spec():
+    y, z = linear_arm(seed=15)
+    with pytest.raises(ValidationError, match="needs the dataset's pre-period column index"):
+        cross_validate(parse_model("lasso@pre"), y, z, seed=0)
+
+
+@pytest.mark.parametrize("spec, grid, constant", [
+    pytest.param(ModelSpec("ridge", hyper_grid=(1.0,)), None, False, id="spec-grid"),
+    pytest.param(ModelSpec("lasso"), (0.5,), False, id="grid-argument"),
+    pytest.param(ModelSpec("elastic_net", mix=0.5), (0.1, 1.0), True, id="constant-covariates"),
+])
+def test_cross_validate_refuses_a_fit_that_does_not_cross_validate(spec, grid, constant):
+    y, z = linear_arm(seed=16)
+    if constant:
+        z = np.full_like(z, 2.5)
+    with pytest.raises(ValidationError, match="nothing to cross-validate"):
+        cross_validate(spec, y, z, seed=0, grid=grid)
+
+
 # --- Gram-form fits against the row-space reference ------------------------
 
 _CV_SEED = 3

@@ -33,7 +33,7 @@ LATE_ARM = {"day_index": np.array([3, 4, 3, 4, 3, 4, 3, 4])}  # arm 1 arrives on
                  id="filter-day-0"),
     pytest.param(lambda: filter_by_day(eight_units(), 2), "no units triggered by day 2",
                  id="filter-empty"),
-    pytest.param(lambda: forecast_arm_sizes(eight_units(), 0), "current_day must be >= 1",
+    pytest.param(lambda: forecast_arm_sizes(eight_units(), 0), "day filter must be >= 1",
                  id="forecast-day-0"),
     pytest.param(lambda: forecast_arm_sizes(eight_units(), 5, horizon=4),
                  "horizon must not precede the analysis day", id="forecast-horizon"),
