@@ -70,7 +70,6 @@ class AaRun:
     kappa: int
     seed: int
     dim_index: int = 0
-    true_ate: float = 0.0
 
     @property
     def s_splits(self) -> int:
@@ -274,7 +273,6 @@ def bucket_metrics(run: AaRun, kappa: int | None = None) -> BucketMetrics:
     order = np.argsort(run.zeta, kind="stable")
     buckets = np.array_split(order, kappa)
     n_models = len(run.model_ids)
-    truth = run.true_ate
 
     shape = (kappa, n_models)
     mse = np.full(shape, np.nan)
@@ -290,13 +288,13 @@ def bucket_metrics(run: AaRun, kappa: int | None = None) -> BucketMetrics:
             if ok.size == 0:
                 continue
             est = run.ate[ok, m]
-            mse[j, m] = np.mean((est - truth) ** 2)
-            median_dist[j, m] = (np.median(est) - truth) ** 2
-            below = np.mean(est < truth)
-            above = np.mean(est > truth)
+            mse[j, m] = np.mean(est ** 2)
+            median_dist[j, m] = np.median(est) ** 2
+            below = np.mean(est < 0.0)
+            above = np.mean(est > 0.0)
             excess[j, m] = max(0.0, 2.0 * max(below, above) - 1.0)
             coverage[j, m] = np.mean(
-                (run.ci_lo[ok, m] <= truth) & (truth <= run.ci_hi[ok, m])
+                (run.ci_lo[ok, m] <= 0.0) & (0.0 <= run.ci_hi[ok, m])
             )
 
     r_mse = _relative(mse, run.dim_index)
@@ -312,11 +310,11 @@ def bucket_metrics(run: AaRun, kappa: int | None = None) -> BucketMetrics:
 
 
 def pooled_coverage(run: AaRun) -> dict[str, float]:
-    """Fraction of intervals covering the truth, pooled over all splits."""
+    """Fraction of intervals covering zero, pooled over all splits."""
     out = {}
     for m, model_id in enumerate(run.model_ids):
         ok = ~run.failed[:, m]
-        covered = (run.ci_lo[ok, m] <= run.true_ate) & (run.true_ate <= run.ci_hi[ok, m])
+        covered = (run.ci_lo[ok, m] <= 0.0) & (0.0 <= run.ci_hi[ok, m])
         out[model_id] = float(covered.mean()) if ok.any() else float("nan")
     return out
 

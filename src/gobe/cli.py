@@ -1,14 +1,18 @@
 """Command-line surface and batch orchestration.
 
 Commands: ``estimate``, ``aa``, ``stress``, ``power``, ``simulate``,
-``batch``. Options can come from an INI config file: a ``[run]`` key is named
-like the command's long flag without ``--``, a ``[schema]`` key like the
-column flag without ``--`` and ``-col``/``-cols``. Each value is parsed like
-its flag, a key the command has no flag for is an error, and explicit flags
-override the file. All randomness flows from the single ``--seed`` recorded
-in the run manifest, and re-running a command with the same config and seed
-reproduces the report files byte for byte; timings and version stamps live
-in the manifest only.
+``batch``. ``batch`` writes one estimate report per experiment and day filter,
+and ``aggregate.csv``: per-model variance-reduction quartiles, overall and by
+size quartile, whose ``n_experiments`` counts those reports.
+
+Options can come from an INI config file: a ``[run]`` key is named like the
+command's long flag without ``--``, a ``[schema]`` key like the column flag
+without ``--`` and ``-col``/``-cols``. Each value is parsed like its flag, a
+key the command has no flag for is an error, and explicit flags override the
+file. All randomness flows from the single ``--seed`` recorded in the run
+manifest, and re-running a command with the same config and seed reproduces
+the report files byte for byte; timings and version stamps live in the
+manifest only.
 """
 
 from __future__ import annotations
@@ -166,9 +170,13 @@ def _simulate_flags(p):
 
 def _day_list(text: str) -> list[int]:
     try:
-        return [int(day) for day in _split_list(text)]
+        days = [int(day) for day in _split_list(text)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid day list: {text!r}") from None
+    for i, day in enumerate(days):
+        if day in days[:i]:
+            raise argparse.ArgumentTypeError(f"day {day} is listed more than once in {text!r}")
+    return days
 
 
 def _config_values(args: argparse.Namespace) -> dict[str, str]:
@@ -383,13 +391,15 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> None:
 
 
 def _cmd_batch(args: argparse.Namespace, out_dir: Path) -> None:
+    if args.experiments < 1:
+        raise ValidationError(f"--experiments must be >= 1, got {args.experiments}")
     config = _synthetic_config(args)
     if args.day_filters and config.daily_arrivals <= 0:
         config = replace(config, daily_arrivals=max(1.0, config.n_units / 28))
     specs = _model_specs(args)
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(exist_ok=True)
-    paths = []
+    docs = []
     for w in range(args.experiments):
         seed = child_seed(args.seed, w)
         data = dataset.generate(replace(config, seed=seed))
@@ -399,51 +409,19 @@ def _cmd_batch(args: argparse.Namespace, out_dir: Path) -> None:
             doc["experiment"] = w
             name = f"exp{w:03d}.json" if day is None else f"exp{w:03d}_day{day}.json"
             report.write_report(doc, reports_dir / name)
-            paths.append(reports_dir / name)
-    for name, (header, rows) in aggregate(paths).items():
-        with open(out_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            docs.append(report.jsonable(doc))
+    header, rows = aggregate(docs)
+    with open(out_dir / "aggregate.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def aggregate(paths: list) -> dict[str, tuple[list[str], list[list]]]:
-    """Meta-analysis tables over reports of one common kind.
-
-    For estimate reports: per-model variance-reduction quartiles, overall
-    and within sample-size quartile groups. For aa reports: quartiles across
-    experiments of each per-experiment median relative metric. For power
-    reports: quartiles of the day savings versus the baseline, plus counts
-    of experiments that only the candidate can reject within each extra-days
-    budget.
+def aggregate(docs: list[dict]) -> tuple[list[str], list[list]]:
+    """Per-model variance-reduction quartiles over estimate reports as
+    written (a ``None`` reduction is left out), for group ``all`` and, from
+    four reports on, the ``n_units`` quartile groups ``size_q1``..``size_q4``.
     """
-    docs = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            docs.append(json.load(fh))
-    if not docs:
-        raise ValidationError("aggregate needs at least one report")
-    kinds = {doc.get("kind") for doc in docs}
-    if len(kinds) != 1:
-        raise ValidationError(f"aggregate needs one report kind, got {sorted(kinds)}")
-    kind = kinds.pop()
-    if kind == "estimate":
-        return {"aggregate": _aggregate_estimates(docs)}
-    if kind == "aa":
-        return {"aggregate": _aggregate_aa(docs)}
-    if kind == "power":
-        return {"aggregate": _aggregate_power_deltas(docs),
-                "extra_days": _aggregate_power_budgets(docs)}
-    raise ValidationError(f"aggregate does not support {kind!r} reports")
-
-
-def _quartiles(values: np.ndarray) -> list[float]:
-    return [float(np.min(values)), float(np.percentile(values, 25)),
-            float(np.median(values)), float(np.percentile(values, 75)),
-            float(np.max(values))]
-
-
-def _aggregate_estimates(docs: list[dict]) -> tuple[list[str], list[list]]:
     header = ["group", "model", "n_experiments",
               "vr_min", "vr_q25", "vr_median", "vr_q75", "vr_max"]
     sizes = np.array([doc["input"]["n_units"] for doc in docs])
@@ -463,73 +441,10 @@ def _aggregate_estimates(docs: list[dict]) -> tuple[list[str], list[list]]:
             ])
             if values.size == 0:
                 continue
-            rows.append([group, mid, int(values.size), *_quartiles(values)])
-    return header, rows
-
-
-def _aggregate_aa(docs: list[dict]) -> tuple[list[str], list[list]]:
-    header = ["model", "metric", "n_experiments", "q25", "median", "q75"]
-    rows = []
-    metrics = ("r_mse", "r_median_dist", "r_excess_frac", "coverage")
-    models = list(dict.fromkeys(mid for doc in docs for mid in doc["bucket_metrics"]["per_model"]))
-    for mid in models:
-        for metric in metrics:
-            values = []
-            for doc in docs:
-                block = doc["bucket_metrics"]["per_model"].get(mid)
-                if block is None or metric not in block:
-                    continue
-                finite = [v for v in block[metric] if v is not None]
-                if finite:
-                    values.append(float(np.median(finite)))
-            if values:
-                arr = np.array(values)
-                rows.append([mid, metric, len(values),
-                             float(np.percentile(arr, 25)), float(np.median(arr)),
-                             float(np.percentile(arr, 75))])
-    return header, rows
-
-
-def _aggregate_power_deltas(docs: list[dict]) -> tuple[list[str], list[list]]:
-    header = ["model", "n_experiments", "days_saved_q25", "days_saved_median", "days_saved_q75"]
-    deltas: dict[str, list[float]] = {}
-    for doc in docs:
-        recs = {r["model_id"]: r for r in doc["recommendations"]}
-        dim = recs.get("dim")
-        if dim is None or dim["D_prime"] is None:
-            continue
-        for mid, rec in recs.items():
-            if mid == "dim" or rec["D_prime"] is None:
-                continue
-            deltas.setdefault(mid, []).append(dim["D_prime"] - rec["D_prime"])
-    rows = []
-    for mid, values in deltas.items():
-        arr = np.array(values)
-        rows.append([mid, len(values), float(np.percentile(arr, 25)),
-                     float(np.median(arr)), float(np.percentile(arr, 75))])
-    return header, rows
-
-
-def _aggregate_power_budgets(docs: list[dict]) -> tuple[list[str], list[list]]:
-    header = ["model", "extra_days", "n_reject_model_not_dim"]
-    horizon = max((doc["horizon"] - doc["anchor_day"] for doc in docs), default=0)
-    models = list(dict.fromkeys(rec["model_id"] for doc in docs for rec in doc["recommendations"]
-                                if rec["model_id"] != "dim"))
-    rows = []
-    for mid in models:
-        for budget in range(1, horizon + 1):
-            count = 0
-            for doc in docs:
-                recs = {r["model_id"]: r for r in doc["recommendations"]}
-                rec, dim = recs.get(mid), recs.get("dim")
-                if rec is None or rec["D_prime"] is None:
-                    continue
-                cutoff = doc["anchor_day"] + budget
-                model_ok = rec["D_prime"] <= cutoff
-                dim_ok = dim is not None and dim["D_prime"] is not None and dim["D_prime"] <= cutoff
-                if model_ok and not dim_ok:
-                    count += 1
-            rows.append([mid, budget, count])
+            rows.append([group, mid, int(values.size),
+                         float(np.min(values)), float(np.percentile(values, 25)),
+                         float(np.median(values)), float(np.percentile(values, 75)),
+                         float(np.max(values))])
     return header, rows
 
 

@@ -244,23 +244,21 @@ def test_batch_outputs_are_byte_identical_across_runs(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_aggregate_single_report_is_identity(tmp_path):
+def test_aggregate_single_report_is_identity():
     doc = {
         "kind": "estimate", "seed": 0, "alpha": 0.05,
         "input": {"n_units": 100, "k_covariates": 2, "n_per_arm": [50, 50],
                   "day_filter": None},
         "estimates": [], "variance_reduction": {"dim": 0.0, "ols": 42.5},
     }
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps(doc))
-    header, rows = aggregate([path])["aggregate"]
+    header, rows = aggregate([doc])
     ols_rows = [r for r in rows if r[0] == "all" and r[1] == "ols"]
     assert ols_rows[0][2] == 1
     assert ols_rows[0][header.index("vr_median")] == 42.5
 
 
-def test_aggregate_median_of_four(tmp_path):
-    paths = []
+def test_aggregate_median_of_four():
+    docs = []
     for i, vr in enumerate([0.0, 10.0, 20.0, 30.0]):
         doc = {
             "kind": "estimate", "seed": i, "alpha": 0.05,
@@ -268,16 +266,14 @@ def test_aggregate_median_of_four(tmp_path):
                       "n_per_arm": [50, 50], "day_filter": None},
             "estimates": [], "variance_reduction": {"ols": vr},
         }
-        p = tmp_path / f"r{i}.json"
-        p.write_text(json.dumps(doc))
-        paths.append(p)
-    header, rows = aggregate(paths)["aggregate"]
+        docs.append(doc)
+    header, rows = aggregate(docs)
     all_ols = next(r for r in rows if r[0] == "all" and r[1] == "ols")
     assert all_ols[header.index("vr_median")] == 15.0
 
 
-def test_aggregate_quartile_groups_of_25(tmp_path):
-    paths = []
+def test_aggregate_quartile_groups_of_25():
+    docs = []
     rng = np.random.default_rng(0)
     for i in range(100):
         doc = {
@@ -286,22 +282,36 @@ def test_aggregate_quartile_groups_of_25(tmp_path):
                       "k_covariates": 2, "n_per_arm": [50, 50], "day_filter": None},
             "estimates": [], "variance_reduction": {"ols": float(rng.uniform(0, 50))},
         }
-        p = tmp_path / f"r{i:03d}.json"
-        p.write_text(json.dumps(doc))
-        paths.append(p)
-    header, rows = aggregate(paths)["aggregate"]
+        docs.append(doc)
+    header, rows = aggregate(docs)
     for q in range(1, 5):
         row = next(r for r in rows if r[0] == f"size_q{q}" and r[1] == "ols")
         assert row[header.index("n_experiments")] == 25
 
 
-def test_aggregate_rejects_mixed_kinds(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    a.write_text(json.dumps({"kind": "estimate", "seed": 0}))
-    b.write_text(json.dumps({"kind": "power", "seed": 0}))
-    with pytest.raises(Exception, match="one report kind"):
-        aggregate([a, b])
+def test_batch_aggregate_is_the_aggregate_of_its_reports(tmp_path):
+    out = tmp_path / "batch"
+    assert run_cli("batch", "--experiments", "5", "--day-filters", "7,28", "--n-units", "500",
+                   "--outcome-cor", "0.5", "--daily-arrivals", "30",
+                   "--models", "dim,ols,ridge", "--seed", "21", "--out", out) == 0
+    docs = [json.loads((out / "reports" / f"exp{w:03d}_day{day}.json").read_text())
+            for w in range(5) for day in (7, 28)]
+    header, rows = aggregate(docs)
+    with open(out / "aggregate.csv", newline="", encoding="utf-8") as fh:
+        written = list(csv.reader(fh))
+    assert written[0] == header
+    assert written[1:] == [[str(value) for value in row] for row in rows]
+    assert {row[0] for row in rows} == {"all", "size_q1", "size_q2", "size_q3", "size_q4"}
+
+
+@pytest.mark.parametrize("experiments", [0, -1])
+def test_batch_needs_at_least_one_experiment(experiments, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("batch", "--experiments", experiments, "--out", out) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == {
+        "type": "ValidationError",
+        "message": f"--experiments must be >= 1, got {experiments}"}
+    assert not (out / "reports").exists()
 
 
 def test_config_file_with_flag_override(four_row_csv, tmp_path):
@@ -404,67 +414,6 @@ def test_env_var_default_out_dir(four_row_csv, tmp_path, monkeypatch):
                    "--models", "dim")
     assert code == 0
     assert (target / "report.json").exists()
-
-
-def test_aggregate_aa_reports(tmp_path):
-    paths = []
-    for i in range(3):
-        doc = {
-            "kind": "aa", "seed": i, "alpha": 0.05, "arm": 0, "s_splits": 100,
-            "kappa": 2, "models": ["dim", "ols"], "n_units": 50,
-            "failure_count": 0, "pooled_coverage": {"dim": 0.95, "ols": 0.95},
-            "bucket_metrics": {
-                "kappa": 2, "bucket_sizes": [50, 50],
-                "zeta_range": [[-1.0, 0.0], [0.0, 1.0]],
-                "per_model": {
-                    "dim": {"mse": [1.0, 2.0], "median_dist": [0.1, 0.2],
-                            "excess_frac": [0.0, 0.5], "coverage": [0.95, 0.94]},
-                    "ols": {"mse": [0.5, 0.5], "median_dist": [0.0, 0.0],
-                            "excess_frac": [0.0, 0.0], "coverage": [0.95, 0.95],
-                            "r_mse": [0.5, 0.75 + 0.1 * i],
-                            "r_median_dist": [1.0, 1.0],
-                            "r_excess_frac": [None, 1.0]},
-                },
-            },
-            "splits_csv": "aa_splits.csv",
-        }
-        p = tmp_path / f"aa{i}.json"
-        p.write_text(json.dumps(doc))
-        paths.append(p)
-    header, rows = aggregate(paths)["aggregate"]
-    r_mse_row = next(r for r in rows if r[0] == "ols" and r[1] == "r_mse")
-    assert r_mse_row[header.index("n_experiments")] == 3
-    # per-experiment medians are (0.625, 0.675, 0.725); their median is 0.675
-    assert r_mse_row[header.index("median")] == pytest.approx(0.675)
-
-
-def test_aggregate_power_reports(tmp_path):
-    paths = []
-    for i, (d_dim, d_ols) in enumerate([(20, 12), (30, 25), (None, 40)]):
-        doc = {
-            "kind": "power", "seed": i, "anchor_day": 7, "horizon": 70,
-            "delta": 0.01, "alpha": 0.05, "target_power": 0.8,
-            "recommendations": [
-                {"model_id": "dim", "D": 7, "D_prime": d_dim, "delta": 0.01,
-                 "alpha": 0.05, "power_target": 0.8,
-                 "projected_variance_at_D_prime": 0.001},
-                {"model_id": "ols", "D": 7, "D_prime": d_ols, "delta": 0.01,
-                 "alpha": 0.05, "power_target": 0.8,
-                 "projected_variance_at_D_prime": 0.001},
-            ],
-        }
-        p = tmp_path / f"p{i}.json"
-        p.write_text(json.dumps(doc))
-        paths.append(p)
-    tables = aggregate(paths)
-    header, rows = tables["aggregate"]
-    ols = next(r for r in rows if r[0] == "ols")
-    assert ols[header.index("n_experiments")] == 2  # third has no dim day
-    assert ols[header.index("days_saved_median")] == pytest.approx(6.5)
-    bheader, brows = tables["extra_days"]
-    # budget 10: ols rejects by day 17 in experiment 0 while dim cannot
-    row = next(r for r in brows if r[0] == "ols" and r[1] == 10)
-    assert row[bheader.index("n_reject_model_not_dim")] == 1
 
 
 def test_partial_model_failure_does_not_abort(tmp_path):
@@ -573,6 +522,7 @@ def test_config_key_without_a_flag_in_the_command_is_rejected(command, section, 
     ("estimate", "seed", "--seed", "abc"),
     ("aa", "s_splits", "--s-splits", "1e2"),
     ("batch", "day_filters", "--day-filters", "7,x"),
+    ("batch", "day_filters", "--day-filters", "7,28,7"),
 ])
 def test_config_value_type_error_fails_like_the_flag(command, key, flag, value, tmp_path,
                                                      capsys):
