@@ -1,8 +1,9 @@
 """Command-line surface and batch orchestration.
 
 Commands: ``estimate``, ``aa``, ``stress``, ``power``, ``simulate``,
-``batch``. ``batch`` writes one estimate report per experiment and day filter,
-and ``aggregate.csv``: per-model variance-reduction quartiles, overall and by
+``batch``. ``batch`` writes one estimate report per experiment and day filter
+(or, for a subset too small to estimate, its ``.error.json``), and
+``aggregate.csv``: per-model variance-reduction quartiles, overall and by
 size quartile, whose ``n_experiments`` counts those reports.
 
 Options can come from an INI config file: a ``[run]`` key is named like the
@@ -24,7 +25,6 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -33,7 +33,8 @@ import numpy as np
 from . import aa as aa_mod
 from . import dataset, power, report, stress
 from .errors import MODEL_FAILURES, SchemaError, ValidationError
-from .estimator import AteEstimate, checked_arms, estimate_arms, variance_reduction
+from .estimator import (AteEstimate, check_alpha, checked_arms, estimate_arms,
+                        variance_reduction)
 from .regression import ModelSpec, parse_model, with_dim_baseline
 from .rng import child_seed
 
@@ -200,8 +201,12 @@ def _config_values(args: argparse.Namespace) -> dict[str, str]:
     return values
 
 
+def _error_text(exc: Exception) -> str:
+    return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, indent=2)
+
+
 def _emit_error(exc: Exception, out: str) -> None:
-    text = json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, indent=2)
+    text = _error_text(exc)
     print(text, file=sys.stderr)
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
@@ -241,18 +246,6 @@ def _synthetic_config(args: argparse.Namespace) -> dataset.SyntheticConfig:
         **{field.name: getattr(args, field.name) for field in fields(dataset.SyntheticConfig)})
 
 
-@contextmanager
-def _recording_failure(spec: ModelSpec, failures: list[dict]):
-    """Record a non-baseline model's failure in ``failures``; the baseline's propagates."""
-    try:
-        yield
-    except MODEL_FAILURES as exc:
-        if spec.kind == "dim":
-            raise
-        failures.append({"model_id": spec.name, "type": type(exc).__name__,
-                         "message": str(exc)})
-
-
 def _estimates(data: dataset.ExperimentData, specs: list[ModelSpec], alpha: float,
                seed: int, failures: list[dict]) -> list[tuple[ModelSpec, AteEstimate]]:
     """Each model's estimate from one split of the rows by arm; a non-baseline
@@ -260,8 +253,13 @@ def _estimates(data: dataset.ExperimentData, specs: list[ModelSpec], alpha: floa
     arms = checked_arms(data, alpha)
     fitted = []
     for spec in specs:
-        with _recording_failure(spec, failures):
+        try:
             fitted.append((spec, estimate_arms(arms, spec, data.pre_period_col, alpha, seed)))
+        except MODEL_FAILURES as exc:
+            if spec.kind == "dim":
+                raise
+            failures.append({"model_id": spec.name, "type": type(exc).__name__,
+                             "message": str(exc)})
     return fitted
 
 
@@ -393,23 +391,34 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> None:
 def _cmd_batch(args: argparse.Namespace, out_dir: Path) -> None:
     if args.experiments < 1:
         raise ValidationError(f"--experiments must be >= 1, got {args.experiments}")
+    check_alpha(args.alpha)
+    for day in args.day_filters:
+        dataset.check_days(day)
     config = _synthetic_config(args)
     if args.day_filters and config.daily_arrivals <= 0:
         config = replace(config, daily_arrivals=max(1.0, config.n_units / 28))
     specs = _model_specs(args)
     reports_dir = out_dir / "reports"
     reports_dir.mkdir(exist_ok=True)
-    docs = []
+    docs, errors = [], []
     for w in range(args.experiments):
         seed = child_seed(args.seed, w)
         data = dataset.generate(replace(config, seed=seed))
         for day in args.day_filters or [None]:
-            subset = data if day is None else dataset.filter_by_day(data, day)
-            doc = _estimate_doc(subset, specs, args.alpha, seed, day)
+            stem = f"exp{w:03d}" if day is None else f"exp{w:03d}_day{day}"
+            try:  # a subset too small to estimate is recorded, and the rest aggregated
+                subset = data if day is None else dataset.filter_by_day(data, day)
+                doc = _estimate_doc(subset, specs, args.alpha, seed, day)
+            except ValidationError as exc:
+                (reports_dir / f"{stem}.error.json").write_text(_error_text(exc) + "\n",
+                                                                 encoding="utf-8")
+                errors.append(exc)
+                continue
             doc["experiment"] = w
-            name = f"exp{w:03d}.json" if day is None else f"exp{w:03d}_day{day}.json"
-            report.write_report(doc, reports_dir / name)
+            report.write_report(doc, reports_dir / f"{stem}.json")
             docs.append(report.jsonable(doc))
+    if not docs:
+        raise errors[0]
     header, rows = aggregate(docs)
     with open(out_dir / "aggregate.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

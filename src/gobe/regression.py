@@ -300,10 +300,13 @@ def _fit(spec: ModelSpec, outcome, covariates, seed: int, pre_period_col: int | 
     mean_parts = np.zeros((2, k + 1))
 
     def dim_model(extra_flags=()):
+        # a pairwise sum, not a BLAS dot product, whose last bit follows the thread count
         resid = y - y_bar
+        resid *= resid
+        rss = float(np.sum(resid))
         return FittedArmModel(
             spec=spec, intercept=y_bar, coefficients=np.zeros(k), mean_parts=mean_parts,
-            sds=np.ones(k), used=np.zeros(k, dtype=bool), rss=float(resid @ resid),
+            sds=np.ones(k), used=np.zeros(k, dtype=bool), rss=rss,
             n_obs=m, flags=tuple(flags) + tuple(extra_flags),
         )
 

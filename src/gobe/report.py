@@ -5,12 +5,11 @@ and version stamps go to the run manifest instead, so re-running a command
 reproduces the report byte for byte. Writes go through a temp file and an
 atomic rename.
 
-Every report is validated on every write. A small checker in this module
-applies the keywords the shipped schema uses, as JSON Schema draft 2020-12
-reads them, and accepts most documents alone; only a document it does not
-accept is handed to ``jsonschema``, imported then, which raises the error
-``jsonschema.validate`` would. So a successful run never imports
-``jsonschema``, and the manifest's version stamp is ``gobe.__version__``.
+Every report is validated on every write, by a small checker in this module
+that applies the keywords the shipped schema uses as JSON Schema draft
+2020-12 reads them. A report it rejects raises ``gobe.errors.ValidationError``
+naming the schema file and the report's kind; the tests hold it to
+``jsonschema``'s verdict. The manifest's version stamp is ``gobe.__version__``.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .aa import AaRun, BucketMetrics, pooled_coverage
+from .errors import ValidationError
 from .power import DurationRecommendation
 from .stress import StressResult
 
@@ -35,33 +35,13 @@ _SCHEMA = json.loads(
 
 
 def validate_report(doc: dict) -> None:
-    """Raise jsonschema.ValidationError if the document is malformed.
-
-    The error raised is the one ``jsonschema.validate`` would raise.
-    """
-    try:
-        if _accepts(doc, _SCHEMA):
-            return
-    except _Undecided:
-        pass
-    # the schema itself is checked against its metaschema by a test, not here
-    from jsonschema.exceptions import best_match
-    from jsonschema.validators import validator_for
-
-    error = best_match(validator_for(_SCHEMA)(_SCHEMA).iter_errors(doc))
-    if error is not None:
-        raise error
-
-
-class _Undecided(Exception):
-    """The checker cannot decide: a keyword it does not implement, a dialect
-    other than draft 2020-12, a value of a type ``json.loads`` does not
-    return, a ``$ref`` outside the root ``$defs``, or an ``enum``/``const``
-    with a member that is no string. jsonschema decides instead."""
+    """Raise ``ValidationError`` unless the document is valid under the shipped schema."""
+    if not _accepts(doc, _SCHEMA):
+        kind = doc.get("kind") if type(doc) is dict else None
+        raise ValidationError(f"report of kind {kind!r} does not match schemas/report.schema.json")
 
 
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
-_JSON = (*_TYPES.values(), int, float)
 _NUMBER = (int, float)  # exact types: a bool is no number
 
 
@@ -71,31 +51,13 @@ def _is(value, name: str) -> bool:
     return type(value) in _NUMBER if name == "number" else type(value) is _TYPES[name]
 
 
-def _strings(members: list) -> list:
-    """``enum`` members, for which ``in`` is jsonschema's equality if all are strings."""
-    if not all(type(x) is str for x in members):
-        raise _Undecided
-    return members
-
-
-def _draft_2020_12(dialect: str) -> bool:
-    if dialect != "https://json-schema.org/draft/2020-12/schema":
-        raise _Undecided
-    return True
-
-
-def _ref(target: str) -> dict:
-    name, defs = target.removeprefix("#/$defs/"), _SCHEMA.get("$defs", {})
-    if name == target or name not in defs or any(c in name for c in "/~%"):
-        raise _Undecided
-    return defs[name]
-
-
-# keyword -> whether (value, argument, the schema holding it) passes, by draft 2020-12
+# keyword -> whether (value, argument, the schema holding it) passes, by draft
+# 2020-12 as far as the shipped schema uses it: every "$ref" points into the
+# root "$defs" and every "enum"/"const" member is a string, so "in" is JSON equality
 _KEYWORDS = {
     "type": lambda v, a, s: any(_is(v, t) for t in ([a] if type(a) is str else a)),
-    "enum": lambda v, a, s: v in _strings(a),
-    "const": lambda v, a, s: v in _strings([a]),
+    "enum": lambda v, a, s: v in a,
+    "const": lambda v, a, s: v == a,
     "minimum": lambda v, a, s: type(v) not in _NUMBER or not v < a,
     "exclusiveMinimum": lambda v, a, s: type(v) not in _NUMBER or not v <= a,
     "exclusiveMaximum": lambda v, a, s: type(v) not in _NUMBER or not v >= a,
@@ -107,25 +69,19 @@ _KEYWORDS = {
     "additionalProperties": lambda v, a, s: type(v) is not dict or all(
         _accepts(x, a) for k, x in v.items() if k not in s.get("properties", {})),
     "items": lambda v, a, s: type(v) is not list or all(_accepts(x, a) for x in v),
-    "$ref": lambda v, a, s: _accepts(v, _ref(a)),
+    "$ref": lambda v, a, s: _accepts(v, _SCHEMA["$defs"][a.removeprefix("#/$defs/")]),
     "allOf": lambda v, a, s: all(_accepts(v, sub) for sub in a),
     "oneOf": lambda v, a, s: sum(_accepts(v, sub) for sub in a) == 1,
     "if": lambda v, a, s: _accepts(v, s.get("then" if _accepts(v, a) else "else", {})),
-    "$schema": lambda v, a, s: _draft_2020_12(a),
     # "then" and "else" are read by "if"; the rest only annotate
-    **dict.fromkeys(("then", "else", "$defs", "title"), lambda v, a, s: True),
+    **dict.fromkeys(("then", "else", "$defs", "$schema", "title"), lambda v, a, s: True),
 }
-
 
 
 def _accepts(value, schema: dict | bool) -> bool:
     """Whether ``value`` is valid under ``schema``, a subschema of the shipped one."""
-    if type(value) not in _JSON:
-        raise _Undecided
     if type(schema) is bool:  # a boolean schema accepts everything or nothing
         return schema
-    if not schema.keys() <= _KEYWORDS.keys():  # any other keyword: jsonschema decides
-        raise _Undecided
     return all(_KEYWORDS[key](value, arg, schema) for key, arg in schema.items())
 
 

@@ -34,10 +34,22 @@ SCHEMA_FLAGS = ["--assignment-col", "arm", "--outcome-col", "kpi",
                 "--covariate-cols", "pre", "--pre-period-col", "pre"]
 
 
-def read_report(out_dir):
-    doc = json.loads((out_dir / "report.json").read_text())
+def read_report_file(path):
+    doc = json.loads(path.read_text())
     validate_report(doc)
     return doc
+
+
+def read_report(out_dir):
+    return read_report_file(out_dir / "report.json")
+
+
+def run_python(script, **env):
+    """Run ``script`` in a fresh interpreter that imports this gobe; its stdout."""
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        [str(Path(gobe.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True).stdout
 
 
 def test_estimate_minimal(four_row_csv, tmp_path):
@@ -314,6 +326,40 @@ def test_batch_needs_at_least_one_experiment(experiments, tmp_path):
     assert not (out / "reports").exists()
 
 
+def test_batch_records_a_subset_too_small_to_estimate_and_aggregates_the_rest(tmp_path):
+    out = tmp_path / "batch"
+    assert run_cli("batch", "--experiments", "3", "--n-units", "60", "--daily-arrivals", "2",
+                   "--day-filters", "1,28", "--out", out) == 0
+    names = sorted(path.name for path in (out / "reports").iterdir())
+    assert names == [f"exp{w:03d}_day{day}{suffix}" for w in range(3)
+                     for day, suffix in ((1, ".error.json"), (28, ".json"))]
+    for name in names[::2]:
+        error = json.loads((out / "reports" / name).read_text())["error"]
+        assert error["type"] == "ValidationError" and error["message"]
+    header, rows = aggregate([read_report_file(out / "reports" / name) for name in names[1::2]])
+    with open(out / "aggregate.csv", newline="", encoding="utf-8") as fh:
+        written = list(csv.reader(fh))
+    assert written == [header, *([str(value) for value in row] for row in rows)]
+    assert rows[0][:3] == ["all", "dim", 3]
+
+
+def test_batch_fails_with_the_first_error_when_no_subset_is_left(tmp_path):
+    out = tmp_path / "batch"
+    assert run_cli("batch", "--experiments", "2", "--n-units", "60", "--daily-arrivals", "2",
+                   "--day-filters", "1", "--out", out) == 1
+    first = json.loads((out / "reports" / "exp000_day1.error.json").read_text())
+    assert json.loads((out / "error.json").read_text()) == first
+    assert not (out / "aggregate.csv").exists()
+
+
+def test_batch_checks_alpha_before_any_work(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("batch", "--alpha", "1.5", "--out", out) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == {
+        "type": "ValidationError", "message": "alpha must be in (0, 1), got 1.5"}
+    assert not (out / "reports").exists()
+
+
 def test_config_file_with_flag_override(four_row_csv, tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -405,6 +451,7 @@ def test_batch_day_filter_zero_fails_as_filter_by_day_does(tmp_path):
                    "--out", out) == 1
     assert json.loads((out / "error.json").read_text())["error"] == {
         "type": "ValidationError", "message": "day filter must be >= 1"}
+    assert not (out / "reports").exists()
 
 
 def test_env_var_default_out_dir(four_row_csv, tmp_path, monkeypatch):
@@ -582,15 +629,48 @@ def test_a_successful_run_imports_neither_jsonschema_nor_importlib_metadata(tmp_
               f"codes = [gobe.cli.main(argv) for argv in {commands!r}]\n"
               "print(json.dumps([on_import, codes, sorted({'jsonschema', 'importlib.metadata',"
               " 'subprocess'} & set(sys.modules))]))\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(gobe.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True)
-    assert json.loads(run.stdout) == [[], [0, 0], []]
+    assert json.loads(run_python(script)) == [[], [0, 0], []]
     for out in ("est", "aa"):
         read_report(tmp_path / out)
         manifest = json.loads((tmp_path / out / "manifest.json").read_text())
         assert manifest["versions"]["gobe"] == gobe.__version__
+
+
+def test_reports_are_written_and_rejected_without_jsonschema(tmp_path):
+    data = dataset.generate(dataset.SyntheticConfig(n_units=200, k_covariates=2,
+                                                    outcome_cor=0.5, seed=3))
+    dataset.write_csv(data, tmp_path / "in.csv")
+    argv = ["estimate", "--input", str(tmp_path / "in.csv"), "--assignment-col", "assignment",
+            "--outcome-col", "outcome", "--covariate-cols", "z1,z2", "--pre-period-col", "z1",
+            "--models", "dim,ols,lasso", "--out", str(tmp_path / "est")]
+    script = ("import sys\n"
+              "sys.modules['jsonschema'] = None  # any import of it raises ImportError\n"
+              "import gobe.cli\n"
+              "from gobe import errors, report\n"
+              f"print(gobe.cli.main({argv!r}))\n"
+              "try:\n"
+              "    report.validate_report({'kind': 'nope'})\n"
+              "except errors.ValidationError as exc:\n"
+              "    print(exc)\n")
+    assert run_python(script).splitlines() == [
+        "0", "report of kind 'nope' does not match schemas/report.schema.json"]
+    read_report(tmp_path / "est")
+
+
+def test_a_dim_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # arms of about 5e4 rows: OpenBLAS splits a dot product this long across threads
+    data = dataset.generate(dataset.SyntheticConfig(n_units=100_000, k_covariates=2,
+                                                    outcome_cor=0.5, seed=2))
+    dataset.write_csv(data, tmp_path / "in.csv")
+    argv = ["estimate", "--input", str(tmp_path / "in.csv"), "--assignment-col", "assignment",
+            "--outcome-col", "outcome", "--covariate-cols", "z1,z2", "--pre-period-col", "z1",
+            "--models", "dim"]
+    for threads in ("1", "2"):
+        run_python(f"import sys, gobe.cli\n"
+                   f"sys.exit(gobe.cli.main({[*argv, '--out', str(tmp_path / threads)]!r}))",
+                   OPENBLAS_NUM_THREADS=threads)
+    assert (tmp_path / "1" / "report.json").read_bytes() == (
+        tmp_path / "2" / "report.json").read_bytes()
 
 
 # Attributes perfbench/replay.py reads from the parsed namespace of each
