@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ExperimentData, restrict_to_arm
-from .errors import MODEL_FAILURES, ValidationError
-from .estimator import affine_ate, check_alpha, estimate_arms, interval
+from .errors import ValidationError
+from .estimator import AteEstimate, affine_ate, check_alpha, estimate_specs, interval
 from .regression import ModelSpec, _resolve_columns, with_dim_baseline
 from .rng import child_rng, child_seed
 
@@ -115,8 +115,9 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
 
     ``dim``, ``ols`` and ``ols@cols`` take the moment form of the module
     docstring, Z and y shifted by the arm mean; a split whose halves fail a
-    check of ``_affine_estimates`` goes to ``estimate_arms`` on its rows, as
-    does every split of the other kinds. ``zeta``, ``failed`` and the
+    check of ``_affine_estimates`` goes to its rows, as does every split of
+    the other kinds: one ``estimate_specs`` call per split fits its row
+    models, each seeded ``child_seed(seed, s, j)``. ``zeta``, ``failed`` and the
     records fitted from rows equal one ``estimate`` per relabelled dataset
     bit for bit; moment-form ``ate`` and interval ends lie within 1e-9 of
     that split's half-width of it.
@@ -144,14 +145,14 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
 
     def fit_rows(s, control, treated, models_j):
         arms = tuple((np.take(y, rows), np.take(z, rows, axis=0)) for rows in (control, treated))
-        for j in models_j:
-            try:
-                est = estimate_arms(arms, specs[j], pre_col, alpha, child_seed(seed, s, j))
-            except MODEL_FAILURES:
+        ests = estimate_specs(arms, [specs[j] for j in models_j], pre_col, alpha,
+                              [child_seed(seed, s, j) for j in models_j])
+        for j, est in zip(models_j, ests):
+            if isinstance(est, AteEstimate):
+                ate[s, j] = est.ate
+                ci_lo[s, j], ci_hi[s, j] = est.ci
+            else:
                 failed[s, j] = True
-                continue
-            ate[s, j] = est.ate
-            ci_lo[s, j], ci_hi[s, j] = est.ci
 
     # covariate columns of each affine model; dim is always among them
     affine = {j: cols for j, spec in enumerate(specs)

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import aa as aa_mod
 from . import dataset, power, report, stress
-from .errors import MODEL_FAILURES, SchemaError, ValidationError
-from .estimator import (AteEstimate, check_alpha, checked_arms, estimate_arms,
+from .errors import SchemaError, ValidationError
+from .estimator import (AteEstimate, check_alpha, checked_arms, estimate_specs,
                         variance_reduction)
 from .regression import ModelSpec, parse_model, with_dim_baseline
 from .rng import child_seed
@@ -248,18 +248,20 @@ def _synthetic_config(args: argparse.Namespace) -> dataset.SyntheticConfig:
 
 def _estimates(data: dataset.ExperimentData, specs: list[ModelSpec], alpha: float,
                seed: int, failures: list[dict]) -> list[tuple[ModelSpec, AteEstimate]]:
-    """Each model's estimate from one split of the rows by arm; a non-baseline
-    model failure is recorded in ``failures`` instead of aborting the run."""
+    """Each model's estimate from one split of the rows by arm and one fit
+    plan; a non-baseline model failure is recorded in ``failures`` instead of
+    aborting the run."""
     arms = checked_arms(data, alpha)
     fitted = []
-    for spec in specs:
-        try:
-            fitted.append((spec, estimate_arms(arms, spec, data.pre_period_col, alpha, seed)))
-        except MODEL_FAILURES as exc:
-            if spec.kind == "dim":
-                raise
-            failures.append({"model_id": spec.name, "type": type(exc).__name__,
-                             "message": str(exc)})
+    for spec, est in zip(specs, estimate_specs(arms, specs, data.pre_period_col, alpha,
+                                               [seed] * len(specs))):
+        if isinstance(est, AteEstimate):
+            fitted.append((spec, est))
+        elif spec.kind == "dim":
+            raise est
+        else:
+            failures.append({"model_id": spec.name, "type": type(est).__name__,
+                             "message": str(est)})
     return fitted
 
 
@@ -352,12 +354,12 @@ def _cmd_power(args: argparse.Namespace, out_dir: Path) -> None:
     power.check_power_args(args.delta, args.alpha, args.power_target)
     dataset.check_days(args.day, args.horizon)
     data = _load_input(args)
-    analysis = dataset.filter_by_day(data, args.day)
-    forecast = power.forecast_arm_sizes(data, args.day, args.horizon)
     failures = []
+    fitted = _estimates(dataset.filter_by_day(data, args.day), _model_specs(args), args.alpha,
+                        args.seed, failures)
+    forecast = power.forecast_arm_sizes(data, args.day, args.horizon)
     recs = [power.recommend_duration(est, forecast, args.delta, args.alpha, args.power_target)
-            for _, est in _estimates(analysis, _model_specs(args), args.alpha, args.seed,
-                                     failures)]
+            for _, est in fitted]
     doc = {
         "kind": "power",
         "seed": args.seed,

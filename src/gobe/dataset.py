@@ -239,16 +239,16 @@ def check_days(day: int | None, horizon: int | None = None) -> None:
 
 
 def filter_by_day(data: ExperimentData, day: int) -> ExperimentData:
-    """Keep only units that triggered on or before ``day``."""
+    """Keep only units that triggered on or before ``day``. Arm sizes are left
+    to the estimate (``estimator.checked_arms``), so a subset too small to
+    estimate is told both of its arm sizes, whichever arm is short."""
     if data.day_index is None:
         raise ValidationError("day filtering requires a day column")
     check_days(day)
     mask = data.day_index <= day
     if not mask.any():
         raise ValidationError(f"no units triggered by day {day}")
-    out = _subset(data, mask)
-    out.require_both_arms()
-    return out
+    return _subset(data, mask)
 
 
 def _subset(data: ExperimentData, rows: np.ndarray) -> ExperimentData:

@@ -7,7 +7,9 @@ case, so it shares this exact code path. The reported variance is the sum of
 per-arm in-sample mean squared errors scaled by arm size, and intervals are
 Gaussian; arm sizes are recorded so consumers can judge the asymptotics.
 
-Each call splits the rows by arm once and fits each arm's block. The ATE,
+Each call splits the rows by arm once and fits each arm's block, with one
+``regression.fit_plan`` for all the specs of a call (``estimate_specs``;
+``estimate_arms`` is its one-spec case). The ATE,
 (sum_treated(y - f0(z)) + sum_control(f1(z) - y)) / N, needs for
 identity-link fits only each arm's size, means and slopes (Lin 2013), and
 each MSE only the RSS the fit keeps, so assembly reads no rows: only a log
@@ -26,8 +28,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .dataset import ExperimentData
-from .errors import ValidationError
-from .regression import FittedArmModel, ModelSpec, evaluate, fit_blocks, parse_model
+from .errors import MODEL_FAILURES, ValidationError
+from .regression import FittedArmModel, ModelSpec, evaluate, fit_blocks, fit_plan, parse_model
 
 ArmBlock = tuple[np.ndarray, np.ndarray]  # (outcome, covariate rows) of one arm
 
@@ -107,10 +109,35 @@ def estimate(data: ExperimentData, spec: ModelSpec | str,
 
 def estimate_arms(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, pre_period_col: int,
                   alpha: float, seed: int) -> AteEstimate:
-    """``estimate`` on rows already split into ``(y0, Z0), (y1, Z1)``, for
-    callers that fit many models on one split. The caller guarantees what
-    ``estimate`` checks: alpha in (0, 1), >= 2 finite rows per arm."""
-    models = fit_blocks(spec.base or spec, arms, seed, pre_period_col)
+    """``estimate`` on rows already split into ``(y0, Z0), (y1, Z1)``: the
+    one-spec ``estimate_specs``, which raises the error the estimate raises.
+    The caller guarantees what ``estimate`` checks: alpha in (0, 1), >= 2
+    finite rows per arm."""
+    [est] = estimate_specs(arms, [spec], pre_period_col, alpha, [seed])
+    if isinstance(est, Exception):
+        raise est
+    return est
+
+
+def estimate_specs(arms: tuple[ArmBlock, ArmBlock], specs: list[ModelSpec], pre_period_col: int,
+                   alpha: float, seeds: list[int]) -> list[AteEstimate | Exception]:
+    """``estimate_arms`` for every spec, each with its seed, from one
+    ``regression.fit_plan`` of their (base) specs on the two arms: per spec,
+    its estimate, or the ``MODEL_FAILURES`` error it raises. Any other error
+    propagates."""
+    out = fit_plan([spec.base or spec for spec in specs], arms, seeds, pre_period_col)
+    for i, (spec, models) in enumerate(zip(specs, out)):
+        if not isinstance(models, Exception):
+            try:
+                out[i] = _assemble(arms, spec, models, alpha)
+            except MODEL_FAILURES as exc:
+                out[i] = exc
+    return out
+
+
+def _assemble(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, models: list[FittedArmModel],
+              alpha: float) -> AteEstimate:
+    """The estimate of ``spec`` from its (base) arm models."""
     (y0, z0), (y1, z1) = arms
     n0, n1 = y0.shape[0], y1.shape[0]
     gaps = (models[1].mean_parts - models[0].mean_parts).sum(axis=0)  # part by part

@@ -28,21 +28,28 @@ coordinate descent with covariance updates on (G, c); the RSS is
 arm's triangle is then the QR of the folds' stacked triangles. A column is
 constant when its minimum equals its maximum.
 
-``fit_blocks`` fits both arms of an experiment at once: it reduces every
-block first, then runs the coordinate-descent chains of all blocks in lock
-step, one vectorised step per coordinate across the chains: both arms' CV
-folds (10 warm-started gamma paths) in one batch, then both final fits.
-Each chain ends where it would alone, bit for bit. ``fit`` is the one-block
-case.
+``fit_plan`` fits many specs on the blocks of an experiment (both arms) at
+once. Each block is reduced once per column subset the specs use: one
+shift, one QR of its rows if a fit without cross-validation needs it, and
+one fold set per seed, which ridge, lasso and elastic net share with their
+arm triangle and training moments. Those rows are dropped before the next
+subset is shifted, and every solve runs after. The coordinate-descent
+chains of every spec and block then run in lock step, one vectorised step
+per coordinate across the chains, each with its own penalty mix: all CV
+folds' warm-started gamma paths in one batch, then all final fits in one
+more. Each chain ends where it would alone, and each model is the one its
+spec gets alone, bit for bit. ``fit_blocks`` is the one-spec case and
+``fit`` the one-block case of that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import MODEL_FAILURES, ConvergenceError, ValidationError
 
 KINDS = ("dim", "ols", "ridge", "lasso", "elastic_net", "pcr", "tweedie", "two_step")
 _PENALIZED = ("ridge", "lasso", "elastic_net")
@@ -273,121 +280,227 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
 def fit_blocks(spec: ModelSpec, blocks, seed: int = 0,
                pre_period_col: int | None = None) -> list[FittedArmModel]:
     """``fit`` on each ``(outcome, covariates)`` block, e.g. both arms of an
-    experiment, with one seed. Every block is reduced first (shift, folds,
-    triangles); then the coordinate-descent chains of all blocks run in lock
-    step: every block's cross-validation folds in one batch, then every
-    block's final fit in one more. Each model is the one ``fit`` returns."""
-    return _in_lock_step(spec, [_fit(spec, y, z, seed, pre_period_col) for y, z in blocks])
+    experiment, with one seed: the one-spec ``fit_plan``, which raises the
+    error the fit raises."""
+    [models] = fit_plan([spec], blocks, [seed], pre_period_col)
+    if isinstance(models, Exception):
+        raise models
+    return models
 
 
-def _fit(spec: ModelSpec, outcome, covariates, seed: int, pre_period_col: int | None):
-    """``fit`` as a generator: it yields the penalized chains it needs, as
-    ``_in_lock_step`` serves them, and returns the model."""
-    if spec.kind == "two_step":
-        raise ValidationError("two_step is an estimator-level composition; fit its base instead")
-    y = np.asarray(outcome, dtype=np.float64)
-    z = np.asarray(covariates, dtype=np.float64)
+def fit_plan(specs, blocks, seeds, pre_period_col: int | None = None) -> list:
+    """``fit`` of each spec, with its seed, on every ``(outcome, covariates)``
+    block: per spec, its models (one per block), or the ``MODEL_FAILURES``
+    error its fit raises. Any other error propagates.
+
+    Each block is reduced once per column subset (``_Reduction``), and only
+    the triangles outlive that reduction, so one block's shifted rows are
+    held at a time. Then the penalized chains of every spec and block run in
+    lock step (``_in_lock_step``). Each model, and each error, is the one a
+    fit of its spec alone gives, bit for bit.
+    """
+    fits, failures = {}, {}
+    for i, spec in enumerate(specs):
+        if spec.kind == "two_step":
+            failures[i] = ValidationError(
+                "two_step is an estimator-level composition; fit its base instead")
+    for t, (outcome, covariates) in enumerate(blocks):
+        y = np.asarray(outcome, dtype=np.float64)
+        z = np.asarray(covariates, dtype=np.float64)
+        groups = {}  # the specs of each column subset
+        for i, spec in enumerate(specs):
+            if i in failures:
+                continue
+            try:
+                allowed = _checked_columns(spec, y, z, pre_period_col)
+            except MODEL_FAILURES as exc:
+                failures[i] = exc
+                continue
+            if allowed is None:
+                fits[i, t] = _mean_model(spec, y, np.zeros((2, z.shape[1] + 1)), ())
+            else:
+                groups.setdefault(allowed.tobytes(), (allowed, []))[1].append(i)
+        for allowed, members in groups.values():
+            arm = _Reduction(y, z, allowed)
+            for i in members:
+                try:
+                    fits[i, t] = _fit(specs[i], arm, seeds[i])
+                except MODEL_FAILURES as exc:
+                    failures[i] = exc
+            del arm  # before the next subset's rows are shifted
+    fits.update(_in_lock_step(
+        {key: fit for key, fit in fits.items() if not isinstance(fit, FittedArmModel)},
+        failures))
+    return [failures[i] if i in failures else [fits[i, t] for t in range(len(blocks))]
+            for i in range(len(specs))]
+
+
+def _checked_columns(spec: ModelSpec, y: np.ndarray, z: np.ndarray,
+                     pre_period_col: int | None) -> np.ndarray | None:
+    """The covariate columns the spec may use on this block (None for
+    ``dim``), after the checks ``fit`` makes on the block."""
     if z.ndim != 2:
         raise ValidationError("covariates must be a 2-D matrix")
-    m, k = z.shape
-    if y.shape != (m,) or m == 0:
+    if y.shape != (z.shape[0],) or z.shape[0] == 0:
         raise ValidationError("arm data is empty or misshapen")
     if spec.kind == "tweedie" and (y < 0).any():
         raise ValidationError("tweedie requires non-negative outcomes")
-
-    y_bar = float(y.mean())
-    flags: list[str] = []
-    mean_parts = np.zeros((2, k + 1))
-
-    def dim_model(extra_flags=()):
-        # a pairwise sum, not a BLAS dot product, whose last bit follows the thread count
-        resid = y - y_bar
-        resid *= resid
-        rss = float(np.sum(resid))
-        return FittedArmModel(
-            spec=spec, intercept=y_bar, coefficients=np.zeros(k), mean_parts=mean_parts,
-            sds=np.ones(k), used=np.zeros(k, dtype=bool), rss=rss,
-            n_obs=m, flags=tuple(flags) + tuple(extra_flags),
-        )
-
     if spec.kind == "dim":
-        mean_parts[0, -1] = y_bar
-        return dim_model()
+        return None
+    return _resolve_columns(spec, z.shape[1], pre_period_col)
 
-    allowed = _resolve_columns(spec, k, pre_period_col)
-    x, shift, varies = _shifted(y, z, np.flatnonzero(allowed))
-    used = allowed.copy()
-    used[allowed] = varies
-    if not varies.all():
-        flags.append("dropped_zero_variance")
 
+class _Reduction:
+    """One block's rows [1, z, y] over one column subset, shifted once
+    (``_shifted``), and what the fits on those columns read off them, each
+    made on first use: the QR triangle of the rows and, per seed, a
+    ``_FoldSet``."""
+
+    def __init__(self, y: np.ndarray, z: np.ndarray, allowed: np.ndarray):
+        self.y, self.z, self.allowed = y, z, allowed
+        self.x, self.shift, self.varies = _shifted(y, z, np.flatnonzero(allowed))
+        self._fold_sets = {}
+
+    @cached_property
+    def triangle(self) -> np.ndarray:
+        return np.linalg.qr(self.x, mode="r")
+
+    def fold_set(self, seed: int) -> "_FoldSet":
+        if seed not in self._fold_sets:
+            self._fold_sets[seed] = _FoldSet(_folds(self.x, seed))
+        return self._fold_sets[seed]
+
+
+class _FoldSet:
+    """The cross-validation folds of ``_folds``, the arm triangle read off
+    them (the QR of their stacked triangles), and, once asked for, each
+    scored fold's training moments and test reduction, which every penalized
+    fit on these folds shares. Fold i trains on the QR of the other folds'
+    stacked triangles, dropping columns constant on those rows."""
+
+    def __init__(self, folds: list[tuple]):
+        self.folds = folds
+        self.triangle = np.linalg.qr(np.vstack([f[0] for f in folds]), mode="r")
+
+    @cached_property
+    def training(self) -> list[tuple]:
+        m = sum(f[4] for f in self.folds)
+        out = []
+        for i, (r_te, _, _, ss_tot, m_te) in enumerate(self.folds):
+            if ss_tot == 0.0:  # R^2 of a zero-variance target is 0.0
+                continue
+            train = self.folds[:i] + self.folds[i + 1:]
+            keep = np.min([f[1] for f in train], axis=0) != np.max([f[2] for f in train], axis=0)
+            keep = keep[1:-1]  # the z columns that vary on the training rows
+            r_tr = np.linalg.qr(np.vstack([f[0] for f in train]), mode="r")
+            offsets, sds, s, q = _standardize(r_tr, m - m_te, keep)
+            out.append((s.T @ s / (m - m_te), s.T @ q / (m - m_te),
+                        (r_te, ss_tot, keep, offsets, sds)))
+        return out
+
+
+def _fit(spec: ModelSpec, arm: _Reduction, seed: int):
+    """``fit`` of a spec with covariates on its block's reduction. This call
+    reads the shifted rows; it returns the model of a fit with no varying
+    column, else a generator that holds no shifted rows: it solves, yielding
+    the penalized chains it needs as ``_in_lock_step`` serves them, and
+    returns the model."""
+    m, varies, allowed = arm.x.shape[0], arm.varies, arm.allowed
+    k = allowed.size
     # a cross-validated fit reads the arm's triangle off its folds' triangles
     cv = (varies.any() and spec.kind in _PENALIZED and m >= _CV_FOLDS
           and (spec.hyper_grid is None or len(spec.hyper_grid) > 1))
-    folds = _folds(x, seed) if cv else None
-    r = np.linalg.qr(x if folds is None else np.vstack([f[0] for f in folds]), mode="r")
+    r = arm.fold_set(seed).triangle if cv else arm.triangle
     offsets, sds, s, q = _standardize(r, m, varies)
-    mean_parts[:, np.append(allowed, True)] = shift, offsets
+    mean_parts = np.zeros((2, k + 1))
+    mean_parts[:, np.append(allowed, True)] = arm.shift, offsets
+    flags = () if varies.all() else ("dropped_zero_variance",)
     if not varies.any():
-        return dim_model(("dim_fallback",))
-    intercept, link, chosen_gamma, cv_scores, n_components = y_bar, "identity", None, None, None
-
-    if spec.kind in ("ols", "pcr"):
-        w, n_components, flag = _svd_fit(spec, s, q, m)
-        if flag:
-            flags.append(flag)
-    elif spec.kind in _PENALIZED:
+        return _mean_model(spec, arm.y, mean_parts, flags + ("dim_fallback",))
+    used = allowed.copy()
+    used[allowed] = varies
+    y, z, shift, y_bar = arm.y, arm.z, arm.shift, float(arm.y.mean())
+    folds = None
+    if spec.kind in _PENALIZED:
         gram, c = s.T @ s / m, s.T @ q / m
         grid = spec.hyper_grid or default_gamma_grid(c)
         if len(grid) > 1:
-            folds = folds or _folds(x, seed)
-        del x  # the chains read only the triangles; other blocks reduce meanwhile
-        if len(grid) > 1:
-            chosen_gamma, cv_scores = yield from _cross_validate(folds, grid)
-        else:
-            chosen_gamma = grid[0]
-        [(path, converged)] = yield [(gram, c, (chosen_gamma,))]
-        w = path[0]
-        if not converged[0]:
-            flags.append("cd_max_sweeps")
-    else:  # tweedie, on the rows standardized as above
-        design = _tweedie_design(x, varies, offsets, sds)
-        del x  # the IRLS loop reads only the design
-        intercept, w, rss = _tweedie_irls(design, y)
-        link = "log"
-    if link == "identity":  # Q (q - S w) is the centered outcome less the fit
-        sw = s @ w
-        rss = float(np.sum((q - sw) ** 2))
+            folds = arm.fold_set(seed)
 
-    coefficients, out_sds = np.zeros(k), np.ones(k)
-    coefficients[used], out_sds[used] = w, sds
+    def model(w, link="identity", intercept=y_bar, rss=None, flags=flags, **fitted):
+        coefficients, out_sds = np.zeros(k), np.ones(k)
+        coefficients[used], out_sds[used] = w, sds
+        centered = None
+        if link == "identity":  # Q (q - S w) is the centered outcome less the fit
+            sw = s @ w
+            rss = float(np.sum((q - sw) ** 2))
+            centered = np.stack([sw, q]) if sw.any() else None
+        return FittedArmModel(
+            spec=spec, intercept=intercept, coefficients=coefficients, mean_parts=mean_parts,
+            sds=out_sds, used=used, rss=rss, link=link, centered=centered, n_obs=m,
+            flags=flags, **fitted)
+
+    def solve():
+        if spec.kind in ("ols", "pcr"):
+            w, n_components, flag = _svd_fit(spec, s, q, m)
+            return model(w, n_components=n_components, flags=flags + ((flag,) if flag else ()))
+        if spec.kind == "tweedie":  # on the block's rows standardized as above
+            cols = np.flatnonzero(varies)
+            design = _tweedie_design(z, np.flatnonzero(used), shift[cols], offsets[cols], sds)
+            intercept, w, rss = _tweedie_irls(design, y)
+            return model(w, link="log", intercept=intercept, rss=rss)
+        lam = None if spec.kind == "ridge" else 1.0 if spec.kind == "lasso" else float(spec.mix)
+        chosen_gamma, cv_scores = grid[0], None
+        if folds is not None:
+            chosen_gamma, cv_scores = yield from _cross_validate(folds, grid, lam)
+        [(path, converged)] = yield [(gram, c, (chosen_gamma,), lam)]
+        return model(path[0], chosen_gamma=chosen_gamma, cv_scores=cv_scores,
+                     flags=flags + (() if converged[0] else ("cd_max_sweeps",)))
+
+    return solve()
+
+
+def _mean_model(spec: ModelSpec, y: np.ndarray, mean_parts: np.ndarray,
+                flags: tuple[str, ...]) -> FittedArmModel:
+    """The fit with no slope: ``dim``, or a fit none of whose columns vary."""
+    y_bar = float(y.mean())
+    if spec.kind == "dim":
+        mean_parts[0, -1] = y_bar
+    # a pairwise sum, not a BLAS dot product, whose last bit follows the thread count
+    resid = y - y_bar
+    resid *= resid
+    k = mean_parts.shape[1] - 1
     return FittedArmModel(
-        spec=spec, intercept=intercept, coefficients=coefficients, mean_parts=mean_parts,
-        sds=out_sds, used=used, rss=rss, link=link,
-        centered=np.stack([sw, q]) if link == "identity" and sw.any() else None,
-        chosen_gamma=chosen_gamma, cv_scores=cv_scores,
-        n_components=n_components, n_obs=m, flags=tuple(flags),
+        spec=spec, intercept=y_bar, coefficients=np.zeros(k), mean_parts=mean_parts,
+        sds=np.ones(k), used=np.zeros(k, dtype=bool), rss=float(np.sum(resid)),
+        n_obs=y.shape[0], flags=flags,
     )
 
 
-def _in_lock_step(spec: ModelSpec, steps: list) -> list:
-    """Run generators that yield lists of ``(gram, c, gammas)`` chains and are
-    sent those chains' paths (``_paths``), and return what each returns. Each
-    round advances every generator to its next request, then solves the
-    requests of all of them in one ``_paths`` call."""
-    results = [None] * len(steps)
-    answers = dict.fromkeys(range(len(steps)))
+def _in_lock_step(steps: dict, failures: dict) -> dict:
+    """Run the generators of ``_fit``, keyed (spec index, block), and return
+    what each returns. Each round advances every generator to its next
+    request, a list of ``(gram, c, gammas, lam)`` chains, then solves the
+    requests of all of them in one ``_paths`` call and sends each its paths.
+    A ``MODEL_FAILURES`` error goes to ``failures`` under its spec, whose
+    other generators then stop."""
+    models = {}
+    answers = dict.fromkeys(steps)
     while answers:
         requests = {}
-        for i, answer in answers.items():
+        for key, answer in answers.items():
+            if key[0] in failures:
+                continue
             try:
-                requests[i] = steps[i].send(answer)
+                requests[key] = steps[key].send(answer)
             except StopIteration as done:
-                results[i] = done.value
+                models[key] = done.value
+            except MODEL_FAILURES as exc:
+                failures[key[0]] = exc
         chains = [chain for chains in requests.values() for chain in chains]
-        paths = iter(_paths(spec, chains) if chains else ())
-        answers = {i: [next(paths) for _ in chains] for i, chains in requests.items()}
-    return results
+        paths = iter(_paths(chains) if chains else ())
+        answers = {key: [next(paths) for _ in chains] for key, chains in requests.items()}
+    return models
 
 
 def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
@@ -426,30 +539,18 @@ def _folds(x: np.ndarray, seed: int) -> list[tuple]:
     return folds
 
 
-def _cross_validate(folds: list[tuple], grid: tuple[float, ...]):
-    """``fit``'s cross-validation on the fold reductions of ``_folds``, as a
-    generator that yields one chain per scored fold, its gamma path large to
-    small, and is sent their paths. Fold i trains on the QR of the other
-    folds' stacked triangles, dropping columns constant on those rows; a
-    gamma's SSE on fold i is |R_i a|^2 for a = (intercept offset, -slopes, 1).
-    Returns the gamma of highest mean out-of-fold R^2 (a constant target
-    scores 0; ties go to the larger gamma) and the per-gamma mean scores."""
+def _cross_validate(folds: _FoldSet, grid: tuple[float, ...], lam: float | None):
+    """``fit``'s cross-validation on a fold set, as a generator that yields
+    one chain per scored fold, its gamma path large to small, and is sent
+    their paths. A gamma's SSE on fold i is |R_i a|^2 for a = (intercept
+    offset, -slopes, 1). Returns the gamma of highest mean out-of-fold R^2
+    (a constant target scores 0; ties go to the larger gamma) and the
+    per-gamma mean scores."""
     order = np.argsort(grid)[::-1]  # large-to-small for warm starts and tie-breaks
-    m = sum(f[4] for f in folds)
-    chains, tests = [], []
-    for i, (r_te, _, _, ss_tot, m_te) in enumerate(folds):
-        if ss_tot == 0.0:  # R^2 of a zero-variance target is 0.0
-            continue
-        train = folds[:i] + folds[i + 1:]
-        keep = np.min([f[1] for f in train], axis=0) != np.max([f[2] for f in train], axis=0)
-        keep = keep[1:-1]  # the z columns that vary on the training rows
-        r_tr = np.linalg.qr(np.vstack([f[0] for f in train]), mode="r")
-        offsets, sds, s, q = _standardize(r_tr, m - m_te, keep)
-        chains.append((s.T @ s / (m - m_te), s.T @ q / (m - m_te), [grid[idx] for idx in order]))
-        tests.append((r_te, ss_tot, keep, offsets, sds))
-    paths = yield chains
+    gammas = [grid[idx] for idx in order]
+    paths = yield [(gram, c, gammas, lam) for gram, c, _ in folds.training]
     scores = np.zeros(len(grid))
-    for (r_te, ss_tot, keep, offsets, sds), (path, _) in zip(tests, paths):
+    for (_, _, (r_te, ss_tot, keep, offsets, sds)), (path, _) in zip(folds.training, paths):
         v = np.empty((len(grid), sds.shape[0]))
         v[order] = path / sds
         a = np.zeros((r_te.shape[1], len(grid)))
@@ -457,7 +558,7 @@ def _cross_validate(folds: list[tuple], grid: tuple[float, ...]):
         a[1:-1][keep] = -v.T
         resid = r_te @ a
         scores += 1.0 - np.einsum("ij,ij->j", resid, resid) / ss_tot
-    scores /= len(folds)
+    scores /= len(folds.folds)
     best = max(order, key=lambda idx: (scores[idx], grid[idx]))
     return grid[best], tuple((float(grid[i]), float(scores[i])) for i in range(len(grid)))
 
@@ -556,49 +657,61 @@ def _resolve_columns(spec: ModelSpec, k: int, pre_period_col: int | None) -> np.
     return allowed
 
 
-def _paths(spec: ModelSpec, chains: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The coefficients of each ``(gram, c, gammas)`` chain at its gammas in
-    order, each warm-started from the last and the first from zero, and
-    whether the solver converged at each."""
-    if spec.kind == "ridge":  # closed form: (G + gamma I) w = c, every gamma in one stacked solve
-        return [(np.linalg.solve(gram + np.asarray(gammas)[:, None, None] * np.eye(len(c)),
-                                 np.broadcast_to(c, (len(gammas), len(c)))[:, :, None])[:, :, 0],
-                 np.ones(len(gammas), dtype=bool)) for gram, c, gammas in chains]
-    return _coordinate_descent(chains, 1.0 if spec.kind == "lasso" else float(spec.mix))
+def _paths(chains: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The coefficients of each ``(gram, c, gammas, lam)`` chain at its gammas
+    in order, each warm-started from the last and the first from zero, and
+    whether the solver converged at each. ``lam`` is the chain's l1 share of
+    the penalty, or None for ridge, which is solved in closed form; every
+    other chain goes to one ``_coordinate_descent`` call."""
+    out = [None] * len(chains)
+    descent = []
+    for i, (gram, c, gammas, lam) in enumerate(chains):
+        if lam is None:  # (G + gamma I) w = c, every gamma in one stacked solve
+            lhs = gram + np.asarray(gammas)[:, None, None] * np.eye(len(c))
+            rhs = np.broadcast_to(c, (len(gammas), len(c)))[:, :, None]
+            out[i] = np.linalg.solve(lhs, rhs)[:, :, 0], np.ones(len(gammas), dtype=bool)
+        else:
+            descent.append(i)
+    if descent:
+        for i, path in zip(descent, _coordinate_descent([chains[i] for i in descent])):
+            out[i] = path
+    return out
 
 
-def _coordinate_descent(chains: list[tuple], lam: float) -> list[tuple[np.ndarray, np.ndarray]]:
+def _coordinate_descent(chains: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Cyclic coordinate descent for the elastic-net objective, covariance
-    form, on many gamma paths in lock step; returns ``_paths``' result.
+    form, on many ``(gram, c, gammas, lam)`` gamma paths in lock step, each
+    with its own l1 share ``lam``; returns ``_paths``' result.
 
     Each chain works on the moments G = S'S/m and c = S'q/m (Friedman, Hastie
     & Tibshirani 2010, "covariance updates"): the partial residual
     correlation of coordinate j is c_j - (Gw)_j + G_jj w_j, and G w is kept
     current with one row update per step, so a sweep costs O(K^2) whatever
-    the number of rows. A gamma is done after the first sweep whose largest
-    coefficient change is below CD_TOL (converged), or after CD_MAX_SWEEPS
-    sweeps (not); the chain then takes its next gamma, with G w recomputed
-    from its own G, and leaves the batch after its last.
+    the number of rows. At gamma, a chain's l1 weight is gamma * lam and its
+    l2 weight gamma * (1 - lam). A gamma is done after the first sweep whose
+    largest coefficient change is below CD_TOL (converged), or after
+    CD_MAX_SWEEPS sweeps (not); the chain then takes its next gamma, with G w
+    recomputed from its own G, and leaves the batch after its last.
 
     All chains take coordinate j's step together in a few ufunc calls. They
     are padded to a common p with inert coordinates (unit diagonal, zero c
     and off-diagonal G), which never move. The soft threshold
     rho - clip(rho, -l1, l1) is +0.0 for |rho| <= l1, and a coefficient that
     stays put adds only a zero to G w, so each chain's coefficients are the
-    ones it reaches alone (``tests/oracles.coordinate_descent``), bit for
-    bit; at l1 = 0 a zero may differ in sign.
+    ones it reaches alone (``tests/oracles.coordinate_descent``), whatever it
+    is batched with, bit for bit; at l1 = 0 a zero may differ in sign.
     """
     out = [(np.empty((len(gammas), c.shape[0])), np.empty(len(gammas), dtype=bool))
-           for _, c, gammas in chains]
+           for _, c, gammas, _ in chains]
     ids = np.arange(len(chains))
-    sizes = np.array([c.shape[0] for _, c, _ in chains], dtype=int)
-    lengths = np.array([len(gammas) for _, _, gammas in chains], dtype=int)
+    sizes = np.array([c.shape[0] for _, c, _, _ in chains], dtype=int)
+    lengths = np.array([len(gammas) for _, _, gammas, _ in chains], dtype=int)
     n, p = ids.size, int(sizes.max(initial=0))
     # coordinate-major: g[j, :, b] is row j of chain b's G, w[j] coordinate j of every chain
     g, c = np.zeros((p, p, n)), np.zeros((p, n))
     g[np.arange(p), np.arange(p)] = 1.0
     for b, i in enumerate(ids):
-        gram, cb, _ = chains[i]
+        gram, cb, _, _ = chains[i]
         g[:sizes[b], :sizes[b], b], c[:sizes[b], b] = gram, cb
     diag = np.einsum("jjb->jb", g).copy()
     w, gw, dl2 = np.zeros((p, n)), np.zeros((p, n)), np.empty((p, n))
@@ -608,7 +721,7 @@ def _coordinate_descent(chains: list[tuple], lam: float) -> list[tuple[np.ndarra
     def start(b):
         """Set chain b to its next gamma, with G w from its own G."""
         i, size = ids[b], sizes[b]
-        gamma = chains[i][2][step[b]]
+        gamma, lam = chains[i][2][step[b]], chains[i][3]
         l1[b] = gamma * lam
         neg_l1[b] = -l1[b]
         dl2[:, b] = diag[:, b] + gamma * (1.0 - lam)
@@ -664,15 +777,16 @@ def _tweedie_deviance(y: np.ndarray, mu: np.ndarray, p: float) -> float:
     return float(2.0 * term.sum())
 
 
-def _tweedie_design(x: np.ndarray, varies: np.ndarray, offsets: np.ndarray,
+def _tweedie_design(z: np.ndarray, cols: np.ndarray, shift: np.ndarray, offsets: np.ndarray,
                     sds: np.ndarray) -> np.ndarray:
     """The IRLS design [1, zs], written column by column into one
-    column-major matrix: the shifted rows x's varying columns, less their
-    offsets (indexed like x's columns past the first), over their sds."""
-    design = np.empty((x.shape[0], 1 + len(sds)), order="F")
+    column-major matrix: z's columns ``cols``, each less its shift and then
+    its offset (the steps of ``_shifted`` and ``_standardize``), over its sd."""
+    design = np.empty((z.shape[0], 1 + len(cols)), order="F")
     design[:, 0] = 1.0
-    for j, c in enumerate(1 + np.flatnonzero(varies)):
-        np.subtract(x[:, c], offsets[c - 1], out=design[:, 1 + j])
+    for j, c in enumerate(cols):
+        np.subtract(z[:, c], shift[j], out=design[:, 1 + j])
+        design[:, 1 + j] -= offsets[j]
     design[:, 1:] /= sds
     return design
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from gobe import aa, dataset, estimator
+from gobe import aa, dataset, regression
 
 # Property tests draw the same examples on every run, so a tier-1 result
 # does not depend on the run; examples are timed by the suite, not per case.
@@ -24,15 +24,16 @@ def no_held_parse(monkeypatch):
 
 @pytest.fixture
 def ols_fit_has_a_bug(monkeypatch):
-    """Make every ``ols`` block fit raise TypeError, as a programming error would."""
-    real_fit_blocks = estimator.fit_blocks
+    """Make the arm fit of every ``ols`` spec in a fit plan raise TypeError, as
+    a programming error would; the plan's other specs fit as before."""
+    real_fit = regression._fit
 
-    def fit_blocks(spec, *args, **kwargs):
+    def fit(spec, *args):
         if spec.kind == "ols":
             raise TypeError("bug inside the ols fit")
-        return real_fit_blocks(spec, *args, **kwargs)
+        return real_fit(spec, *args)
 
-    monkeypatch.setattr(estimator, "fit_blocks", fit_blocks)
+    monkeypatch.setattr(regression, "_fit", fit)
 
 
 @pytest.fixture

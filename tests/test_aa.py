@@ -350,13 +350,13 @@ def test_column_subset_out_of_range_fails_every_split():
 
 def test_affine_models_skip_the_row_path_on_well_conditioned_data(monkeypatch):
     calls = []
-    real = aa.estimate_arms
+    real = aa.estimate_specs
 
-    def counting(arms, spec, *args):
-        calls.append(spec.name)
-        return real(arms, spec, *args)
+    def counting(arms, specs, *args):
+        calls.extend(spec.name for spec in specs)
+        return real(arms, specs, *args)
 
-    monkeypatch.setattr(aa, "estimate_arms", counting)
+    monkeypatch.setattr(aa, "estimate_specs", counting)
     y, z = gaussian_arm(4, 400, 3, 0.3, 0.5, 10.0)
     models = ["dim", "ols", "ols@pre"]
     run_aa(one_arm_dataset(y, z), arm=0, models=models, s_splits=40, seed=4)

@@ -4,16 +4,17 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gobe
-from gobe import cli, dataset, estimator, power, report
+from gobe import cli, dataset, estimator, power, regression, report
 from gobe.cli import aggregate, build_parser, main
 from gobe.report import validate_report
+from gobe.rng import child_seed
 
 
 def run_cli(*args):
@@ -341,6 +342,22 @@ def test_batch_records_a_subset_too_small_to_estimate_and_aggregates_the_rest(tm
         written = list(csv.reader(fh))
     assert written == [header, *([str(value) for value in row] for row in rows)]
     assert rows[0][:3] == ["all", "dim", 3]
+
+
+def test_every_too_small_day_subset_of_a_batch_is_told_both_arm_sizes(tmp_path):
+    out = tmp_path / "batch"
+    flags = ["--experiments", "3", "--n-units", "60", "--daily-arrivals", "2"]
+    assert run_cli("batch", *flags, "--day-filters", "1,28", "--out", out) == 0
+    config = cli._synthetic_config(build_parser().parse_args(["batch", *flags]))
+    for w in range(3):
+        subset = dataset.filter_by_day(
+            dataset.generate(replace(config, seed=child_seed(0, w))), 1)
+        error = json.loads((out / "reports" / f"exp{w:03d}_day1.error.json").read_text())
+        n0, n1 = subset.arm_sizes()
+        assert min(n0, n1) < 2
+        assert error["error"] == {
+            "type": "ValidationError",
+            "message": f"need >= 2 units per arm for the error estimate (sizes: {n0}, {n1})"}
 
 
 def test_batch_fails_with_the_first_error_when_no_subset_is_left(tmp_path):
@@ -774,3 +791,51 @@ def test_estimate_and_power_split_the_rows_by_arm_once(command, daily_csv, tmp_p
                    "--out", out) == 0
     assert len(read_report(out)["failures"]) == 1  # tweedie, on negative outcomes
     assert len(calls) == 1
+
+
+READOUT_MODELS = "dim,ols,ridge,lasso,elastic_net:0.5,pcr,tweedie,two_step:ols,ols@pre"
+
+
+def test_a_command_reduces_each_arm_once_and_runs_one_kernel_call_per_round(tmp_path,
+                                                                            monkeypatch):
+    rng = np.random.default_rng(8)
+    n = 400
+    z = rng.standard_normal((n, 4))
+    data = dataset.ExperimentData(
+        unit_ids=np.arange(n), assignment=(rng.random(n) < 0.45).astype(np.int8),
+        outcome=rng.gamma(2.0, np.exp(0.3 * z[:, 0] - 0.2 * z[:, 1]) / 2.0),
+        covariates=z, pre_period_col=0)
+    schema = dataset.write_csv(data, tmp_path / "in.csv")
+    calls, qr_rows = {}, []
+
+    def counting(name):
+        real = getattr(regression, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(regression, name, wrapper)
+
+    for name in ("_shifted", "_folds", "_coordinate_descent"):
+        counting(name)
+    real_qr = np.linalg.qr
+
+    def qr(a, *args, **kwargs):
+        qr_rows.append(a.shape[0])
+        return real_qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    out = tmp_path / "out"
+    assert run_cli("estimate", "--input", tmp_path / "in.csv", "--assignment-col",
+                   schema.assignment, "--outcome-col", schema.outcome, "--covariate-cols",
+                   ",".join(schema.covariates), "--pre-period-col", schema.pre_period,
+                   "--models", READOUT_MODELS, "--out", out) == 0
+    doc = read_report(out)
+    assert [e["model_id"] for e in doc["estimates"]] == READOUT_MODELS.split(",")
+    # per arm: a shift and a row QR for all columns and for @pre, one fold set
+    # (5 fold QRs, the arm triangle, 5 training triangles) for ridge, lasso and
+    # elastic net; then one kernel call for their CV chains and one for their fits
+    assert calls == {"_shifted": 4, "_folds": 2, "_coordinate_descent": 2}
+    assert sorted(rows for rows in qr_rows if rows in data.arm_sizes()) == sorted(
+        2 * data.arm_sizes())
+    assert len(qr_rows) == 2 * (2 + 5 + 1 + 5)

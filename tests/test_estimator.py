@@ -19,7 +19,7 @@ from gobe import (
     parse_model,
     variance_reduction,
 )
-from gobe import estimator
+from gobe import estimator, regression
 from gobe.dataset import with_assignment
 from gobe.errors import MODEL_FAILURES
 from gobe.estimator import z_for_alpha
@@ -470,3 +470,83 @@ def test_ols_ate_at_large_offsets_matches_exact_arithmetic(seed):
         est = estimate(data, name)
         half_width = (est.ci[1] - est.ci[0]) / 2
         assert abs(float(Fraction(est.ate) - exact)) <= 1e-10 * half_width, name
+
+
+# --- one fit plan for many specs ----------------------------------------------
+
+PLAN_POOL = [parse_model(name) for name in (
+    "dim", "ols", "ridge", "lasso", "elastic_net:0.5", "elastic_net:0", "pcr", "tweedie",
+    "two_step:ols", "two_step:lasso", "two_step:tweedie", "ols@pre", "lasso@pre", "ridge@0,2",
+    "pcr@1,2", "ols@5",
+)] + [
+    ModelSpec("ridge", hyper_grid=(0.3,)),
+    ModelSpec("lasso", hyper_grid=(0.05,), columns=(0, 1)),
+    ModelSpec("elastic_net", mix=0.25, hyper_grid=(0.2, 0.01)),
+    ModelSpec("pcr", n_components=2),
+]
+MODEL_FIELDS = ("intercept", "coefficients", "mean_parts", "sds", "used", "rss", "link",
+                "centered", "chosen_gamma", "cv_scores", "n_components", "n_obs", "flags")
+
+
+def assert_same_outcome(mixed, alone):
+    """A fit plan's result for one spec, a model list or an estimate, equals
+    the spec's own, or both are the same error."""
+    if isinstance(alone, Exception):
+        assert (type(mixed), str(mixed)) == (type(alone), str(alone))
+    elif isinstance(alone, list):
+        for a, b in zip(mixed, alone, strict=True):
+            for name in MODEL_FIELDS:
+                x, y = getattr(a, name), getattr(b, name)
+                assert (np.array_equal(x, y) if isinstance(y, np.ndarray) else x == y), name
+    else:
+        assert mixed == alone
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(len(PLAN_POOL))),
+       n_specs=st.integers(2, 12), sizes=st.tuples(st.sampled_from([4, 7, 40, 60]),
+                                                  st.sampled_from([9, 60])),
+       constant=st.sampled_from([None, 0, 1]), negative=st.booleans(), shared_seed=st.booleans())
+def test_a_fit_plan_gives_each_spec_what_it_gets_alone(seed, order, n_specs, sizes, constant,
+                                                       negative, shared_seed):
+    # column subsets, @pre, one-gamma grids, two_step and tweedie in one mix,
+    # with one seed or seeds that match for some specs only; CV on an arm
+    # under 5 rows and tweedie on a negative outcome fail alone
+    rng = np.random.default_rng(seed)
+    arms = []
+    for t, n in enumerate(sizes):
+        z = rng.standard_normal((n, 3)) * [1.0, 3.0, 0.5] + [0.0, 10.0, -2.0]
+        if constant is not None and t <= constant:
+            z[:, 1] = 2.5
+        y = 0.5 + z @ [0.8, 0.1, -0.4] + rng.standard_normal(n)
+        arms.append((y if negative else np.exp(y / 4.0), z))
+    specs = [PLAN_POOL[i] for i in order[:n_specs]]
+    seeds = [7] * len(specs) if shared_seed else [int(s) for s in rng.integers(1, 3, len(specs))]
+    fitted = regression.fit_plan([s.base or s for s in specs], arms, seeds, 0)
+    estimates = estimator.estimate_specs(arms, specs, 0, 0.05, seeds)
+    for spec, s, models, est in zip(specs, seeds, fitted, estimates, strict=True):
+        try:
+            alone = regression.fit_blocks(spec.base or spec, arms, s, 0)
+        except MODEL_FAILURES as exc:
+            alone = exc
+        assert_same_outcome(models, alone)
+        try:
+            alone = estimator.estimate_arms(arms, spec, 0, 0.05, s)
+        except MODEL_FAILURES as exc:
+            alone = exc
+        assert_same_outcome(est, alone)
+
+
+def test_a_failing_spec_leaves_the_others_of_its_plan_alone():
+    rng = np.random.default_rng(3)
+    arms = [(rng.standard_normal(n) - 0.2, rng.standard_normal((n, 2))) for n in (4, 30)]
+    specs = [parse_model(name) for name in ("dim", "tweedie", "lasso", "ols", "ridge@0")]
+    results = estimator.estimate_specs(arms, specs, 0, 0.05, [1] * len(specs))
+    assert [type(r).__name__ for r in results] == [
+        "AteEstimate", "ValidationError", "ValidationError", "AteEstimate", "ValidationError"]
+    assert str(results[1]) == "tweedie requires non-negative outcomes"
+    assert str(results[2]) == str(results[4]) == (
+        "4 rows are too few for 5-fold cross-validation: an arm needs >= 5 rows")
+    for spec, est in zip(specs, results):
+        if not isinstance(est, Exception):
+            assert est == estimator.estimate_arms(arms, spec, 0, 0.05, 1)

@@ -462,15 +462,17 @@ def test_gram_fits_match_the_rowspace_reference(problem):
 
 @st.composite
 def cd_batches(draw):
-    """Chains for the lock-step kernel, one l1 weight and a sweep cap. Each of
-    1-12 chains holds the moments of standardized rows with 0-30 columns and
-    a gamma path of 1 or 50 points from gamma_max down. A chain may carry an
-    exact duplicate, a near duplicate or a near-constant column; a duplicate
-    under an l2 term takes sweeps up to the cap, which is sometimes low
-    enough to stop chains at most gammas."""
+    """Chains for the lock-step kernel and a sweep cap. Each of 1-12 chains
+    holds the moments of standardized rows with 0-30 columns, a gamma path of
+    1 or 50 points from gamma_max down, and its own l1 share: lasso's 1,
+    elastic-net's 0.5 or 0.25, or 0, so one batch mixes the penalized kinds.
+    A chain may carry an exact duplicate, a near duplicate or a
+    near-constant column; a duplicate under an l2 term takes sweeps up to
+    the cap, which is sometimes low enough to stop chains at most gammas."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     chains = []
-    for p in draw(st.lists(st.integers(0, 30), min_size=1, max_size=12)):
+    lams = st.sampled_from([1.0, 0.5, 0.25, 0.0])
+    for p, lam in draw(st.lists(st.tuples(st.integers(0, 30), lams), min_size=1, max_size=12)):
         m = int(rng.integers(2 * p + 10, 4 * p + 21))
         z = rng.standard_normal((m, p))
         duplicate, near, constant = rng.random(3) < 0.3
@@ -484,19 +486,20 @@ def cd_batches(draw):
         zs = (z - z.mean(axis=0)) / z.std(axis=0)
         gram, c = zs.T @ zs / m, zs.T @ (y - y.mean()) / m
         gmax = float(np.abs(c).max()) if p else 1.0
-        chains.append((gram, c, list(np.geomspace(gmax, 1e-4 * gmax, rng.choice([1, 50])))))
-    return chains, draw(st.sampled_from([1.0, 0.5, 0.25])), draw(st.sampled_from([2, 30]))
+        gammas = list(np.geomspace(gmax, 1e-4 * gmax, rng.choice([1, 50])))
+        chains.append((gram, c, gammas, lam))
+    return chains, draw(st.sampled_from([2, 30]))
 
 
 @settings(max_examples=25)
 @given(batch=cd_batches())
 def test_lock_step_kernel_is_the_serial_descent_chain_by_chain(batch):
-    chains, lam, cap = batch
+    chains, cap = batch
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(regression, "CD_MAX_SWEEPS", cap)
         patch.setattr(oracles, "CD_MAX_SWEEPS", cap)
-        paths = _coordinate_descent(chains, lam)
-        for (gram, c, gammas), (path, converged) in zip(chains, paths, strict=True):
+        paths = _coordinate_descent(chains)
+        for (gram, c, gammas, lam), (path, converged) in zip(chains, paths, strict=True):
             ref_path, ref_converged = coordinate_descent_path(gram, c, gammas, lam)
             assert np.array_equal(path, ref_path)
             assert np.array_equal(converged, ref_converged)
@@ -505,9 +508,9 @@ def test_lock_step_kernel_is_the_serial_descent_chain_by_chain(batch):
 @settings(max_examples=25)
 @given(batch=cd_batches())
 def test_stacked_ridge_solve_is_the_per_gamma_solve(batch):
-    chains, _, _ = batch
-    paths = regression._paths(ModelSpec(kind="ridge"), chains)
-    for (gram, c, gammas), (path, converged) in zip(chains, paths, strict=True):
+    chains = [(gram, c, gammas, None) for gram, c, gammas, _ in batch[0]]
+    paths = regression._paths(chains)
+    for (gram, c, gammas, _), (path, converged) in zip(chains, paths, strict=True):
         ref_path = [np.linalg.solve(gram + g * np.eye(c.shape[0]), c) for g in gammas]
         assert np.array_equal(path, np.array(ref_path).reshape(len(gammas), c.shape[0]))
         assert converged.all()
