@@ -72,7 +72,7 @@ class ExperimentData:
 
     def __post_init__(self):
         unit_ids = np.asarray(self.unit_ids)
-        assignment = np.ascontiguousarray(self.assignment, dtype=np.int8)
+        assignment = np.asarray(self.assignment)
         outcome = np.ascontiguousarray(self.outcome, dtype=np.float64)
         covariates = np.ascontiguousarray(self.covariates, dtype=np.float64)
         if covariates.ndim != 2:
@@ -82,8 +82,10 @@ class ExperimentData:
             raise ValidationError("dataset is empty")
         if not (assignment.shape == (n,) and covariates.shape[0] == n and unit_ids.shape == (n,)):
             raise ValidationError("column lengths disagree")
+        # the given values, before the cast would recode them (0.5 and nan to 0)
         if not ((assignment == 0) | (assignment == 1)).all():
             raise ValidationError("assignment values must be 0 or 1")
+        assignment = np.ascontiguousarray(assignment, dtype=np.int8)
         if not np.isfinite(outcome).all():
             raise ValidationError("outcome contains non-finite values")
         if not np.isfinite(covariates).all():
@@ -94,11 +96,13 @@ class ExperimentData:
             )
         day_index = self.day_index
         if day_index is not None:
-            day_index = np.ascontiguousarray(day_index, dtype=np.int64)
+            day_index = np.asarray(day_index)
             if day_index.shape != (n,):
                 raise ValidationError("day_index length disagrees with outcome")
-            if (day_index < 1).any():
-                raise ValidationError("day_index values must be positive")
+            if not ((day_index >= 1) & (day_index < 2.0 ** 63)
+                    & (day_index == np.floor(day_index))).all():
+                raise ValidationError("day_index values must be positive integers")
+            day_index = np.ascontiguousarray(day_index, dtype=np.int64)
             day_index.setflags(write=False)
         for arr in (unit_ids, assignment, outcome, covariates):
             arr.setflags(write=False)
@@ -127,16 +131,6 @@ class ExperimentData:
     def arm_sizes(self) -> tuple[int, int]:
         n1 = int(np.count_nonzero(self.assignment))
         return self.n_units - n1, n1
-
-    def require_both_arms(self) -> None:
-        """Raise unless the experiment has >= 2 units and both arms present."""
-        if self.n_units < 2:
-            raise ValidationError("experiment needs at least 2 units")
-        n0, n1 = self.arm_sizes()
-        if n0 == 0 or n1 == 0:
-            raise ValidationError(
-                f"both arms must be non-empty (sizes: control={n0}, treatment={n1})"
-            )
 
 
 @dataclass(frozen=True)
@@ -174,7 +168,7 @@ class SyntheticConfig:
 
 
 def generate(config: SyntheticConfig) -> ExperimentData:
-    """Generate a synthetic experiment, deterministic in the config seed."""
+    """Generate a synthetic experiment, deterministic in the config seed; an arm may be empty."""
     rng = np.random.default_rng(config.seed)
     n, k = config.n_units, config.k_covariates
     rho = config.outcome_cor
@@ -189,7 +183,7 @@ def generate(config: SyntheticConfig) -> ExperimentData:
     if k > 1:
         covariates[:, 1:] = rng.standard_normal((n, k - 1))
     day_index = _poisson_arrival_days(rng, n, config.daily_arrivals) if config.daily_arrivals > 0 else None
-    data = ExperimentData(
+    return ExperimentData(
         unit_ids=np.arange(n, dtype=np.int64),
         assignment=assignment,
         outcome=outcome,
@@ -197,8 +191,6 @@ def generate(config: SyntheticConfig) -> ExperimentData:
         pre_period_col=0,
         day_index=day_index,
     )
-    data.require_both_arms()
-    return data
 
 
 def _poisson_arrival_days(rng: np.random.Generator, n: int, rate: float) -> np.ndarray:
@@ -287,7 +279,7 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
     The input is plain comma-separated UTF-8 text whose first line is a
     header naming the columns; fields may be quoted as in ``csv.reader``'s
     default dialect, and columns the schema does not map are ignored. Every
-    data row must have as many fields as the header.
+    data row must have as many fields as the header; each arm needs a row.
 
     Any unparseable or non-finite cell in a mapped column aborts the load
     with an error naming the offending data row (1-based, header excluded).
@@ -313,7 +305,9 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
         pre_period_col=schema.pre_period_col,
         day_index=days,
     )
-    data.require_both_arms()
+    n0, n1 = data.arm_sizes()
+    if n0 == 0 or n1 == 0:
+        raise ValidationError(f"both arms must be non-empty (sizes: control={n0}, treatment={n1})")
     return data
 
 

@@ -9,7 +9,7 @@ Gaussian; arm sizes are recorded so consumers can judge the asymptotics.
 
 Each call splits the rows by arm once and fits each arm's block, with one
 ``regression.fit_plan`` for all the specs of a call (``estimate_specs``;
-``estimate_arms`` is its one-spec case). The ATE,
+``estimate`` is its one-spec case). The ATE,
 (sum_treated(y - f0(z)) + sum_control(f1(z) - y)) / N, needs for
 identity-link fits only each arm's size, means and slopes (Lin 2013), and
 each MSE only the RSS the fit keeps, so assembly reads no rows: only a log
@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import ExperimentData
 from .errors import MODEL_FAILURES, ValidationError
-from .regression import FittedArmModel, ModelSpec, evaluate, fit_blocks, fit_plan, parse_model
+from .regression import FittedArmModel, ModelSpec, evaluate, fit_plan, parse_model
 
 ArmBlock = tuple[np.ndarray, np.ndarray]  # (outcome, covariate rows) of one arm
 
@@ -65,7 +65,10 @@ def fit_arm_models(data: ExperimentData, spec: ModelSpec,
     for t, (y, _) in enumerate(arms):
         if y.shape[0] == 0:
             raise ValidationError(f"arm {t} is empty")
-    return tuple(fit_blocks(spec, arms, seed, data.pre_period_col))
+    [models] = fit_plan([spec], arms, [seed], data.pre_period_col)
+    if isinstance(models, Exception):
+        raise models
+    return tuple(models)
 
 
 def impute(data: ExperimentData,
@@ -104,16 +107,7 @@ def estimate(data: ExperimentData, spec: ModelSpec | str,
     """
     if isinstance(spec, str):
         spec = parse_model(spec)
-    return estimate_arms(checked_arms(data, alpha), spec, data.pre_period_col, alpha, seed)
-
-
-def estimate_arms(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, pre_period_col: int,
-                  alpha: float, seed: int) -> AteEstimate:
-    """``estimate`` on rows already split into ``(y0, Z0), (y1, Z1)``: the
-    one-spec ``estimate_specs``, which raises the error the estimate raises.
-    The caller guarantees what ``estimate`` checks: alpha in (0, 1), >= 2
-    finite rows per arm."""
-    [est] = estimate_specs(arms, [spec], pre_period_col, alpha, [seed])
+    [est] = estimate_specs(checked_arms(data, alpha), [spec], data.pre_period_col, alpha, [seed])
     if isinstance(est, Exception):
         raise est
     return est
@@ -121,10 +115,11 @@ def estimate_arms(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, pre_period_c
 
 def estimate_specs(arms: tuple[ArmBlock, ArmBlock], specs: list[ModelSpec], pre_period_col: int,
                    alpha: float, seeds: list[int]) -> list[AteEstimate | Exception]:
-    """``estimate_arms`` for every spec, each with its seed, from one
-    ``regression.fit_plan`` of their (base) specs on the two arms: per spec,
-    its estimate, or the ``MODEL_FAILURES`` error it raises. Any other error
-    propagates."""
+    """``estimate`` of every spec, each with its seed, on rows already split
+    into ``(y0, Z0), (y1, Z1)``, from one ``regression.fit_plan`` of their
+    (base) specs: per spec, its estimate, or the ``MODEL_FAILURES`` error it
+    raises. Any other error propagates. The caller guarantees what
+    ``estimate`` checks: alpha in (0, 1), >= 2 finite rows per arm."""
     out = fit_plan([spec.base or spec for spec in specs], arms, seeds, pre_period_col)
     for i, (spec, models) in enumerate(zip(specs, out)):
         if not isinstance(models, Exception):

@@ -38,13 +38,12 @@ chains of every spec and block then run in lock step, one vectorised step
 per coordinate across the chains, each with its own penalty mix: all CV
 folds' warm-started gamma paths in one batch, then all final fits in one
 more. Each chain ends where it would alone, and each model is the one its
-spec gets alone, bit for bit. ``fit_blocks`` is the one-spec case and
-``fit`` the one-block case of that.
+spec gets alone, bit for bit. ``fit`` is the one-spec, one-block case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -274,24 +273,16 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
     pre_period_col : int, optional
         Needed to resolve a ``columns="pre"`` subset.
     """
-    return fit_blocks(spec, [(outcome, covariates)], seed, pre_period_col)[0]
-
-
-def fit_blocks(spec: ModelSpec, blocks, seed: int = 0,
-               pre_period_col: int | None = None) -> list[FittedArmModel]:
-    """``fit`` on each ``(outcome, covariates)`` block, e.g. both arms of an
-    experiment, with one seed: the one-spec ``fit_plan``, which raises the
-    error the fit raises."""
-    [models] = fit_plan([spec], blocks, [seed], pre_period_col)
+    [models] = fit_plan([spec], [(outcome, covariates)], [seed], pre_period_col)
     if isinstance(models, Exception):
         raise models
-    return models
+    return models[0]
 
 
 def fit_plan(specs, blocks, seeds, pre_period_col: int | None = None) -> list:
     """``fit`` of each spec, with its seed, on every ``(outcome, covariates)``
     block: per spec, its models (one per block), or the ``MODEL_FAILURES``
-    error its fit raises. Any other error propagates.
+    error its fit raises, as a value. Any other error propagates.
 
     Each block is reduced once per column subset (``_Reduction``), and only
     the triangles outlive that reduction, so one block's shifted rows are
@@ -504,18 +495,16 @@ def _in_lock_step(steps: dict, failures: dict) -> dict:
 
 
 def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
-                   seed: int = 0, grid: tuple[float, ...] | None = None,
-                   ) -> tuple[float, tuple[tuple[float, float], ...]]:
+                   seed: int = 0) -> tuple[float, tuple[tuple[float, float], ...]]:
     """``fit``'s choice of penalty: the ``(chosen_gamma, cv_scores)`` that
-    ``fit(spec, outcome, covariates, seed)`` reports, with ``grid``, when
-    given, as the spec's ``hyper_grid``. The spec's column subset is honoured
-    (``@pre`` raises, as ``fit`` does without a pre-period column index).
-    Raises ValidationError when that fit does not cross-validate: its grid
-    has one gamma or no covariate column varies."""
+    ``fit(spec, outcome, covariates, seed)`` reports over the spec's
+    ``hyper_grid``. The spec's column subset is honoured (``@pre`` raises, as
+    ``fit`` does without a pre-period column index). Raises ValidationError
+    when that fit does not cross-validate: its grid has one gamma or no
+    covariate column varies."""
     if spec.kind not in _PENALIZED:
         raise ValidationError(f"cross-validation applies to {_PENALIZED}, not {spec.kind!r}")
-    model = fit(replace(spec, hyper_grid=spec.hyper_grid if grid is None else grid),
-                outcome, covariates, seed)
+    model = fit(spec, outcome, covariates, seed)
     if model.cv_scores is None:
         raise ValidationError("nothing to cross-validate: the grid has one gamma "
                               "or no covariate column varies")
@@ -579,23 +568,23 @@ def lasso_gamma_max(outcome: np.ndarray, covariates: np.ndarray) -> float:
     first step from zero is the soft threshold of exactly those values, so
     slopes vanish exactly (not just approximately) at this value.
     """
-    x, _, varies = _shifted(outcome, covariates)
-    *_, s, q = _standardize(np.linalg.qr(x, mode="r"), x.shape[0], varies)
-    return _gamma_max(s.T @ q / x.shape[0])
+    z = np.asarray(covariates, dtype=np.float64)
+    arm = _Reduction(outcome, z, np.ones(z.shape[1], dtype=bool))
+    m = arm.x.shape[0]
+    *_, s, q = _standardize(arm.triangle, m, arm.varies)
+    return _gamma_max(s.T @ q / m)
 
 
 def _gamma_max(c: np.ndarray) -> float:
     return float(np.max(np.abs(c))) if c.size else 0.0
 
 
-def _shifted(y: np.ndarray, z: np.ndarray, cols: np.ndarray | None = None,
+def _shifted(y: np.ndarray, z: np.ndarray, cols: np.ndarray,
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows [1, z[:, cols], y] (all of z's columns by default), z and y shifted
-    by their means (so that offset columns lose no accuracy to the
-    intercept), those means, and which columns of z vary. Stored column by
-    column, as the QR reads them (and as numpy sums pairwise)."""
-    z = np.asarray(z, dtype=np.float64)
-    cols = range(z.shape[1]) if cols is None else cols
+    """Rows [1, z[:, cols], y], z and y shifted by their means (so that
+    offset columns lose no accuracy to the intercept), those means, and which
+    of those columns of z vary. Stored column by column, as the QR reads them
+    (and as numpy sums pairwise)."""
     x = np.empty((len(y), len(cols) + 2), order="F")
     x[:, 0], x[:, -1] = 1.0, y
     for i, c in enumerate(cols):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import ExperimentData, SyntheticConfig, generate
-from .errors import MODEL_FAILURES, ValidationError
-from .estimator import AteEstimate, estimate, estimate_arms, split_arms, variance_reduction
+from .errors import ValidationError
+from .estimator import estimate, estimate_specs, split_arms, variance_reduction
 from .regression import ModelSpec, parse_models, with_dim_baseline
 from .rng import child_seed
 
@@ -144,13 +144,12 @@ def error_distribution(data: ExperimentData, config: StressConfig) -> StressResu
         for fold in range(1, config.folds + 1):
             view = tuple((y, z[:, : (fold + 1) * data.k_covariates]) for y, z in arms)
             for j, spec in enumerate(config.models):
-                try:
-                    est, runtime_ms[j, fold - 1, s] = _timed(
-                        estimate_arms, view, spec, data.pre_period_col, config.alpha,
-                        child_seed(config.seed, s, fold, j))
-                except MODEL_FAILURES:
+                [est], ms = _timed(estimate_specs, view, [spec], data.pre_period_col,
+                                   config.alpha, [child_seed(config.seed, s, fold, j)])
+                if isinstance(est, Exception):  # a model that cannot fit this draw
                     failures += 1
                     continue
+                runtime_ms[j, fold - 1, s] = ms
                 drift = abs(est.ate - reference.ate)
                 errors[j, fold - 1, s] = drift / abs(reference.ate) if relative else drift
                 reduction = variance_reduction(est, baseline_dim)
@@ -204,8 +203,8 @@ def timing_profile(data_sizes: list[int], folds_list: list[int],
     return cells
 
 
-def _timed(estimator_fn, *args) -> tuple[AteEstimate, float]:
-    """One estimator call and its wall time in milliseconds."""
+def _timed(estimator_fn, *args) -> tuple:
+    """One estimator call's result and its wall time in milliseconds."""
     start = time.perf_counter()
     est = estimator_fn(*args)
     return est, (time.perf_counter() - start) * 1e3

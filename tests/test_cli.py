@@ -360,6 +360,19 @@ def test_every_too_small_day_subset_of_a_batch_is_told_both_arm_sizes(tmp_path):
             "message": f"need >= 2 units per arm for the error estimate (sizes: {n0}, {n1})"}
 
 
+def test_a_batch_records_an_experiment_that_draws_an_empty_arm(tmp_path):
+    out = tmp_path / "batch"
+    flags = ["--experiments", "4", "--n-units", "20", "--assignment-prob", "0.05", "--seed", "2"]
+    assert run_cli("batch", *flags, "--models", "dim", "--out", out) == 0
+    assert (out / "aggregate.csv").exists()
+    assert sorted(path.name for path in (out / "reports").iterdir()) == [
+        "exp000.json", "exp001.json", "exp002.error.json", "exp003.json"]
+    error = json.loads((out / "reports" / "exp002.error.json").read_text())
+    assert error["error"] == {
+        "type": "ValidationError",
+        "message": "need >= 2 units per arm for the error estimate (sizes: 20, 0)"}
+
+
 def test_batch_fails_with_the_first_error_when_no_subset_is_left(tmp_path):
     out = tmp_path / "batch"
     assert run_cli("batch", "--experiments", "2", "--n-units", "60", "--daily-arrivals", "2",

@@ -525,16 +525,8 @@ def test_a_fit_plan_gives_each_spec_what_it_gets_alone(seed, order, n_specs, siz
     fitted = regression.fit_plan([s.base or s for s in specs], arms, seeds, 0)
     estimates = estimator.estimate_specs(arms, specs, 0, 0.05, seeds)
     for spec, s, models, est in zip(specs, seeds, fitted, estimates, strict=True):
-        try:
-            alone = regression.fit_blocks(spec.base or spec, arms, s, 0)
-        except MODEL_FAILURES as exc:
-            alone = exc
-        assert_same_outcome(models, alone)
-        try:
-            alone = estimator.estimate_arms(arms, spec, 0, 0.05, s)
-        except MODEL_FAILURES as exc:
-            alone = exc
-        assert_same_outcome(est, alone)
+        assert_same_outcome(models, regression.fit_plan([spec.base or spec], arms, [s], 0)[0])
+        assert_same_outcome(est, estimator.estimate_specs(arms, [spec], 0, 0.05, [s])[0])
 
 
 def test_a_failing_spec_leaves_the_others_of_its_plan_alone():
@@ -549,4 +541,4 @@ def test_a_failing_spec_leaves_the_others_of_its_plan_alone():
         "4 rows are too few for 5-fold cross-validation: an arm needs >= 5 rows")
     for spec, est in zip(specs, results):
         if not isinstance(est, Exception):
-            assert est == estimator.estimate_arms(arms, spec, 0, 0.05, 1)
+            assert [est] == estimator.estimate_specs(arms, [spec], 0, 0.05, [1])

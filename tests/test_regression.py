@@ -11,7 +11,6 @@ from gobe.regression import (
     _coordinate_descent,
     cross_validate,
     fit,
-    fit_blocks,
     lasso_gamma_max,
     parse_model,
     predict,
@@ -379,17 +378,17 @@ def test_cross_validate_needs_the_pre_period_column_for_a_pre_spec():
         cross_validate(parse_model("lasso@pre"), y, z, seed=0)
 
 
-@pytest.mark.parametrize("spec, grid, constant", [
-    pytest.param(ModelSpec("ridge", hyper_grid=(1.0,)), None, False, id="spec-grid"),
-    pytest.param(ModelSpec("lasso"), (0.5,), False, id="grid-argument"),
-    pytest.param(ModelSpec("elastic_net", mix=0.5), (0.1, 1.0), True, id="constant-covariates"),
+@pytest.mark.parametrize("spec, constant", [
+    pytest.param(ModelSpec("ridge", hyper_grid=(1.0,)), False, id="spec-grid"),
+    pytest.param(ModelSpec("elastic_net", mix=0.5, hyper_grid=(0.1, 1.0)), True,
+                 id="constant-covariates"),
 ])
-def test_cross_validate_refuses_a_fit_that_does_not_cross_validate(spec, grid, constant):
+def test_cross_validate_refuses_a_fit_that_does_not_cross_validate(spec, constant):
     y, z = linear_arm(seed=16)
     if constant:
         z = np.full_like(z, 2.5)
     with pytest.raises(ValidationError, match="nothing to cross-validate"):
-        cross_validate(spec, y, z, seed=0, grid=grid)
+        cross_validate(spec, y, z, seed=0)
 
 
 # --- Gram-form fits against the row-space reference ------------------------
@@ -450,7 +449,7 @@ def test_gram_fits_match_the_rowspace_reference(problem):
         assert [g for g, _ in model.cv_scores] == [g for g, _ in scores] == list(grid)
         np.testing.assert_allclose([s for _, s in model.cv_scores], [s for _, s in scores],
                                    rtol=1e-12, atol=1e-12)
-        cv_gamma, cv_scores = cross_validate(model.spec, y, z, seed=_CV_SEED, grid=grid)
+        cv_gamma, cv_scores = cross_validate(model.spec, y, z, seed=_CV_SEED)
         ref_gamma, ref_scores = rowspace_cross_validate(y, z, grid, lam, seed=_CV_SEED)
         assert cv_gamma == ref_gamma
         assert [g for g, _ in cv_scores] == [g for g, _ in ref_scores]
@@ -523,7 +522,8 @@ def test_block_fits_are_one_block_fits(name):
     blocks[1][1][:, 2] = 3.0
     blocks = [(np.exp(y / 10) if name == "tweedie" else y, z) for y, z in blocks]
     spec = parse_model(name)
-    for block, model in zip(blocks, fit_blocks(spec, blocks, seed=4)):
+    [models] = regression.fit_plan([spec], blocks, [4])
+    for block, model in zip(blocks, models, strict=True):
         alone = fit(spec, *block, seed=4)
         assert np.array_equal(model.coefficients, alone.coefficients)
         assert (model.chosen_gamma, model.cv_scores, model.rss, model.flags) == (

@@ -29,6 +29,16 @@ LATE_ARM = {"day_index": np.array([3, 4, 3, 4, 3, 4, 3, 4])}  # arm 1 arrives on
                  "covariates must be a 2-D matrix", id="data-1d-covariates"),
     pytest.param(lambda: eight_units(day_index=np.repeat([0, 1, 2, 3], 2)),
                  "day_index values must be positive", id="data-day-0"),
+    pytest.param(lambda: eight_units(day_index=np.repeat([1.5, 2.0, 3.0, 4.0], 2)),
+                 "day_index values must be positive integers", id="data-day-1.5"),
+    pytest.param(lambda: eight_units(day_index=np.repeat([np.inf, 2.0, 3.0, 4.0], 2)),
+                 "day_index values must be positive integers", id="data-day-inf"),
+    pytest.param(lambda: eight_units(assignment=[np.nan, 1, 0, 1, 0, 0.5, 0, 1]),
+                 "assignment values must be 0 or 1", id="data-assignment-nan-half"),
+    pytest.param(lambda: eight_units(assignment=[256.0, 1, 0, 1, 0, 1, 0, 1]),
+                 "assignment values must be 0 or 1", id="data-assignment-256"),
+    pytest.param(lambda: eight_units(assignment=[-0.4, 1, 0, 1, 0, 1, 0, 1]),
+                 "assignment values must be 0 or 1", id="data-assignment-negative"),
     pytest.param(lambda: filter_by_day(eight_units(), 0), "day filter must be >= 1",
                  id="filter-day-0"),
     pytest.param(lambda: filter_by_day(eight_units(), 2), "no units triggered by day 2",
@@ -56,3 +66,9 @@ LATE_ARM = {"day_index": np.array([3, 4, 3, 4, 3, 4, 3, 4])}  # arm 1 arrives on
 def test_precondition_is_a_validation_error(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+def test_bool_assignments_and_integral_float_days_are_accepted():
+    data = eight_units(assignment=np.arange(8) % 2 == 1, day_index=np.repeat([3.0, 4, 5, 6], 2))
+    assert data.assignment.tolist() == eight_units().assignment.tolist()
+    assert data.day_index.tolist() == eight_units().day_index.tolist()
