@@ -27,11 +27,11 @@ records match it within 1e-9 of each split's half-width. Splits run serially.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import report
 from .dataset import ExperimentData, restrict_to_arm
 from .errors import ValidationError
 from .estimator import AteEstimate, affine_ate, check_alpha, estimate_specs, interval
@@ -158,7 +158,7 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
     affine = {j: cols for j, spec in enumerate(specs)
               if (cols := _affine_columns(spec, z.shape[1], pre_col)) is not None}
     row_models = [j for j in range(n_models) if j not in affine]
-    used = np.unique(np.concatenate(list(affine.values())))
+    used = np.array(sorted(set().union(*affine.values())), dtype=np.intp)
     # [1, Z_used, y], the last two shifted by the arm mean so that the half
     # sums stay small: a half's Gram holds its size, sums and cross-products
     w = np.empty((n, used.size + 2))
@@ -257,18 +257,17 @@ def _affine_estimates(halves, arm_ss: np.ndarray, idx: np.ndarray,
     return ok, means[1] - means[0], slopes, rss
 
 
-def bucket_metrics(run: AaRun, kappa: int | None = None) -> BucketMetrics:
+def bucket_metrics(run: AaRun) -> BucketMetrics:
     """Bucket the splits by sorted imbalance and score each bucket.
 
-    Buckets are equal-size kappa-iles of the imbalance values (stable tie
+    Buckets are equal-size ``run.kappa``-iles of the imbalance values (stable tie
     order by split index, sizes differ by at most one). Within each bucket
     and model the metrics are the mean squared estimate, the squared
     distance of the median estimate from zero, the excess one-sided mass
     beyond one half, and the fraction of intervals covering zero. Failed
     splits are excluded per model.
     """
-    kappa = run.kappa if kappa is None else kappa
-    s = run.s_splits
+    kappa, s = run.kappa, run.s_splits
     if kappa < 1 or kappa > s:
         raise ValidationError(f"kappa must be in [1, {s}], got {kappa}")
     order = np.argsort(run.zeta, kind="stable")
@@ -290,7 +289,8 @@ def bucket_metrics(run: AaRun, kappa: int | None = None) -> BucketMetrics:
                 continue
             est = run.ate[ok, m]
             mse[j, m] = np.mean(est ** 2)
-            median_dist[j, m] = np.median(est) ** 2
+            ordered = np.sort(est)  # np.median's value, without its import of numpy.ma
+            median_dist[j, m] = ((ordered[(ok.size - 1) // 2] + ordered[ok.size // 2]) / 2) ** 2
             below = np.mean(est < 0.0)
             above = np.mean(est > 0.0)
             excess[j, m] = max(0.0, 2.0 * max(below, above) - 1.0)
@@ -321,18 +321,8 @@ def pooled_coverage(run: AaRun) -> dict[str, float]:
 
 
 def write_splits_csv(run: AaRun, path) -> None:
-    """One row per (split, model): s, zeta, model, ate, ci_lo, ci_hi."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "zeta", "model", "ate", "ci_lo", "ci_hi"])
-        for s in range(run.s_splits):
-            for m, model_id in enumerate(run.model_ids):
-                writer.writerow([
-                    s, repr(float(run.zeta[s])), model_id,
-                    repr(float(run.ate[s, m])),
-                    repr(float(run.ci_lo[s, m])),
-                    repr(float(run.ci_hi[s, m])),
-                ])
+    """Write ``report.aa_splits_table``: one row per (split, model)."""
+    report.write_file(path, *report.aa_splits_table(run))
 
 
 def _relative(metric: np.ndarray, dim_col: int) -> np.ndarray:

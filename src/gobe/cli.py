@@ -1,4 +1,4 @@
-"""Command-line surface and batch orchestration.
+"""Command-line surface: argument handling and command orchestration.
 
 Commands: ``estimate``, ``aa``, ``stress``, ``power``, ``simulate``,
 ``batch``. ``batch`` writes one estimate report per experiment and day filter
@@ -13,19 +13,19 @@ key the command has no flag for is an error, and explicit flags override the
 file. All randomness flows from the single ``--seed`` recorded in the run
 manifest, and re-running a command with the same config and seed reproduces
 the report files byte for byte; timings and version stamps live in the
-manifest only.
+manifest only. Each handler computes and returns its report document,
+laid out by ``report``, for ``main`` to write; ``report`` also lays out and
+writes every other file.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,9 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _HANDLERS[args.command](args, out_dir)
+        doc = _HANDLERS[args.command](args, out_dir)
+        if doc is not None:  # every command but batch
+            report.write_report(doc, out_dir / "report.json")
         report.write_manifest(
             out_dir / "manifest.json", args.command, vars(args), seed=args.seed,
             timings_ms={"total": (time.perf_counter() - started) * 1e3},
@@ -201,16 +203,11 @@ def _config_values(args: argparse.Namespace) -> dict[str, str]:
     return values
 
 
-def _error_text(exc: Exception) -> str:
-    return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}, indent=2)
-
-
 def _emit_error(exc: Exception, out: str) -> None:
-    text = _error_text(exc)
-    print(text, file=sys.stderr)
+    sys.stderr.write(report.json_text(exc))
     try:
         Path(out).mkdir(parents=True, exist_ok=True)
-        (Path(out) / "error.json").write_text(text + "\n", encoding="utf-8")
+        report.write_file(Path(out) / "error.json", exc)
     except OSError:
         pass
 
@@ -247,10 +244,11 @@ def _synthetic_config(args: argparse.Namespace) -> dataset.SyntheticConfig:
 
 
 def _estimates(data: dataset.ExperimentData, specs: list[ModelSpec], alpha: float,
-               seed: int, failures: list[dict]) -> list[tuple[ModelSpec, AteEstimate]]:
+               seed: int, failures: list[tuple[str, Exception]],
+               ) -> list[tuple[ModelSpec, AteEstimate]]:
     """Each model's estimate from one split of the rows by arm and one fit
-    plan; a non-baseline model failure is recorded in ``failures`` instead of
-    aborting the run."""
+    plan; a non-baseline model failure is recorded in ``failures`` as its
+    (model id, error) instead of aborting the run."""
     arms = checked_arms(data, alpha)
     fitted = []
     for spec, est in zip(specs, estimate_specs(arms, specs, data.pre_period_col, alpha,
@@ -260,8 +258,7 @@ def _estimates(data: dataset.ExperimentData, specs: list[ModelSpec], alpha: floa
         elif spec.kind == "dim":
             raise est
         else:
-            failures.append({"model_id": spec.name, "type": type(est).__name__,
-                             "message": str(est)})
+            failures.append((spec.name, est))
     return fitted
 
 
@@ -273,45 +270,29 @@ def _estimate_doc(data: dataset.ExperimentData, specs: list[ModelSpec],
     fitted = _estimates(data, specs, alpha, seed, failures)
     baseline = next(est for spec, est in fitted if spec.kind == "dim")
     vr = {est.model_id: variance_reduction(est, baseline) for _, est in fitted}
-    doc = {
-        "kind": "estimate",
-        "seed": seed,
-        "alpha": alpha,
-        "input": {
-            "n_units": data.n_units,
-            "k_covariates": data.k_covariates,
-            "n_per_arm": list(data.arm_sizes()),
-            "day_filter": day_filter,
-        },
-        "estimates": [asdict(est) for _, est in fitted],
-        "variance_reduction": vr,
-    }
-    if failures:
-        doc["failures"] = failures
-    return doc
+    return report.estimate_to_dict(data, [est for _, est in fitted], vr, failures,
+                                   seed, alpha, day_filter)
 
 
-def _cmd_estimate(args: argparse.Namespace, out_dir: Path) -> None:
+def _cmd_estimate(args: argparse.Namespace, out_dir: Path) -> dict:
     dataset.check_days(args.day)
     data = _load_input(args)
     if args.day is not None:
         data = dataset.filter_by_day(data, args.day)
-    doc = _estimate_doc(data, _model_specs(args), args.alpha, args.seed, args.day)
-    report.write_report(doc, out_dir / "report.json")
+    return _estimate_doc(data, _model_specs(args), args.alpha, args.seed, args.day)
 
 
-def _cmd_aa(args: argparse.Namespace, out_dir: Path) -> None:
+def _cmd_aa(args: argparse.Namespace, out_dir: Path) -> dict:
     run = aa_mod.run_aa(
         _load_input(args), arm=args.arm, models=_model_specs(args), s_splits=args.s_splits,
         alpha=args.alpha, seed=args.seed, kappa=args.kappa,
     )
-    metrics = aa_mod.bucket_metrics(run)
     aa_mod.write_splits_csv(run, out_dir / "aa_splits.csv")
-    report.write_report(report.aa_to_dict(run, metrics, "aa_splits.csv"),
-                        out_dir / "report.json")
+    return report.aa_to_dict(run, aa_mod.bucket_metrics(run), aa_mod.pooled_coverage(run),
+                             "aa_splits.csv")
 
 
-def _cmd_stress(args: argparse.Namespace, out_dir: Path) -> None:
+def _cmd_stress(args: argparse.Namespace, out_dir: Path) -> dict:
     data = _load_input(args)
     config = stress.StressConfig(
         folds=args.folds,
@@ -322,31 +303,13 @@ def _cmd_stress(args: argparse.Namespace, out_dir: Path) -> None:
         reference_model=parse_model(args.reference_model),
     )
     result = stress.error_distribution(data, config)
-    _write_stress_csv(result, data.n_units, out_dir / "stress.csv")
-    report.write_report(
-        report.stress_to_dict(result, args.seed, config.mc_draws, "stress.csv"),
-        out_dir / "report.json",
-    )
+    doc, header, rows = report.stress_layout(result, data.n_units, args.seed, config.mc_draws,
+                                             "stress.csv")
+    report.write_file(out_dir / "stress.csv", header, rows)
+    return doc
 
 
-def _write_stress_csv(result: stress.StressResult, n_units: int, path: Path) -> None:
-    med_err = result.median_errors()
-    med_vr = result.median_vr()
-    med_ms = result.median_runtime_ms()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "folds", "n_units", "median_err", "median_vr", "runtime_ms"])
-        for i, model_id in enumerate(result.model_ids):
-            for j, fold in enumerate(result.fold_counts):
-                ms = med_ms[i, j]
-                writer.writerow([
-                    model_id, fold, n_units,
-                    repr(float(med_err[i, j])), repr(float(med_vr[i, j])),
-                    "" if np.isnan(ms) else f"{ms:.3f}",
-                ])
-
-
-def _cmd_power(args: argparse.Namespace, out_dir: Path) -> None:
+def _cmd_power(args: argparse.Namespace, out_dir: Path) -> dict:
     if args.day is None:
         raise ValidationError("--day (analysis day) is required for power")
     if args.delta is None:
@@ -360,34 +323,15 @@ def _cmd_power(args: argparse.Namespace, out_dir: Path) -> None:
     forecast = power.forecast_arm_sizes(data, args.day, args.horizon)
     recs = [power.recommend_duration(est, forecast, args.delta, args.alpha, args.power_target)
             for _, est in fitted]
-    doc = {
-        "kind": "power",
-        "seed": args.seed,
-        "anchor_day": args.day,
-        "horizon": forecast.horizon,
-        "delta": args.delta,
-        "alpha": args.alpha,
-        "target_power": args.power_target,
-        "recommendations": [report.recommendation_to_dict(r) for r in recs],
-    }
-    if failures:
-        doc["failures"] = failures
-    report.write_report(doc, out_dir / "report.json")
+    return report.power_to_dict(recs, forecast, failures, args.seed, args.delta, args.alpha,
+                                args.power_target)
 
 
-def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> None:
+def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> dict:
     config = _synthetic_config(args)
     data = dataset.generate(config)
     dataset.write_csv(data, out_dir / "synthetic.csv")
-    doc = {
-        "kind": "simulate",
-        "seed": args.seed,
-        "config": asdict(config),
-        "n_units": data.n_units,
-        "n_per_arm": list(data.arm_sizes()),
-        "csv": "synthetic.csv",
-    }
-    report.write_report(doc, out_dir / "report.json")
+    return report.simulate_to_dict(config, data, "synthetic.csv")
 
 
 def _cmd_batch(args: argparse.Namespace, out_dir: Path) -> None:
@@ -412,20 +356,14 @@ def _cmd_batch(args: argparse.Namespace, out_dir: Path) -> None:
                 subset = data if day is None else dataset.filter_by_day(data, day)
                 doc = _estimate_doc(subset, specs, args.alpha, seed, day)
             except ValidationError as exc:
-                (reports_dir / f"{stem}.error.json").write_text(_error_text(exc) + "\n",
-                                                                 encoding="utf-8")
+                report.write_file(reports_dir / f"{stem}.error.json", exc)
                 errors.append(exc)
                 continue
             doc["experiment"] = w
-            report.write_report(doc, reports_dir / f"{stem}.json")
-            docs.append(report.jsonable(doc))
+            docs.append(report.write_report(doc, reports_dir / f"{stem}.json"))
     if not docs:
         raise errors[0]
-    header, rows = aggregate(docs)
-    with open(out_dir / "aggregate.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    report.write_file(out_dir / "aggregate.csv", *aggregate(docs))
 
 
 def aggregate(docs: list[dict]) -> tuple[list[str], list[list]]:

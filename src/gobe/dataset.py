@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import report
 from .errors import ParseError, SchemaError, ValidationError
 
 _MAX_GENERATED_DAYS = 10_000_000
@@ -260,19 +261,6 @@ def with_assignment(data: ExperimentData, assignment: np.ndarray) -> ExperimentD
     return replace(data, assignment=assignment)
 
 
-def default_schema(data: ExperimentData) -> CsvSchema:
-    """Canonical column names used by write_csv, for round-tripping."""
-    covs = tuple(f"z{i + 1}" for i in range(data.k_covariates))
-    return CsvSchema(
-        assignment="assignment",
-        outcome="outcome",
-        covariates=covs,
-        pre_period=covs[data.pre_period_col],
-        day="day" if data.day_index is not None else None,
-        unit_id="unit_id",
-    )
-
-
 def load_csv(path, schema: CsvSchema) -> ExperimentData:
     """Load and validate an experiment table from a UTF-8 CSV file.
 
@@ -481,30 +469,29 @@ def _read_rows(path, schema: CsvSchema):
             np.array(days, dtype=np.int64) if days else None)
 
 
-def write_csv(data: ExperimentData, path, schema: CsvSchema | None = None) -> CsvSchema:
-    """Write a dataset as CSV; floats use shortest round-trip formatting.
+def write_csv(data: ExperimentData, path) -> CsvSchema:
+    """Write a dataset as CSV with columns ``unit_id``, ``assignment``,
+    ``outcome``, ``z1``..``zK`` and, if it has days, ``day``; floats use
+    shortest round-trip formatting.
 
     Returns the schema describing the written columns, suitable for
     load_csv to reproduce the dataset exactly.
     """
-    schema = schema or default_schema(data)
-    header = [schema.assignment, schema.outcome, *schema.covariates]
-    if schema.day is not None:
-        header.append(schema.day)
-    if schema.unit_id is not None:
-        header.insert(0, schema.unit_id)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+    covs = [f"z{i + 1}" for i in range(data.k_covariates)]
+    day = "day" if data.day_index is not None else None
+
+    def rows():
         for i in range(data.n_units):
-            row = [int(data.assignment[i]), repr(float(data.outcome[i]))]
+            row = [data.unit_ids[i], int(data.assignment[i]), repr(float(data.outcome[i]))]
             row.extend(repr(float(v)) for v in data.covariates[i])
-            if schema.day is not None:
+            if day:
                 row.append(int(data.day_index[i]))
-            if schema.unit_id is not None:
-                row.insert(0, data.unit_ids[i])
-            writer.writerow(row)
-    return schema
+            yield row
+
+    header = ["unit_id", "assignment", "outcome", *covs] + ([day] if day else [])
+    report.write_file(path, header, rows())
+    return CsvSchema(assignment="assignment", outcome="outcome", covariates=tuple(covs),
+                     pre_period=covs[data.pre_period_col], day=day, unit_id="unit_id")
 
 
 def _resolve_columns(header: list[str], schema: CsvSchema, path) -> dict[str, int]:

@@ -83,9 +83,13 @@ class StressResult:
 
 
 def _median_over_draws(values: np.ndarray) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return np.nanmedian(values, axis=2)
+    """``np.nanmedian`` over draws, bit for bit, without its import of
+    numpy.ma: NaN sorts last, and the middle pair's mean is (lo + hi) / 2."""
+    ordered = np.sort(values, axis=2)
+    n = np.count_nonzero(~np.isnan(values), axis=2)[..., None]
+    lo = np.take_along_axis(ordered, (n - 1) // 2, axis=2)
+    hi = np.take_along_axis(ordered, n // 2, axis=2)
+    return ((lo + hi) / 2)[..., 0]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,7 +188,7 @@ def make_run(zeta, ate, ci_half=10.0, model_ids=("dim", "ols")):
 
 def test_bucket_metrics_centered_degenerate():
     run = make_run([0.1, 0.2, 0.3], [0.0, 0.0, 0.0])
-    metrics = bucket_metrics(run, kappa=1)
+    metrics = bucket_metrics(run)
     assert metrics.mse[0, 0] == 0.0
     assert metrics.median_dist[0, 0] == 0.0
     assert metrics.excess_frac[0, 0] == 0.0
@@ -195,13 +197,13 @@ def test_bucket_metrics_centered_degenerate():
 
 def test_bucket_metrics_one_sided_extreme():
     run = make_run([0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
-    metrics = bucket_metrics(run, kappa=1)
+    metrics = bucket_metrics(run)
     assert metrics.excess_frac[0, 0] == 1.0
 
 
 def test_bucket_metrics_two_point_hand_computation():
     run = make_run([0.1, 0.2], [-1.0, 1.0])
-    metrics = bucket_metrics(run, kappa=1)
+    metrics = bucket_metrics(run)
     assert metrics.mse[0, 0] == 1.0
     assert metrics.median_dist[0, 0] == 0.0
     assert metrics.excess_frac[0, 0] == 0.0
@@ -228,14 +230,14 @@ def test_relative_metric_undefined_when_baseline_zero():
     # constant outcome: every estimate is 0, so the baseline MSE is 0
     data = one_arm_dataset(np.full(40, 2.0), np.random.default_rng(10).standard_normal((40, 1)))
     run = run_aa(data, arm=0, models=["dim", "ols"], s_splits=20, seed=10)
-    metrics = bucket_metrics(run, kappa=2)
+    metrics = bucket_metrics(replace(run, kappa=2))
     assert np.isnan(metrics.r_mse[:, 1]).all()
 
 
 def test_kappa_bounds():
     run = synthetic_run(s=10)
     with pytest.raises(ValidationError, match="kappa"):
-        bucket_metrics(run, kappa=11)
+        bucket_metrics(replace(run, kappa=11))
 
 
 def test_pooled_coverage_and_csv(tmp_path):

@@ -687,6 +687,22 @@ def test_reports_are_written_and_rejected_without_jsonschema(tmp_path):
     read_report(tmp_path / "est")
 
 
+def test_aa_and_stress_do_not_load_numpy_ma(tmp_path):
+    # a cold numpy.ma import costs 10-20 ms, a sizeable share of a small run
+    data = dataset.generate(dataset.SyntheticConfig(n_units=200, k_covariates=2,
+                                                    outcome_cor=0.5, seed=3))
+    dataset.write_csv(data, tmp_path / "in.csv")
+    flags = ["--input", str(tmp_path / "in.csv"), "--assignment-col", "assignment",
+             "--outcome-col", "outcome", "--covariate-cols", "z1,z2", "--pre-period-col", "z1"]
+    runs = [["aa", *flags, "--s-splits", "20", "--out", str(tmp_path / "aa")],
+            ["stress", *flags, "--models", "dim,ols,lasso", "--folds", "2", "--draws", "2",
+             "--out", str(tmp_path / "stress")]]
+    script = ("import json, sys, gobe.cli\n"
+              f"codes = [gobe.cli.main(argv) for argv in {runs!r}]\n"
+              "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    assert json.loads(run_python(script)) == [[0, 0], False]
+
+
 def test_a_dim_report_does_not_depend_on_the_blas_thread_count(tmp_path):
     # arms of about 5e4 rows: OpenBLAS splits a dot product this long across threads
     data = dataset.generate(dataset.SyntheticConfig(n_units=100_000, k_covariates=2,

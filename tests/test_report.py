@@ -2,16 +2,19 @@ import copy
 import functools
 import json
 import operator
+import os
 import tempfile
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from gobe import report
+from gobe.aa import AaRun, write_splits_csv
 from gobe.cli import main
 from gobe.errors import ValidationError
 
@@ -173,3 +176,47 @@ def test_the_checker_agrees_with_jsonschema_on_mutated_reports(doc):
         report.validate_report(doc)
     else:
         test_validate_report_raises_what_jsonschema_validate_raises(doc)
+
+
+def _left_as_it_was(path, earlier):
+    """The destination still holds its earlier bytes, and no temp file is left."""
+    assert path.read_text("utf-8") == earlier
+    assert not list(path.parent.glob("*.tmp.*"))
+
+
+def test_an_interrupted_table_write_leaves_the_earlier_table(tmp_path):
+    # rows raise part-way, after more than one buffer of them has been written
+    zeta = np.array([0.5] * 3000 + ["not a number"], dtype=object)
+    est = np.zeros((zeta.size, 1))
+    run = AaRun(model_ids=("dim",), zeta=zeta, ate=est, ci_lo=est - 1, ci_hi=est + 1,
+                failed=np.zeros(est.shape, dtype=bool), arm=0, n_units=8, alpha=0.05,
+                kappa=1, seed=0)
+    path = tmp_path / "aa_splits.csv"
+    path.write_text("earlier\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        write_splits_csv(run, path)
+    _left_as_it_was(path, "earlier\n")
+
+
+@pytest.fixture
+def renames_fail(monkeypatch):
+    def replace(src, dst):
+        raise OSError("rename interrupted")
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+def test_an_interrupted_report_write_leaves_the_earlier_report(tmp_path, renames_fail):
+    path = tmp_path / "report.json"
+    path.write_text("earlier\n", encoding="utf-8")
+    with pytest.raises(OSError, match="rename interrupted"):
+        report.write_report(REPORTS["simulate"], path)
+    _left_as_it_was(path, "earlier\n")
+
+
+def test_an_interrupted_error_write_leaves_the_earlier_error_file(tmp_path, renames_fail):
+    path = tmp_path / "error.json"
+    path.write_text("earlier\n", encoding="utf-8")
+    assert main(["estimate", "--input", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path)]) == 1
+    _left_as_it_was(path, "earlier\n")
