@@ -37,8 +37,10 @@ subset is shifted, and every solve runs after. The coordinate-descent
 chains of every spec and block then run in lock step, one vectorised step
 per coordinate across the chains, each with its own penalty mix: all CV
 folds' warm-started gamma paths in one batch, then all final fits in one
-more. Each chain ends where it would alone, and each model is the one its
-spec gets alone, bit for bit. ``fit`` is the one-spec, one-block case.
+more. A run of coordinates zero in every chain is checked in one step and
+skipped while none would move. Each chain ends where it would alone, and
+each model is the one its spec gets alone, bit for bit. ``fit`` is the
+one-spec, one-block case.
 """
 
 from __future__ import annotations
@@ -684,11 +686,23 @@ def _coordinate_descent(chains: list[tuple]) -> list[tuple[np.ndarray, np.ndarra
 
     All chains take coordinate j's step together in a few ufunc calls. They
     are padded to a common p with inert coordinates (unit diagonal, zero c
-    and off-diagonal G), which never move. The soft threshold
-    rho - clip(rho, -l1, l1) is +0.0 for |rho| <= l1, and a coefficient that
-    stays put adds only a zero to G w, so each chain's coefficients are the
-    ones it reaches alone (``tests/oracles.coordinate_descent``), whatever it
-    is batched with, bit for bit; at l1 = 0 a zero may differ in sign.
+    and off-diagonal G), which never move. Each w_j keeps its sweep-start
+    value until its step, so a sweep's G_jj w_j terms are formed in one
+    product at its start. The soft threshold rho - clip(rho, -l1, l1) is
+    +0.0 for |rho| <= l1, and a coefficient that stays put adds only a zero
+    to G w, so each chain's coefficients are the ones it reaches alone
+    (``tests/oracles.coordinate_descent``), whatever it is batched with, bit
+    for bit; at l1 = 0 a zero may differ in sign.
+
+    A zero w_j stays zero exactly when |c_j - (Gw)_j| <= l1, the KKT
+    condition that screening rules test (Tibshirani et al. 2012, "Strong
+    rules for discarding predictors in lasso-type problems"); here it is
+    tested exactly, at the step's own time. So each sweep takes the runs of
+    coordinates that are zero in every chain, padding included, and tests a
+    run's coordinates at once when it reaches the run. Those before the
+    first that would move in some chain are skipped, since a skipped step
+    leaves G w as it is; that one is stepped, and the rest of the run is
+    tested again.
     """
     out = [(np.empty((len(gammas), c.shape[0])), np.empty(len(gammas), dtype=bool))
            for _, c, gammas, _ in chains]
@@ -717,27 +731,46 @@ def _coordinate_descent(chains: list[tuple]) -> list[tuple[np.ndarray, np.ndarra
         gw[:size, b] = chains[i][0] @ w[:size, b].copy()
         sweeps[b] = 0
 
+    def coordinates(zero):
+        """The coordinates to step this sweep, in order. ``zero`` flags those
+        zero in every chain at the sweep's start, and ends with False."""
+        j = 0
+        while j < p:
+            if zero[j]:
+                e = zero.index(False, j)
+                # row-major over (coordinate, chain); a NaN counts as moving
+                inert = (np.abs(c[j:e] - gw[j:e]) <= l1).ravel()
+                f = int(inert.argmin())
+                if inert[f]:
+                    j = e
+                    continue
+                j += f // n
+            yield j
+            j += 1
+
     for b in range(n):
         start(b)
     subtract, multiply, add, maximum, minimum, divide = (
         np.subtract, np.multiply, np.add, np.maximum, np.minimum, np.divide)
     while n:
-        rho, t, d, dg, w_new = (np.empty(n), np.empty(n), np.empty(n), np.empty((p, n)),
-                                np.empty((p, n)))
+        rho, t, d, dg = np.empty(n), np.empty(n), np.empty(n), np.empty((p, n))
+        dw, w_new = np.empty((p, n)), np.empty((p, n))
         # views of coordinate j's entries; w holds the coefficients at the sweep's start
-        rows = list(zip(c, gw, diag, dl2, w, w_new, g))
+        rows = list(zip(c, gw, dw, dl2, w, w_new, g))
         live = np.ones(n, dtype=bool)
         while live.all():
-            for cj, gwj, dj, dl2j, wj, new, gj in rows:
-                subtract(cj, gwj, out=rho)
-                multiply(dj, wj, out=t)
-                add(rho, t, out=rho)
+            multiply(diag, w, dw)
+            w_new[...] = w
+            for j in coordinates((w == 0).all(axis=1).tolist() + [False]):
+                cj, gwj, dwj, dl2j, wj, new, gj = rows[j]
+                subtract(cj, gwj, rho)
+                add(rho, dwj, rho)
                 minimum(maximum(rho, neg_l1, out=t), l1, out=t)
-                subtract(rho, t, out=t)
-                divide(t, dl2j, out=new)
-                subtract(new, wj, out=d)
-                multiply(gj, d, out=dg)
-                add(gw, dg, out=gw)
+                subtract(rho, t, t)
+                divide(t, dl2j, new)
+                subtract(new, wj, d)
+                multiply(gj, d, dg)
+                add(gw, dg, gw)
             sweeps += 1
             delta = np.max(np.abs(w_new - w), axis=0, initial=0.0)
             w[...] = w_new

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gobe
+import oracles
 from gobe import cli, dataset, estimator, power, regression, report
 from gobe.cli import aggregate, build_parser, main
 from gobe.report import validate_report
@@ -300,6 +301,17 @@ def test_aggregate_quartile_groups_of_25():
     for q in range(1, 5):
         row = next(r for r in rows if r[0] == f"size_q{q}" and r[1] == "ols")
         assert row[header.index("n_experiments")] == 25
+
+
+def test_aggregate_quartiles_are_numpys_bit_for_bit():
+    # a variance reduction is 100 (1 - r), never -0, so no zero of the wrong sign is drawn
+    rng = np.random.default_rng(11)
+    for n in [*range(1, 41), *rng.integers(41, 300, 20)]:
+        for values in (rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5, n),
+                       np.round(rng.uniform(-50, 50, n)) + 0.0):
+            got = cli._quartiles(np.sort(values))
+            want = (np.percentile(values, 25), np.median(values), np.percentile(values, 75))
+            assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_batch_aggregate_is_the_aggregate_of_its_reports(tmp_path):
@@ -701,6 +713,39 @@ def test_aa_and_stress_do_not_load_numpy_ma(tmp_path):
               f"codes = [gobe.cli.main(argv) for argv in {runs!r}]\n"
               "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
     assert json.loads(run_python(script)) == [[0, 0], False]
+
+
+def test_batch_does_not_load_numpy_ma():
+    script = ("import json, sys, tempfile, gobe.cli\n"
+              "code = gobe.cli.main(['batch', '--experiments', '4', '--n-units', '200',\n"
+              "                      '--models', 'dim,ols', '--out', tempfile.mkdtemp()])\n"
+              "print(json.dumps([code, 'numpy.ma' in sys.modules]))\n")
+    assert json.loads(run_python(script)) == [0, False]
+
+
+def _serial_descent(chains):
+    """``regression._coordinate_descent``'s result, one chain at a time."""
+    return [oracles.coordinate_descent_path(gram, c, gammas, lam)
+            for gram, c, gammas, lam in chains]
+
+
+def test_reports_are_the_ones_the_serial_descent_gives(tmp_path, monkeypatch):
+    data = dataset.generate(dataset.SyntheticConfig(n_units=600, k_covariates=3,
+                                                    outcome_cor=0.6, seed=5))
+    dataset.write_csv(data, tmp_path / "in.csv")
+    flags = ["--input", tmp_path / "in.csv", "--assignment-col", "assignment",
+             "--outcome-col", "outcome", "--covariate-cols", "z1,z2,z3", "--pre-period-col", "z1",
+             "--seed", "7"]
+    runs = {"stress": ["stress", *flags, "--models", "dim,ols,lasso", "--folds", "3",
+                       "--draws", "2"],
+            "estimate": ["estimate", *flags, "--models", "lasso,elastic_net:0.5"]}
+    for name, argv in runs.items():
+        assert run_cli(*argv, "--out", tmp_path / "kernel" / name) == 0
+    monkeypatch.setattr(regression, "_coordinate_descent", _serial_descent)
+    for name, argv in runs.items():
+        assert run_cli(*argv, "--out", tmp_path / "serial" / name) == 0
+        assert (tmp_path / "kernel" / name / "report.json").read_bytes() == (
+            tmp_path / "serial" / name / "report.json").read_bytes()
 
 
 def test_a_dim_report_does_not_depend_on_the_blas_thread_count(tmp_path):

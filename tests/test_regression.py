@@ -462,32 +462,59 @@ def test_gram_fits_match_the_rowspace_reference(problem):
 @st.composite
 def cd_batches(draw):
     """Chains for the lock-step kernel and a sweep cap. Each of 1-12 chains
-    holds the moments of standardized rows with 0-30 columns, a gamma path of
-    1 or 50 points from gamma_max down, and its own l1 share: lasso's 1,
-    elastic-net's 0.5 or 0.25, or 0, so one batch mixes the penalized kinds.
-    A chain may carry an exact duplicate, a near duplicate or a
-    near-constant column; a duplicate under an l2 term takes sweeps up to
-    the cap, which is sometimes low enough to stop chains at most gammas."""
+    holds the moments of standardized rows, a gamma path of 1 or 50 points
+    from gamma_max down, and its own l1 share: lasso's 1, elastic-net's 0.5
+    or 0.25, or 0, so one batch mixes the penalized kinds.
+
+    A chain has 0-30 columns, and may carry an exact duplicate, a near
+    duplicate or a near-constant column; a duplicate under an l2 term takes
+    sweeps up to the cap, which is sometimes low enough to stop chains at
+    most gammas. Or the chain is stress-like: 1-5 real columns that carry
+    the outcome and 1, 3 or 5 blocks of pure-noise columns like them, on
+    many more rows, so most coordinates stay zero for much of the path and
+    the padding of narrower chains sits inside those zero runs."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     chains = []
     lams = st.sampled_from([1.0, 0.5, 0.25, 0.0])
-    for p, lam in draw(st.lists(st.tuples(st.integers(0, 30), lams), min_size=1, max_size=12)):
-        m = int(rng.integers(2 * p + 10, 4 * p + 21))
-        z = rng.standard_normal((m, p))
-        duplicate, near, constant = rng.random(3) < 0.3
-        if p >= 2 and duplicate:
-            z[:, 1] = z[:, 0]
-        if p >= 3 and near:
-            z[:, 2] = z[:, 0] + 0.3 * rng.standard_normal(m)
-        if p >= 4 and constant:
-            z[:, 3] = 0.1 + 1e-9 * rng.standard_normal(m)
-        y = z[:, :3] @ rng.standard_normal(min(p, 3)) + rng.standard_normal(m)
+    noise_blocks = st.sampled_from([0, 0, 1, 3, 5])
+    for p, lam, blocks in draw(st.lists(st.tuples(st.integers(0, 30), lams, noise_blocks),
+                                        min_size=1, max_size=12)):
+        if blocks:
+            k = p % 5 + 1
+            m = int(rng.integers(200, 2001))
+            z = rng.standard_normal((m, k * (1 + blocks)))
+            y = z[:, :k] @ rng.standard_normal(k) + rng.standard_normal(m)
+        else:
+            m = int(rng.integers(2 * p + 10, 4 * p + 21))
+            z = rng.standard_normal((m, p))
+            duplicate, near, constant = rng.random(3) < 0.3
+            if p >= 2 and duplicate:
+                z[:, 1] = z[:, 0]
+            if p >= 3 and near:
+                z[:, 2] = z[:, 0] + 0.3 * rng.standard_normal(m)
+            if p >= 4 and constant:
+                z[:, 3] = 0.1 + 1e-9 * rng.standard_normal(m)
+            y = z[:, :3] @ rng.standard_normal(min(p, 3)) + rng.standard_normal(m)
         zs = (z - z.mean(axis=0)) / z.std(axis=0)
         gram, c = zs.T @ zs / m, zs.T @ (y - y.mean()) / m
-        gmax = float(np.abs(c).max()) if p else 1.0
+        gmax = float(np.abs(c).max()) if c.size else 1.0
         gammas = list(np.geomspace(gmax, 1e-4 * gmax, rng.choice([1, 50])))
         chains.append((gram, c, gammas, lam))
     return chains, draw(st.sampled_from([2, 30]))
+
+
+def assert_serial_descent(chains):
+    """Each chain's path and flags are the serial descent's, bit for bit. At
+    lam > 0 the sign of every zero is too: the soft threshold writes +0, and
+    ``np.array_equal`` alone would not see a -0."""
+    paths = _coordinate_descent(chains)
+    for (gram, c, gammas, lam), (path, converged) in zip(chains, paths, strict=True):
+        ref_path, ref_converged = coordinate_descent_path(gram, c, gammas, lam)
+        assert np.array_equal(path, ref_path)
+        assert np.array_equal(converged, ref_converged)
+        if lam > 0:
+            assert np.array_equal(np.signbit(path), np.signbit(ref_path))
+    return paths
 
 
 @settings(max_examples=25)
@@ -497,11 +524,25 @@ def test_lock_step_kernel_is_the_serial_descent_chain_by_chain(batch):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(regression, "CD_MAX_SWEEPS", cap)
         patch.setattr(oracles, "CD_MAX_SWEEPS", cap)
-        paths = _coordinate_descent(chains)
-        for (gram, c, gammas, lam), (path, converged) in zip(chains, paths, strict=True):
-            ref_path, ref_converged = coordinate_descent_path(gram, c, gammas, lam)
-            assert np.array_equal(path, ref_path)
-            assert np.array_equal(converged, ref_converged)
+        assert_serial_descent(chains)
+
+
+@pytest.mark.parametrize("cap", [1, regression.CD_MAX_SWEEPS])
+def test_coordinates_inside_a_zero_run_enter_where_the_serial_descent_has_them(cap):
+    # Chain a's coordinates 1-3 and chain b's 1 and its padding 2-3 are zero
+    # in both chains until gamma 0.1. There coordinate 2 enters, and its
+    # coupling to 3 moves 3 in the same sweep, so the test of the run's rest
+    # must be redone after 2's step; coordinate 1 never moves.
+    gram_a = np.eye(4)
+    gram_a[2, 3] = gram_a[3, 2] = -0.9
+    chains = [(gram_a, np.array([1.0, 0.0, 0.3, 0.0]), [1.0, 0.5, 0.1, 0.01], 1.0),
+              (np.eye(2), np.array([0.8, 0.0]), [1.0, 0.5, 0.1, 0.01], 0.5)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regression, "CD_MAX_SWEEPS", cap)
+        patch.setattr(oracles, "CD_MAX_SWEEPS", cap)
+        (path, _), _ = assert_serial_descent(chains)
+    assert (path[:2, 1:] == 0).all()
+    assert (path[2:, 1] == 0).all() and (path[2:, 2:] != 0).all()
 
 
 @settings(max_examples=25)
