@@ -166,7 +166,9 @@ def _two_step(arms: tuple[ArmBlock, ArmBlock], base: list[FittedArmModel], gaps,
     centered in one orthonormal basis (S w and q of identity-link fits; the
     rows if either arm's base has a log link, and gaps and slopes of f_0, f_1),
     the slope gamma_t = f.q / f.f scales b_t and the RSS is |q - gamma_t f|^2.
-    Where f is constant (no pair, or min == max) arm t's step two is ``dim``."""
+    Where f is constant (no pair, or min == max) arm t's step two is ``dim``.
+    Its sums are pairwise, not BLAS dot products, whose bits on arm rows
+    follow the thread count."""
     pairs = [m.centered for m in base]
     if any(m.link == "log" for m in base):
         f = [[evaluate(m, z) for m in base] for _, z in arms]  # f[t][s] = f_s(Z_t)
@@ -176,13 +178,13 @@ def _two_step(arms: tuple[ArmBlock, ArmBlock], base: list[FittedArmModel], gaps,
         q = [y - y.mean() for y, _ in arms]
         pairs = [None if f[t][t].min() == f[t][t].max() else (f[t][t] - f[t][t].mean(), q[t])
                  for t in (0, 1)]
-        rss = [float(v @ v) for v in q]
+        rss = [float(np.sum(v * v)) for v in q]
     gammas, flags = [0.0, 0.0], [tuple(f"base:{flag}" for flag in m.flags) for m in base]
     for t, pair in enumerate(pairs):
         if pair is None:
             flags[t] = ("dropped_zero_variance", "dim_fallback") + flags[t]
         else:
-            gammas[t] = float(pair[0] @ pair[1] / (pair[0] @ pair[0]))
+            gammas[t] = float(np.sum(pair[0] * pair[1]) / np.sum(pair[0] * pair[0]))
             rss[t] = float(np.sum((pair[1] - gammas[t] * pair[0]) ** 2))
     return gaps, [g * b for g, b in zip(gammas, slopes)], rss, flags
 

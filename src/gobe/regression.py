@@ -18,7 +18,10 @@ max_k |z_k . (y - mean(y))| / m on standardized columns.
 
 The linear kinds never solve on rows. A fit shifts the rows [1, z, y] by
 their column means and keeps the R factor of their QR decomposition, a
-(K+2) x (K+2) triangle (Golub & Van Loan, "Matrix Computations", 5.3). Its
+(K+2) x (K+2) triangle (Golub & Van Loan, "Matrix Computations", 5.3), made
+8192 rows at a time: the QR of each row block, then of the stacked block
+triangles (TSQR). So no shifted copy of the arm is made, and R's bits do not
+depend on the BLAS thread count, as those of a QR of all the rows do. Its
 first row gives the means; below it, the standardized covariates and the
 centered outcome are Q S and Q q for a small S and q. ``ols`` and ``pcr``
 solve on the SVD of S; ridge solves (G + gamma I) w = c with G = S'S/m and
@@ -30,17 +33,16 @@ constant when its minimum equals its maximum.
 
 ``fit_plan`` fits many specs on the blocks of an experiment (both arms) at
 once. Each block is reduced once per column subset the specs use: one
-shift, one QR of its rows if a fit without cross-validation needs it, and
-one fold set per seed, which ridge, lasso and elastic net share with their
-arm triangle and training moments. Those rows are dropped before the next
-subset is shifted, and every solve runs after. The coordinate-descent
-chains of every spec and block then run in lock step, one vectorised step
-per coordinate across the chains, each with its own penalty mix: all CV
-folds' warm-started gamma paths in one batch, then all final fits in one
-more. A run of coordinates zero in every chain is checked in one step and
-skipped while none would move. Each chain ends where it would alone, and
-each model is the one its spec gets alone, bit for bit. ``fit`` is the
-one-spec, one-block case.
+pass over its row blocks, and one fold set per seed, which ridge, lasso
+and elastic net share with their arm triangle and training moments. The
+solves run after every reduction. The coordinate-descent chains of every
+spec and block then run in lock step, one vectorised step per coordinate
+across the chains, each with its own penalty mix: all CV folds'
+warm-started gamma paths in one batch, then all final fits in one more. A
+run of coordinates zero in every chain is checked in one step and skipped
+while none would move. Each chain ends where it would alone, and each model
+is the one its spec gets alone, bit for bit. ``fit`` is the one-spec,
+one-block case.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ _ETA_CLIP = 500.0
 _CV_FOLDS = 5
 _PCR_VARIANCE_SHARE = 0.90
 _TWEEDIE_POWER = 1.5
+_BLOCK_ROWS = 8192  # rows per QR block; 1024 to 32768 gave the same bits at any thread count
 
 
 @dataclass(frozen=True)
@@ -252,9 +255,12 @@ def evaluate(model: FittedArmModel, z: np.ndarray) -> np.ndarray:
     ``predict`` checks, e.g. by passing rows of an ``ExperimentData``.
     """
     cols = np.flatnonzero(model.used)
-    means = model.mean_parts.sum(axis=0)[cols]
-    zs = ((z if cols.size == z.shape[1] else z[:, cols]) - means) / model.sds[cols]
-    eta = model.intercept + zs @ model.coefficients[cols]
+    means, sds = model.mean_parts.sum(axis=0)[cols], model.sds[cols]
+    slopes = model.coefficients[cols]
+    eta = np.empty(z.shape[0])
+    for span in _spans(z.shape[0]):  # so no N x K temporary is made
+        zs = ((z[span] if cols.size == z.shape[1] else z[span, cols]) - means) / sds
+        eta[span] = model.intercept + zs @ slopes
     return np.exp(np.clip(eta, -_ETA_CLIP, _ETA_CLIP)) if model.link == "log" else eta
 
 
@@ -286,9 +292,8 @@ def fit_plan(specs, blocks, seeds, pre_period_col: int | None = None) -> list:
     block: per spec, its models (one per block), or the ``MODEL_FAILURES``
     error its fit raises, as a value. Any other error propagates.
 
-    Each block is reduced once per column subset (``_Reduction``), and only
-    the triangles outlive that reduction, so one block's shifted rows are
-    held at a time. Then the penalized chains of every spec and block run in
+    Each block is reduced once per column subset (``_Reduction``), a row
+    block at a time. Then the penalized chains of every spec and block run in
     lock step (``_in_lock_step``). Each model, and each error, is the one a
     fit of its spec alone gives, bit for bit.
     """
@@ -320,7 +325,6 @@ def fit_plan(specs, blocks, seeds, pre_period_col: int | None = None) -> list:
                     fits[i, t] = _fit(specs[i], arm, seeds[i])
                 except MODEL_FAILURES as exc:
                     failures[i] = exc
-            del arm  # before the next subset's rows are shifted
     fits.update(_in_lock_step(
         {key: fit for key, fit in fits.items() if not isinstance(fit, FittedArmModel)},
         failures))
@@ -344,23 +348,24 @@ def _checked_columns(spec: ModelSpec, y: np.ndarray, z: np.ndarray,
 
 
 class _Reduction:
-    """One block's rows [1, z, y] over one column subset, shifted once
-    (``_shifted``), and what the fits on those columns read off them, each
-    made on first use: the QR triangle of the rows and, per seed, a
-    ``_FoldSet``."""
+    """One block's rows [1, z, y] over one column subset, shifted by their
+    column means ``shift`` (so that offset columns lose no accuracy to the
+    intercept), and what the fits on those columns read off them: which
+    columns of z vary, the rows' QR triangle (``_reduce``) and, per seed, a
+    ``_FoldSet`` made on first use."""
 
     def __init__(self, y: np.ndarray, z: np.ndarray, allowed: np.ndarray):
         self.y, self.z, self.allowed = y, z, allowed
-        self.x, self.shift, self.varies = _shifted(y, z, np.flatnonzero(allowed))
+        self.cols = np.flatnonzero(allowed)
+        # column by column, each a pairwise sum whatever z's layout
+        self.shift = np.array([z[:, c].mean() for c in self.cols] + [y.mean()])
+        self.triangle, lo, hi = _reduce(y, z, self.cols, self.shift)
+        self.varies = (lo != hi)[1:-1]
         self._fold_sets = {}
-
-    @cached_property
-    def triangle(self) -> np.ndarray:
-        return np.linalg.qr(self.x, mode="r")
 
     def fold_set(self, seed: int) -> "_FoldSet":
         if seed not in self._fold_sets:
-            self._fold_sets[seed] = _FoldSet(_folds(self.x, seed))
+            self._fold_sets[seed] = _FoldSet(_folds(self, seed))
         return self._fold_sets[seed]
 
 
@@ -394,11 +399,11 @@ class _FoldSet:
 
 def _fit(spec: ModelSpec, arm: _Reduction, seed: int):
     """``fit`` of a spec with covariates on its block's reduction. This call
-    reads the shifted rows; it returns the model of a fit with no varying
-    column, else a generator that holds no shifted rows: it solves, yielding
-    the penalized chains it needs as ``_in_lock_step`` serves them, and
-    returns the model."""
-    m, varies, allowed = arm.x.shape[0], arm.varies, arm.allowed
+    makes the fold set a cross-validated fit reads; it returns the model of a
+    fit with no varying column, else a generator: it solves, yielding the
+    penalized chains it needs as ``_in_lock_step`` serves them, and returns
+    the model."""
+    m, varies, allowed = arm.y.shape[0], arm.varies, arm.allowed
     k = allowed.size
     # a cross-validated fit reads the arm's triangle off its folds' triangles
     cv = (varies.any() and spec.kind in _PENALIZED and m >= _CV_FOLDS
@@ -438,9 +443,9 @@ def _fit(spec: ModelSpec, arm: _Reduction, seed: int):
             w, n_components, flag = _svd_fit(spec, s, q, m)
             return model(w, n_components=n_components, flags=flags + ((flag,) if flag else ()))
         if spec.kind == "tweedie":  # on the block's rows standardized as above
-            cols = np.flatnonzero(varies)
-            design = _tweedie_design(z, np.flatnonzero(used), shift[cols], offsets[cols], sds)
-            intercept, w, rss = _tweedie_irls(design, y)
+            cols, used_cols = np.flatnonzero(varies), np.flatnonzero(used)
+            intercept, w, rss = _tweedie_irls(lambda span: _tweedie_design(
+                z[span], used_cols, shift[cols], offsets[cols], sds), y)
             return model(w, link="log", intercept=intercept, rss=rss)
         lam = None if spec.kind == "ridge" else 1.0 if spec.kind == "lasso" else float(spec.mix)
         chosen_gamma, cv_scores = grid[0], None
@@ -513,20 +518,21 @@ def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
     return model.chosen_gamma, model.cv_scores
 
 
-def _folds(x: np.ndarray, seed: int) -> list[tuple]:
+def _folds(arm: _Reduction, seed: int) -> list[tuple]:
     """(R_f, column minima, column maxima, outcome sum of squares, size) of
-    each cross-validation fold of the shifted rows x."""
-    m = x.shape[0]
+    each cross-validation fold of the arm's shifted rows, each reduced from
+    its rows in ascending order."""
+    m = arm.y.shape[0]
     if m < _CV_FOLDS:
         raise ValidationError(f"{m} rows are too few for {_CV_FOLDS}-fold cross-validation: "
                               f"an arm needs >= {_CV_FOLDS} rows")
     folds = []
     for idx in np.array_split(np.random.default_rng(seed).permutation(m), _CV_FOLDS):
-        # ascending and column by column, so the gather streams down x's columns
-        rows = np.take(x.T, np.sort(idx), axis=1).T
-        lo, hi, y_te = rows.min(axis=0), rows.max(axis=0), rows[:, -1]
+        rows = np.sort(idx)
+        r, lo, hi = _reduce(arm.y, arm.z, arm.cols, arm.shift, rows)
+        y_te = arm.y[rows] - arm.shift[-1]
         ss_tot = 0.0 if lo[-1] == hi[-1] else float(np.sum((y_te - y_te.mean()) ** 2))
-        folds.append((np.linalg.qr(rows, mode="r"), lo, hi, ss_tot, idx.size))
+        folds.append((r, lo, hi, ss_tot, idx.size))
     return folds
 
 
@@ -570,30 +576,45 @@ def lasso_gamma_max(outcome: np.ndarray, covariates: np.ndarray) -> float:
     first step from zero is the soft threshold of exactly those values, so
     slopes vanish exactly (not just approximately) at this value.
     """
-    z = np.asarray(covariates, dtype=np.float64)
-    arm = _Reduction(outcome, z, np.ones(z.shape[1], dtype=bool))
-    m = arm.x.shape[0]
-    *_, s, q = _standardize(arm.triangle, m, arm.varies)
-    return _gamma_max(s.T @ q / m)
+    y, z = np.asarray(outcome, dtype=np.float64), np.asarray(covariates, dtype=np.float64)
+    arm = _Reduction(y, z, np.ones(z.shape[1], dtype=bool))
+    *_, s, q = _standardize(arm.triangle, y.shape[0], arm.varies)
+    return _gamma_max(s.T @ q / y.shape[0])
 
 
 def _gamma_max(c: np.ndarray) -> float:
     return float(np.max(np.abs(c))) if c.size else 0.0
 
 
-def _shifted(y: np.ndarray, z: np.ndarray, cols: np.ndarray,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows [1, z[:, cols], y], z and y shifted by their means (so that
-    offset columns lose no accuracy to the intercept), those means, and which
-    of those columns of z vary. Stored column by column, as the QR reads them
-    (and as numpy sums pairwise)."""
-    x = np.empty((len(y), len(cols) + 2), order="F")
-    x[:, 0], x[:, -1] = 1.0, y
-    for i, c in enumerate(cols):
-        x[:, 1 + i] = z[:, c]
-    shift = x[:, 1:].mean(axis=0)
-    x[:, 1:] -= shift
-    return x, shift, x[:, 1:-1].min(axis=0) != x[:, 1:-1].max(axis=0)
+def _spans(m: int) -> list[slice]:
+    """The row blocks of m rows, ``_BLOCK_ROWS`` at a time."""
+    return [slice(start, start + _BLOCK_ROWS) for start in range(0, m, _BLOCK_ROWS)]
+
+
+def _reduce(y: np.ndarray, z: np.ndarray, cols: np.ndarray, shift: np.ndarray,
+            rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, column minima, column maxima) of the rows [1, z[:, cols], y] less
+    [0, shift], all of them or the ascending ``rows``. Each row block is built
+    column by column and QR-reduced in turn, and R is the QR of the stacked
+    block triangles (``_stacked``)."""
+    triangles, lo, hi = [], np.inf, -np.inf
+    for span in _spans(y.shape[0] if rows is None else rows.size):
+        at = span if rows is None else rows[span]
+        zb, yb = z[at], y[at]
+        x = np.empty((yb.shape[0], cols.size + 2), order="F")
+        x[:, 0] = 1.0
+        for i, c in enumerate(cols):
+            np.subtract(zb[:, c], shift[i], out=x[:, 1 + i])
+        np.subtract(yb, shift[-1], out=x[:, -1])
+        lo, hi = np.minimum(lo, x.min(axis=0)), np.maximum(hi, x.max(axis=0))
+        triangles.append(np.linalg.qr(x, mode="r"))
+    return _stacked(triangles), lo, hi
+
+
+def _stacked(triangles: list[np.ndarray]) -> np.ndarray:
+    """R of the rows whose row blocks have these QR triangles: the one, or the
+    QR of them stacked (TSQR; Demmel, Grigori, Hoemmen & Langou 2012)."""
+    return triangles[0] if len(triangles) == 1 else np.linalg.qr(np.vstack(triangles), mode="r")
 
 
 def _standardize(r: np.ndarray, m: int, keep: np.ndarray,
@@ -791,19 +812,18 @@ def _coordinate_descent(chains: list[tuple]) -> list[tuple[np.ndarray, np.ndarra
     return out
 
 
-def _tweedie_deviance(y: np.ndarray, mu: np.ndarray, p: float) -> float:
-    """Total Tweedie deviance for power p in (1, 2); handles y = 0."""
-    term = (np.power(y, 2.0 - p) / ((1.0 - p) * (2.0 - p))
-            - y * np.power(mu, 1.0 - p) / (1.0 - p)
-            + np.power(mu, 2.0 - p) / (2.0 - p))
+def _tweedie_deviance(y_term, y: np.ndarray, mu: np.ndarray, mu_power, p: float) -> float:
+    """Total Tweedie deviance for power p in (1, 2); handles y = 0. The IRLS makes
+    ``y_term`` = y^(2-p)/((1-p)(2-p)) once, and ``mu_power`` = mu^(2-p) its weights."""
+    term = y_term - y * np.power(mu, 1.0 - p) / (1.0 - p) + mu_power / (2.0 - p)
     return float(2.0 * term.sum())
 
 
 def _tweedie_design(z: np.ndarray, cols: np.ndarray, shift: np.ndarray, offsets: np.ndarray,
                     sds: np.ndarray) -> np.ndarray:
-    """The IRLS design [1, zs], written column by column into one
+    """The IRLS design [1, zs] of rows z, written column by column into one
     column-major matrix: z's columns ``cols``, each less its shift and then
-    its offset (the steps of ``_shifted`` and ``_standardize``), over its sd."""
+    its offset (the steps of ``_reduce`` and ``_standardize``), over its sd."""
     design = np.empty((z.shape[0], 1 + len(cols)), order="F")
     design[:, 0] = 1.0
     for j, c in enumerate(cols):
@@ -813,25 +833,36 @@ def _tweedie_design(z: np.ndarray, cols: np.ndarray, shift: np.ndarray, offsets:
     return design
 
 
-def _tweedie_irls(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Iteratively reweighted least squares for the log-link Tweedie GLM on
-    the design x = [1, zs]: (intercept, slopes, RSS of the final means)."""
+def _tweedie_irls(design, y: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Iteratively reweighted least squares for the log-link Tweedie GLM on the
+    design [1, zs], whose rows ``design(span)`` gives per row block: (intercept,
+    slopes, RSS of the final means). Each step solves on the R of [sw * design,
+    sw * working] with lstsq's rank cutoff for all the rows, so a rank-deficient
+    design keeps its minimum-norm answer."""
     y_bar = float(y.mean())
     if y_bar <= 0:
         raise ValidationError("tweedie with log link needs a positive mean outcome")
-    weighted = np.empty_like(x)
+    spans = _spans(y.shape[0])
+    p = _TWEEDIE_POWER
+    y_term = np.power(y, 2.0 - p) / ((1.0 - p) * (2.0 - p))
     mu = (y + y_bar) / 2.0
     eta = np.log(mu)
-    dev = _tweedie_deviance(y, mu, _TWEEDIE_POWER)
+    weights = np.power(mu, 2.0 - p)  # (dmu/deta)^2 / V(mu) at log link
+    dev = _tweedie_deviance(y_term, y, mu, weights, p)
     for _ in range(IRLS_MAX_ITER):
-        weights = np.power(mu, 2.0 - _TWEEDIE_POWER)  # (dmu/deta)^2 / V(mu) at log link
-        working = eta + (y - mu) / mu
         sw = np.sqrt(weights)
-        np.multiply(x, sw[:, None], out=weighted)
-        beta, *_ = np.linalg.lstsq(weighted, working * sw, rcond=None)
-        eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
+        working = (eta + (y - mu) / mu) * sw
+        r = _stacked([np.linalg.qr(np.column_stack([design(span) * sw[span, None], working[span]]),
+                                   mode="r") for span in spans])
+        k = r.shape[1] - 1
+        beta, *_ = np.linalg.lstsq(r[:, :k], r[:, k],
+                                   rcond=np.finfo(np.float64).eps * max(y.shape[0], k))
+        for span in spans:
+            eta[span] = design(span) @ beta
+        np.clip(eta, -_ETA_CLIP, _ETA_CLIP, out=eta)
         mu = np.exp(eta)
-        new_dev = _tweedie_deviance(y, mu, _TWEEDIE_POWER)
+        weights = np.power(mu, 2.0 - p)
+        new_dev = _tweedie_deviance(y_term, y, mu, weights, p)
         if abs(new_dev - dev) <= IRLS_TOL * max(1.0, abs(dev)):
             return float(beta[0]), beta[1:], float(np.sum((y - mu) ** 2))
         dev = new_dev

@@ -135,7 +135,9 @@ def write_report(doc: dict, path) -> dict:
 
 def write_manifest(path, command: str, config: dict, seed: int,
                    timings_ms: dict[str, float]) -> None:
-    """Run metadata: config echo, seed, versions, timings. Not byte-stable."""
+    """Run metadata: config echo, seed, versions, the BLAS and thread setup
+    (numpy 1.24 does not record its BLAS: null), timings. Not byte-stable."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     write_file(path, jsonable({
         "command": command,
         "config": config,
@@ -146,7 +148,11 @@ def write_manifest(path, command: str, config: dict, seed: int,
             "numpy": np.__version__,
             # not platform.platform(): its uname() processor field runs `uname -p`
             "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
         },
+        "threads": {name: os.environ.get(name) for name in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
         "timings_ms": timings_ms,
     }))
 

@@ -654,6 +654,20 @@ def test_manifest_echoes_typed_resolved_options(tmp_path, monkeypatch):
     assert config["out"] == str(out) and config["command"] == "aa"
 
 
+def test_the_manifest_records_the_blas_and_the_thread_setup(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert run_cli("simulate", "--n-units", "20", "--out", tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["threads"] == {"OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": None,
+                                   "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS")}
+    assert manifest["cpu_count"] == os.cpu_count()
+    built = getattr(np.__config__, "CONFIG", None)  # numpy >= 1.25 records its BLAS
+    blas = built["Build Dependencies"]["blas"] if built else {}
+    assert manifest["versions"]["blas"] == {"name": blas.get("name"),
+                                            "version": blas.get("version")}
+
+
 def test_a_successful_run_imports_neither_jsonschema_nor_importlib_metadata(tmp_path):
     data = dataset.generate(dataset.SyntheticConfig(n_units=200, k_covariates=2,
                                                     outcome_cor=0.5, seed=3))
@@ -748,20 +762,46 @@ def test_reports_are_the_ones_the_serial_descent_gives(tmp_path, monkeypatch):
             tmp_path / "serial" / name / "report.json").read_bytes()
 
 
-def test_a_dim_report_does_not_depend_on_the_blas_thread_count(tmp_path):
-    # arms of about 5e4 rows: OpenBLAS splits a dot product this long across threads
-    data = dataset.generate(dataset.SyntheticConfig(n_units=100_000, k_covariates=2,
-                                                    outcome_cor=0.5, seed=2))
-    dataset.write_csv(data, tmp_path / "in.csv")
-    argv = ["estimate", "--input", str(tmp_path / "in.csv"), "--assignment-col", "assignment",
-            "--outcome-col", "outcome", "--covariate-cols", "z1,z2", "--pre-period-col", "z1",
-            "--models", "dim"]
-    for threads in ("1", "2"):
-        run_python(f"import sys, gobe.cli\n"
-                   f"sys.exit(gobe.cli.main({[*argv, '--out', str(tmp_path / threads)]!r}))",
-                   OPENBLAS_NUM_THREADS=threads)
-    assert (tmp_path / "1" / "report.json").read_bytes() == (
-        tmp_path / "2" / "report.json").read_bytes()
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # arms of over 1e5 rows at K=10, where a QR or a BLAS dot product of all an
+    # arm's rows takes its last bits from the thread count
+    rng = np.random.default_rng(2)
+    n = 220_000
+    z = np.column_stack([rng.gamma(2.0, 1.0, n), rng.standard_normal((n, 9))]).round(3)
+    outcome = rng.gamma(2.0, np.exp(0.3 * z[:, 1]) * z[:, 0] / 4.0) * (rng.random(n) < 0.6)
+    data = dataset.ExperimentData(  # short decimals, so the CSV is quick to write and read
+        unit_ids=np.arange(n), assignment=(rng.random(n) < 0.5).astype(np.int8),
+        outcome=outcome.round(3), covariates=z, pre_period_col=0,
+        day_index=rng.integers(1, 11, n))
+    schema = dataset.write_csv(data, tmp_path / "in.csv")
+    flags = ["--input", str(tmp_path / "in.csv"), "--assignment-col", schema.assignment,
+             "--outcome-col", schema.outcome, "--covariate-cols", ",".join(schema.covariates),
+             "--pre-period-col", schema.pre_period, "--seed", "3"]
+    runs = {"estimate": ["estimate", *flags, "--models", ZOO + ",two_step:tweedie"],
+            "power": ["power", *flags, "--day-col", schema.day, "--day", "9", "--delta", "0.05",
+                      "--models", "ols,pcr,tweedie"],
+            "aa": ["aa", *flags, "--models", "ols,pcr", "--s-splits", "2"],
+            "stress": ["stress", *flags, "--models", "dim,ols,pcr", "--folds", "1",
+                       "--draws", "1"]}
+    children, src = [], str(Path(gobe.__file__).parents[1])
+    for threads in ("1", "2"):  # side by side; each one's own thread count sets its bits
+        argvs = [[*argv, "--out", str(tmp_path / threads / name)] for name, argv in runs.items()]
+        script = f"import gobe.cli\nassert [gobe.cli.main(a) for a in {argvs!r}] == [0] * 4"
+        children.append(subprocess.Popen([sys.executable, "-c", script], env={
+            **os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}))
+    try:
+        assert [child.wait(timeout=120) for child in children] == [0, 0]
+    finally:
+        for child in children:
+            child.kill()
+    for name in runs:
+        for path in sorted((tmp_path / "1" / name).iterdir()):
+            other = tmp_path / "2" / name / path.name
+            if path.name == "stress.csv":  # runtime_ms, the last column, is a wall time
+                assert [row[:-1] for row in csv.reader(path.read_text().splitlines())] == [
+                    row[:-1] for row in csv.reader(other.read_text().splitlines())]
+            elif path.name != "manifest.json":
+                assert path.read_bytes() == other.read_bytes(), (name, path.name)
 
 
 # Attributes perfbench/replay.py reads from the parsed namespace of each
@@ -880,7 +920,8 @@ def test_a_command_reduces_each_arm_once_and_runs_one_kernel_call_per_round(tmp_
         outcome=rng.gamma(2.0, np.exp(0.3 * z[:, 0] - 0.2 * z[:, 1]) / 2.0),
         covariates=z, pre_period_col=0)
     schema = dataset.write_csv(data, tmp_path / "in.csv")
-    calls, qr_rows = {}, []
+    monkeypatch.setattr(regression, "_BLOCK_ROWS", 64)  # so that every arm spans blocks
+    calls, reduced, block_rows = {}, [], []
 
     def counting(name):
         real = getattr(regression, name)
@@ -890,14 +931,20 @@ def test_a_command_reduces_each_arm_once_and_runs_one_kernel_call_per_round(tmp_
             return real(*args, **kwargs)
         monkeypatch.setattr(regression, name, wrapper)
 
-    for name in ("_shifted", "_folds", "_coordinate_descent"):
+    for name in ("_folds", "_coordinate_descent"):
         counting(name)
-    real_qr = np.linalg.qr
+    real_reduce, real_qr = regression._reduce, np.linalg.qr
+
+    def reduce(y, z, cols, shift, rows=None):
+        reduced.append((y.shape[0], rows))
+        return real_reduce(y, z, cols, shift, rows)
 
     def qr(a, *args, **kwargs):
-        qr_rows.append(a.shape[0])
+        if (a[:, 0] == 1.0).all():  # a block of shifted rows, led by its intercept column
+            block_rows.append(a.shape[0])
         return real_qr(a, *args, **kwargs)
 
+    monkeypatch.setattr(regression, "_reduce", reduce)
     monkeypatch.setattr(np.linalg, "qr", qr)
     out = tmp_path / "out"
     assert run_cli("estimate", "--input", tmp_path / "in.csv", "--assignment-col",
@@ -906,10 +953,16 @@ def test_a_command_reduces_each_arm_once_and_runs_one_kernel_call_per_round(tmp_
                    "--models", READOUT_MODELS, "--out", out) == 0
     doc = read_report(out)
     assert [e["model_id"] for e in doc["estimates"]] == READOUT_MODELS.split(",")
-    # per arm: a shift and a row QR for all columns and for @pre, one fold set
-    # (5 fold QRs, the arm triangle, 5 training triangles) for ridge, lasso and
-    # elastic net; then one kernel call for their CV chains and one for their fits
-    assert calls == {"_shifted": 4, "_folds": 2, "_coordinate_descent": 2}
-    assert sorted(rows for rows in qr_rows if rows in data.arm_sizes()) == sorted(
-        2 * data.arm_sizes())
-    assert len(qr_rows) == 2 * (2 + 5 + 1 + 5)
+    # per arm: its rows reduced once for all columns and once for @pre, and one
+    # fold set (5 folds) for ridge, lasso and elastic net; then one kernel call
+    # for their CV chains and one for their fits
+    sizes = data.arm_sizes()
+    assert sizes[0] != sizes[1]
+    assert sorted(m for m, rows in reduced if rows is None) == sorted(2 * sizes)
+    for m in sizes:
+        folds = [rows for size, rows in reduced if size == m and rows is not None]
+        assert len(folds) == 5
+        assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(m))
+    assert calls == {"_folds": 2, "_coordinate_descent": 2}
+    # so each arm row enters one block QR per column set, and one for its fold
+    assert max(block_rows) <= 64 and sum(block_rows) == 3 * n

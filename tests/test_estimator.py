@@ -461,15 +461,18 @@ def offset_experiment(seed, n=658, k=4, rho=0.9, r2=0.9999):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_ols_ate_at_large_offsets_matches_exact_arithmetic(seed):
+def test_ols_ate_at_large_offsets_matches_exact_arithmetic(seed, monkeypatch):
     # two_step:ols equals ols exactly: an arm's least-squares predictions
-    # regress on themselves with slope 1 and intercept 0
+    # regress on themselves with slope 1 and intercept 0; each arm in one row
+    # block, then in blocks of 64 rows
     data = offset_experiment(seed)
     exact = exact_ols_ate(data.outcome, data.assignment, data.covariates)
-    for name in ("ols", "two_step:ols"):
-        est = estimate(data, name)
-        half_width = (est.ci[1] - est.ci[0]) / 2
-        assert abs(float(Fraction(est.ate) - exact)) <= 1e-10 * half_width, name
+    for block_rows in (regression._BLOCK_ROWS, 64):
+        monkeypatch.setattr(regression, "_BLOCK_ROWS", block_rows)
+        for name in ("ols", "two_step:ols"):
+            est = estimate(data, name)
+            half_width = (est.ci[1] - est.ci[0]) / 2
+            assert abs(float(Fraction(est.ate) - exact)) <= 1e-10 * half_width, (name, block_rows)
 
 
 # --- one fit plan for many specs ----------------------------------------------

@@ -457,6 +457,47 @@ def test_gram_fits_match_the_rowspace_reference(problem):
                                    rtol=1e-12, atol=1e-12)
 
 
+_B = 16  # the row block size these tests set, so that small arms span blocks
+
+
+@pytest.mark.parametrize("m", [_B - 1, _B, _B + 1, 2 * _B + 1, 5 * _B + 5])
+def test_fits_on_arms_that_span_row_blocks_match_the_rowspace_references(m, monkeypatch):
+    # the last arm's CV folds have B + 1 rows, so each fold spans two blocks too
+    monkeypatch.setattr(regression, "_BLOCK_ROWS", _B)
+    rng = np.random.default_rng(m)
+    z = rng.standard_normal((m, 3)) * [1.0, 5.0, 0.2] + [0.0, 100.0, -3.0]
+    # a column constant within each row block but not across them, and one
+    # constant on the whole arm
+    z = np.column_stack([z, np.arange(m) // _B * 0.5, np.full(m, 0.1)])
+    y = 1.0 + z[:, :3] @ [0.5, -0.1, 2.0] + 0.3 * z[:, 3] + rng.standard_normal(m)
+    keep = z.min(axis=0) != z.max(axis=0)
+    assert keep.tolist() == [True, True, True, m > _B, False]
+    for kind in ("ols", "pcr"):
+        model = fit(ModelSpec(kind), y, z)
+        w, flags, n_components = rowspace_linear_fit(y, z, kind)
+        assert (model.flags, model.n_components) == (flags, n_components), kind
+        assert "dropped_zero_variance" in model.flags
+        np.testing.assert_allclose(model.coefficients[keep], w, rtol=0,
+                                   atol=1e-10 * max(1.0, np.abs(w).max()))
+    grid = tuple(f * lasso_gamma_max(y, z) for f in (0.05, 0.3, 1.2))
+    for name, lam in _L1_WEIGHTS.items():
+        spec = parse_model(name)
+        model = fit(ModelSpec(spec.kind, mix=spec.mix, hyper_grid=grid), y, z, seed=_CV_SEED)
+        gamma, scores, w, _ = rowspace_fit(y, z, grid, lam, seed=_CV_SEED)
+        assert model.chosen_gamma == gamma, name
+        np.testing.assert_allclose(model.coefficients[keep], w, rtol=0, atol=1e-10)
+        np.testing.assert_allclose([s for _, s in model.cv_scores], [s for _, s in scores],
+                                   rtol=1e-12, atol=1e-12)
+    # tweedie's IRLS steps and predictions, block by block and in one block
+    positive = np.exp(0.2 * z[:, 0] + 0.5 * rng.standard_normal(m))
+    blocked = fit(ModelSpec("tweedie"), positive, z)
+    monkeypatch.setattr(regression, "_BLOCK_ROWS", m)
+    whole = fit(ModelSpec("tweedie"), positive, z)
+    np.testing.assert_allclose(blocked.coefficients, whole.coefficients, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(regression.evaluate(blocked, z), regression.evaluate(whole, z),
+                               rtol=1e-9)
+
+
 # --- the lock-step coordinate-descent kernel ---------------------------------
 
 @st.composite
@@ -599,6 +640,18 @@ def test_tweedie_recovers_log_linear_signal():
     means = model.mean_parts.sum(axis=0)[:-1]
     assert abs(model.intercept + (model.coefficients * means / model.sds).sum()
                - 0.5) < 0.05
+
+
+def test_tweedie_rank_uses_the_lstsq_cutoff_of_the_rows():
+    # as for ols: each IRLS step solves on the weighted rows' triangle, with the
+    # cutoff lstsq applies to the rows, so the near-duplicate's tiny singular
+    # value is cut and the two columns share the slope (the minimum-norm answer)
+    rng = np.random.default_rng(25)
+    z0 = rng.standard_normal(2000)
+    z = np.column_stack([z0, z0 + 1e-13 * rng.standard_normal(2000)])
+    model = fit(ModelSpec("tweedie"), np.exp(0.3 * z0 + 0.5 * rng.standard_normal(2000)), z)
+    w = model.coefficients
+    assert model.used.all() and abs(w[0] - w[1]) < 1e-9 * abs(w[0])
 
 
 def test_tweedie_intercept_only_matches_mean():
