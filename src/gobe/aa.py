@@ -144,7 +144,7 @@ def run_aa(data: ExperimentData, arm: int, models: list[ModelSpec | str],
     pre_col = restricted.pre_period_col
 
     def fit_rows(s, control, treated, models_j):
-        arms = tuple((np.take(y, rows), np.take(z, rows, axis=0)) for rows in (control, treated))
+        arms = tuple((np.take(y, rows), z, rows) for rows in (control, treated))
         ests = estimate_specs(arms, [specs[j] for j in models_j], pre_col, alpha,
                               [child_seed(seed, s, j) for j in models_j])
         for j, est in zip(models_j, ests):

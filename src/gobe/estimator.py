@@ -9,7 +9,10 @@ Gaussian; arm sizes are recorded so consumers can judge the asymptotics.
 
 Each call splits the rows by arm once and fits each arm's block, with one
 ``regression.fit_plan`` for all the specs of a call (``estimate_specs``;
-``estimate`` is its one-spec case). The ATE,
+``estimate`` is its one-spec case). An arm's block is its outcomes and its
+row indices into the experiment's covariate table, which both arms share:
+an estimate holds the table once, and reads an arm's rows from it a row
+block at a time. The ATE,
 (sum_treated(y - f0(z)) + sum_control(f1(z) - y)) / N, needs for
 identity-link fits only each arm's size, means and slopes (Lin 2013), and
 each MSE only the RSS the fit keeps, so assembly reads no rows: only a log
@@ -31,7 +34,9 @@ from .dataset import ExperimentData
 from .errors import MODEL_FAILURES, ValidationError
 from .regression import FittedArmModel, ModelSpec, evaluate, fit_plan, parse_model
 
-ArmBlock = tuple[np.ndarray, np.ndarray]  # (outcome, covariate rows) of one arm
+# one arm: (its outcomes, the covariate table both arms share, its row indices
+# into the table); the outcomes are copied, the table is not
+ArmBlock = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ def fit_arm_models(data: ExperimentData, spec: ModelSpec,
     """Fit the spec on each arm's rows. Both fits use the same seed so that
     relabelling the arms permutes the results instead of changing them."""
     arms = split_arms(data)
-    for t, (y, _) in enumerate(arms):
+    for t, (y, _, _) in enumerate(arms):
         if y.shape[0] == 0:
             raise ValidationError(f"arm {t} is empty")
     [models] = fit_plan([spec], arms, [seed], data.pre_period_col)
@@ -116,9 +121,9 @@ def estimate(data: ExperimentData, spec: ModelSpec | str,
 def estimate_specs(arms: tuple[ArmBlock, ArmBlock], specs: list[ModelSpec], pre_period_col: int,
                    alpha: float, seeds: list[int]) -> list[AteEstimate | Exception]:
     """``estimate`` of every spec, each with its seed, on rows already split
-    into ``(y0, Z0), (y1, Z1)``, from one ``regression.fit_plan`` of their
-    (base) specs: per spec, its estimate, or the ``MODEL_FAILURES`` error it
-    raises. Any other error propagates. The caller guarantees what
+    into ``(y0, Z, rows0), (y1, Z, rows1)``, from one ``regression.fit_plan``
+    of their (base) specs: per spec, its estimate, or the ``MODEL_FAILURES``
+    error it raises. Any other error propagates. The caller guarantees what
     ``estimate`` checks: alpha in (0, 1), >= 2 finite rows per arm."""
     out = fit_plan([spec.base or spec for spec in specs], arms, seeds, pre_period_col)
     for i, (spec, models) in enumerate(zip(specs, out)):
@@ -133,7 +138,7 @@ def estimate_specs(arms: tuple[ArmBlock, ArmBlock], specs: list[ModelSpec], pre_
 def _assemble(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, models: list[FittedArmModel],
               alpha: float) -> AteEstimate:
     """The estimate of ``spec`` from its (base) arm models."""
-    (y0, z0), (y1, z1) = arms
+    (y0, z0, rows0), (y1, z1, rows1) = arms
     n0, n1 = y0.shape[0], y1.shape[0]
     gaps = (models[1].mean_parts - models[0].mean_parts).sum(axis=0)  # part by part
     slopes, rss = [m.coefficients / m.sds for m in models], [m.rss for m in models]
@@ -143,8 +148,8 @@ def _assemble(arms: tuple[ArmBlock, ArmBlock], spec: ModelSpec, models: list[Fit
     if spec.kind == "two_step" or models[0].link == models[1].link == "identity":
         ate = float(affine_ate((n0, n1), gaps, slopes))
     else:
-        ate = (float(np.sum(y1 - evaluate(models[0], z1)))
-               + float(np.sum(evaluate(models[1], z0) - y0))) / (n0 + n1)
+        ate = (float(np.sum(y1 - evaluate(models[0], z1, rows1)))
+               + float(np.sum(evaluate(models[1], z0, rows0) - y0))) / (n0 + n1)
     mses, variance, ci = interval(ate, rss, (n0, n1), alpha)
     lo, hi = float(ci[0]), float(ci[1])
     control_mean = float(y0.mean())
@@ -171,11 +176,11 @@ def _two_step(arms: tuple[ArmBlock, ArmBlock], base: list[FittedArmModel], gaps,
     follow the thread count."""
     pairs = [m.centered for m in base]
     if any(m.link == "log" for m in base):
-        f = [[evaluate(m, z) for m in base] for _, z in arms]  # f[t][s] = f_s(Z_t)
+        f = [[evaluate(m, z, rows) for m in base] for _, z, rows in arms]  # f[t][s] = f_s(Z_t)
         if not all(np.isfinite(ft).all() for ft in f):
             raise ValidationError("base predictions contain non-finite values")
         gaps, slopes = np.append(np.mean(f[1], axis=1) - np.mean(f[0], axis=1), gaps[-1]), np.eye(2)
-        q = [y - y.mean() for y, _ in arms]
+        q = [y - y.mean() for y, _, _ in arms]
         pairs = [None if f[t][t].min() == f[t][t].max() else (f[t][t] - f[t][t].mean(), q[t])
                  for t in (0, 1)]
         rss = [float(np.sum(v * v)) for v in q]
@@ -204,9 +209,10 @@ def variance_reduction(candidate: AteEstimate, baseline_dim: AteEstimate) -> flo
 
 def split_arms(data: ExperimentData) -> tuple[ArmBlock, ArmBlock]:
     """Partition the rows once into the control and treated blocks, each in
-    ascending row order."""
+    ascending row order: each arm's outcomes, copied, with the covariate
+    table, not copied, and the arm's rows in it."""
     treated = data.assignment == 1
-    return tuple((np.take(data.outcome, rows), np.take(data.covariates, rows, axis=0))
+    return tuple((np.take(data.outcome, rows), data.covariates, rows)
                  for rows in (np.flatnonzero(~treated), np.flatnonzero(treated)))
 
 
@@ -252,7 +258,7 @@ def checked_arms(data: ExperimentData, alpha: float) -> tuple[ArmBlock, ArmBlock
     """Validate alpha, split by arm and require >= 2 units in each arm."""
     check_alpha(alpha)
     arms = split_arms(data)
-    n0, n1 = (y.shape[0] for y, _ in arms)
+    n0, n1 = (y.shape[0] for y, _, _ in arms)
     if min(n0, n1) < 2:
         raise ValidationError(
             f"need >= 2 units per arm for the error estimate (sizes: {n0}, {n1})"

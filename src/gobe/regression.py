@@ -16,11 +16,16 @@ with P(w) = lam * |w|_1 + (1 - lam)/2 * |w|_2^2. ``lasso`` is lam = 1,
 scaling the smallest gamma that zeroes every lasso coefficient is
 max_k |z_k . (y - mean(y))| / m on standardized columns.
 
+An arm is its outcomes, the experiment's covariate table and its row
+indices into that table; the table is shared by both arms and never copied.
+Every reader of an arm's rows gathers them from the table one block of 8192
+row indices at a time.
+
 The linear kinds never solve on rows. A fit shifts the rows [1, z, y] by
 their column means and keeps the R factor of their QR decomposition, a
 (K+2) x (K+2) triangle (Golub & Van Loan, "Matrix Computations", 5.3), made
-8192 rows at a time: the QR of each row block, then of the stacked block
-triangles (TSQR). So no shifted copy of the arm is made, and R's bits do not
+a row block at a time: the QR of each block, then of the stacked block
+triangles (TSQR). So no copy of the arm is made, and R's bits do not
 depend on the BLAS thread count, as those of a QR of all the rows do. Its
 first row gives the means; below it, the standardized covariates and the
 centered outcome are Q S and Q q for a small S and q. ``ols`` and ``pcr``
@@ -28,8 +33,9 @@ solve on the SVD of S; ridge solves (G + gamma I) w = c with G = S'S/m and
 c = S'q/m, a whole gamma path in one stacked solve; lasso/elastic-net run
 coordinate descent with covariance updates on (G, c); the RSS is
 |q - S w|^2. Cross-validation reduces each fold to its own triangle, and the
-arm's triangle is then the QR of the folds' stacked triangles. A column is
-constant when its minimum equals its maximum.
+arm's triangle is then the QR of the folds' stacked triangles; when every
+fit on a column set cross-validates, the arm is reduced only fold by fold.
+A column is constant when its minimum equals its maximum.
 
 ``fit_plan`` fits many specs on the blocks of an experiment (both arms) at
 once. Each block is reduced once per column subset the specs use: one
@@ -42,7 +48,7 @@ warm-started gamma paths in one batch, then all final fits in one more. A
 run of coordinates zero in every chain is checked in one step and skipped
 while none would move. Each chain ends where it would alone, and each model
 is the one its spec gets alone, bit for bit. ``fit`` is the one-spec,
-one-block case.
+one-block case, on all the rows of its covariates.
 """
 
 from __future__ import annotations
@@ -247,8 +253,10 @@ def predict(model: FittedArmModel, z: np.ndarray) -> np.ndarray | float:
     return float(out[0]) if single else out
 
 
-def evaluate(model: FittedArmModel, z: np.ndarray) -> np.ndarray:
-    """Model values on the rows of an N x K float matrix, unchecked.
+def evaluate(model: FittedArmModel, z: np.ndarray, rows: np.ndarray | None = None,
+             ) -> np.ndarray:
+    """Model values on the rows of an N x K float matrix, or on its rows
+    ``rows`` in that order, unchecked.
 
     Reads only the columns the model uses (none for ``dim``, one for
     ``@pre``). The caller guarantees the shape and finiteness that
@@ -257,9 +265,10 @@ def evaluate(model: FittedArmModel, z: np.ndarray) -> np.ndarray:
     cols = np.flatnonzero(model.used)
     means, sds = model.mean_parts.sum(axis=0)[cols], model.sds[cols]
     slopes = model.coefficients[cols]
-    eta = np.empty(z.shape[0])
-    for span in _spans(z.shape[0]):  # so no N x K temporary is made
-        zs = ((z[span] if cols.size == z.shape[1] else z[span, cols]) - means) / sds
+    eta = np.empty(z.shape[0] if rows is None else rows.size)
+    for span in _spans(eta.size):  # so no N x K temporary is made
+        zb = z[span] if rows is None else _take(z, rows[span])
+        zs = ((zb if cols.size == z.shape[1] else zb[:, cols]) - means) / sds
         eta[span] = model.intercept + zs @ slopes
     return np.exp(np.clip(eta, -_ETA_CLIP, _ETA_CLIP)) if model.link == "log" else eta
 
@@ -274,22 +283,27 @@ def fit(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
         Model choice; ``two_step`` is composed at the estimator level and is
         rejected here.
     outcome, covariates : arrays
-        The arm's outcomes (length m) and covariate rows (m x K).
+        The arm's outcomes (length m) and covariate rows (m x K), all of
+        which the fit reads.
     seed : int
         Drives cross-validation fold assignment only; deterministic kinds
         ignore it.
     pre_period_col : int, optional
         Needed to resolve a ``columns="pre"`` subset.
     """
-    [models] = fit_plan([spec], [(outcome, covariates)], [seed], pre_period_col)
+    z = np.asarray(covariates, dtype=np.float64)
+    rows = np.arange(z.shape[0] if z.ndim else 0)
+    [models] = fit_plan([spec], [(outcome, z, rows)], [seed], pre_period_col)
     if isinstance(models, Exception):
         raise models
     return models[0]
 
 
 def fit_plan(specs, blocks, seeds, pre_period_col: int | None = None) -> list:
-    """``fit`` of each spec, with its seed, on every ``(outcome, covariates)``
-    block: per spec, its models (one per block), or the ``MODEL_FAILURES``
+    """``fit`` of each spec, with its seed, on every ``(outcome, covariates,
+    rows)`` block, an arm: its outcomes, a covariate table it may share with
+    other blocks, and the rows of that table the outcomes belong to, in their
+    order. Per spec, its models (one per block), or the ``MODEL_FAILURES``
     error its fit raises, as a value. Any other error propagates.
 
     Each block is reduced once per column subset (``_Reduction``), a row
@@ -302,15 +316,16 @@ def fit_plan(specs, blocks, seeds, pre_period_col: int | None = None) -> list:
         if spec.kind == "two_step":
             failures[i] = ValidationError(
                 "two_step is an estimator-level composition; fit its base instead")
-    for t, (outcome, covariates) in enumerate(blocks):
+    for t, (outcome, covariates, rows) in enumerate(blocks):
         y = np.asarray(outcome, dtype=np.float64)
         z = np.asarray(covariates, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.intp)
         groups = {}  # the specs of each column subset
         for i, spec in enumerate(specs):
             if i in failures:
                 continue
             try:
-                allowed = _checked_columns(spec, y, z, pre_period_col)
+                allowed = _checked_columns(spec, y, z, rows, pre_period_col)
             except MODEL_FAILURES as exc:
                 failures[i] = exc
                 continue
@@ -319,7 +334,8 @@ def fit_plan(specs, blocks, seeds, pre_period_col: int | None = None) -> list:
             else:
                 groups.setdefault(allowed.tobytes(), (allowed, []))[1].append(i)
         for allowed, members in groups.values():
-            arm = _Reduction(y, z, allowed)
+            cv = [seeds[i] for i in members if _cross_validates(specs[i], y.shape[0])]
+            arm = _Reduction(y, z, rows, allowed, cv[0] if len(cv) == len(members) else None)
             for i in members:
                 try:
                     fits[i, t] = _fit(specs[i], arm, seeds[i])
@@ -332,13 +348,13 @@ def fit_plan(specs, blocks, seeds, pre_period_col: int | None = None) -> list:
             for i in range(len(specs))]
 
 
-def _checked_columns(spec: ModelSpec, y: np.ndarray, z: np.ndarray,
+def _checked_columns(spec: ModelSpec, y: np.ndarray, z: np.ndarray, rows: np.ndarray,
                      pre_period_col: int | None) -> np.ndarray | None:
     """The covariate columns the spec may use on this block (None for
     ``dim``), after the checks ``fit`` makes on the block."""
     if z.ndim != 2:
         raise ValidationError("covariates must be a 2-D matrix")
-    if y.shape != (z.shape[0],) or z.shape[0] == 0:
+    if y.ndim != 1 or y.shape != rows.shape or y.size == 0:
         raise ValidationError("arm data is empty or misshapen")
     if spec.kind == "tweedie" and (y < 0).any():
         raise ValidationError("tweedie requires non-negative outcomes")
@@ -348,20 +364,30 @@ def _checked_columns(spec: ModelSpec, y: np.ndarray, z: np.ndarray,
 
 
 class _Reduction:
-    """One block's rows [1, z, y] over one column subset, shifted by their
-    column means ``shift`` (so that offset columns lose no accuracy to the
-    intercept), and what the fits on those columns read off them: which
+    """One block's rows [1, z[rows], y] over one column subset, shifted by
+    their column means ``shift`` (so that offset columns lose no accuracy to
+    the intercept), and what the fits on those columns read off them: which
     columns of z vary, the rows' QR triangle (``_reduce``) and, per seed, a
-    ``_FoldSet`` made on first use."""
+    ``_FoldSet`` made on first use. Given ``fold_seed``, the seed of a fit
+    that cross-validates whenever a column varies, which columns vary is read
+    off that seed's folds, and the triangle is made only if a fit asks."""
 
-    def __init__(self, y: np.ndarray, z: np.ndarray, allowed: np.ndarray):
-        self.y, self.z, self.allowed = y, z, allowed
+    def __init__(self, y: np.ndarray, z: np.ndarray, rows: np.ndarray, allowed: np.ndarray,
+                 fold_seed: int | None = None):
+        self.y, self.z, self.rows, self.allowed = y, z, rows, allowed
         self.cols = np.flatnonzero(allowed)
-        # column by column, each a pairwise sum whatever z's layout
-        self.shift = np.array([z[:, c].mean() for c in self.cols] + [y.mean()])
-        self.triangle, lo, hi = _reduce(y, z, self.cols, self.shift)
-        self.varies = (lo != hi)[1:-1]
+        self.shift = np.append(_column_sums(z, rows, self.cols) / rows.size, y.mean())
         self._fold_sets = {}
+        if fold_seed is None:
+            self.triangle, lo, hi = _reduce(y, z, rows, self.cols, self.shift)
+        else:  # the folds partition the rows, so their extremes are the rows'
+            folds = self.fold_set(fold_seed).folds
+            lo, hi = np.min([f[1] for f in folds], axis=0), np.max([f[2] for f in folds], axis=0)
+        self.varies = (lo != hi)[1:-1]
+
+    @cached_property
+    def triangle(self) -> np.ndarray:
+        return _reduce(self.y, self.z, self.rows, self.cols, self.shift)[0]
 
     def fold_set(self, seed: int) -> "_FoldSet":
         if seed not in self._fold_sets:
@@ -406,8 +432,7 @@ def _fit(spec: ModelSpec, arm: _Reduction, seed: int):
     m, varies, allowed = arm.y.shape[0], arm.varies, arm.allowed
     k = allowed.size
     # a cross-validated fit reads the arm's triangle off its folds' triangles
-    cv = (varies.any() and spec.kind in _PENALIZED and m >= _CV_FOLDS
-          and (spec.hyper_grid is None or len(spec.hyper_grid) > 1))
+    cv = varies.any() and _cross_validates(spec, m)
     r = arm.fold_set(seed).triangle if cv else arm.triangle
     offsets, sds, s, q = _standardize(r, m, varies)
     mean_parts = np.zeros((2, k + 1))
@@ -417,7 +442,7 @@ def _fit(spec: ModelSpec, arm: _Reduction, seed: int):
         return _mean_model(spec, arm.y, mean_parts, flags + ("dim_fallback",))
     used = allowed.copy()
     used[allowed] = varies
-    y, z, shift, y_bar = arm.y, arm.z, arm.shift, float(arm.y.mean())
+    y, z, rows, shift, y_bar = arm.y, arm.z, arm.rows, arm.shift, float(arm.y.mean())
     folds = None
     if spec.kind in _PENALIZED:
         gram, c = s.T @ s / m, s.T @ q / m
@@ -445,7 +470,7 @@ def _fit(spec: ModelSpec, arm: _Reduction, seed: int):
         if spec.kind == "tweedie":  # on the block's rows standardized as above
             cols, used_cols = np.flatnonzero(varies), np.flatnonzero(used)
             intercept, w, rss = _tweedie_irls(lambda span: _tweedie_design(
-                z[span], used_cols, shift[cols], offsets[cols], sds), y)
+                _take(z, rows[span]), used_cols, shift[cols], offsets[cols], sds), y)
             return model(w, link="log", intercept=intercept, rss=rss)
         lam = None if spec.kind == "ridge" else 1.0 if spec.kind == "lasso" else float(spec.mix)
         chosen_gamma, cv_scores = grid[0], None
@@ -456,6 +481,12 @@ def _fit(spec: ModelSpec, arm: _Reduction, seed: int):
                      flags=flags + (() if converged[0] else ("cd_max_sweeps",)))
 
     return solve()
+
+
+def _cross_validates(spec: ModelSpec, m: int) -> bool:
+    """Whether a fit of the spec on m rows cross-validates, given a varying column."""
+    return (spec.kind in _PENALIZED and m >= _CV_FOLDS
+            and (spec.hyper_grid is None or len(spec.hyper_grid) > 1))
 
 
 def _mean_model(spec: ModelSpec, y: np.ndarray, mean_parts: np.ndarray,
@@ -521,18 +552,25 @@ def cross_validate(spec: ModelSpec, outcome: np.ndarray, covariates: np.ndarray,
 def _folds(arm: _Reduction, seed: int) -> list[tuple]:
     """(R_f, column minima, column maxima, outcome sum of squares, size) of
     each cross-validation fold of the arm's shifted rows, each reduced from
-    its rows in ascending order."""
+    its rows in the arm's order. Fold i is the i-th of the ``np.array_split``
+    of a permutation of the arm's positions; one label per position stands
+    in for the permutation while the folds are reduced."""
     m = arm.y.shape[0]
     if m < _CV_FOLDS:
         raise ValidationError(f"{m} rows are too few for {_CV_FOLDS}-fold cross-validation: "
                               f"an arm needs >= {_CV_FOLDS} rows")
+    q, extra = divmod(m, _CV_FOLDS)
+    fold_of = np.empty(m, dtype=np.int8)
+    fold_of[np.random.default_rng(seed).permutation(m)] = np.repeat(
+        np.arange(_CV_FOLDS, dtype=np.int8), [q + 1] * extra + [q] * (_CV_FOLDS - extra))
     folds = []
-    for idx in np.array_split(np.random.default_rng(seed).permutation(m), _CV_FOLDS):
-        rows = np.sort(idx)
-        r, lo, hi = _reduce(arm.y, arm.z, arm.cols, arm.shift, rows)
-        y_te = arm.y[rows] - arm.shift[-1]
+    for i in range(_CV_FOLDS):
+        at = np.flatnonzero(fold_of == i)
+        y = arm.y[at]
+        r, lo, hi = _reduce(y, arm.z, arm.rows[at], arm.cols, arm.shift)
+        y_te = y - arm.shift[-1]
         ss_tot = 0.0 if lo[-1] == hi[-1] else float(np.sum((y_te - y_te.mean()) ** 2))
-        folds.append((r, lo, hi, ss_tot, idx.size))
+        folds.append((r, lo, hi, ss_tot, at.size))
     return folds
 
 
@@ -577,7 +615,7 @@ def lasso_gamma_max(outcome: np.ndarray, covariates: np.ndarray) -> float:
     slopes vanish exactly (not just approximately) at this value.
     """
     y, z = np.asarray(outcome, dtype=np.float64), np.asarray(covariates, dtype=np.float64)
-    arm = _Reduction(y, z, np.ones(z.shape[1], dtype=bool))
+    arm = _Reduction(y, z, np.arange(z.shape[0]), np.ones(z.shape[1], dtype=bool))
     *_, s, q = _standardize(arm.triangle, y.shape[0], arm.varies)
     return _gamma_max(s.T @ q / y.shape[0])
 
@@ -591,24 +629,49 @@ def _spans(m: int) -> list[slice]:
     return [slice(start, start + _BLOCK_ROWS) for start in range(0, m, _BLOCK_ROWS)]
 
 
-def _reduce(y: np.ndarray, z: np.ndarray, cols: np.ndarray, shift: np.ndarray,
-            rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, column minima, column maxima) of the rows [1, z[:, cols], y] less
-    [0, shift], all of them or the ascending ``rows``. Each row block is built
-    column by column and QR-reduced in turn, and R is the QR of the stacked
-    block triangles (``_stacked``)."""
+def _take(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows ``rows`` of z. np.take copies a non-contiguous z (a column
+    view) whole before it gathers, so such a z is indexed instead."""
+    return np.take(z, rows, axis=0) if z.flags.c_contiguous else z[rows]
+
+
+def _column_sums(z: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """np.sum of each column ``cols`` of z[rows], bit for bit, read a row block
+    at a time. numpy sums an array pairwise: it halves it, the first half a
+    multiple of 8 long, down to leaves of at most 128 values. So the halves
+    are split here until each fits in a block (or a leaf), which numpy sums."""
+    n = rows.size
+    if n <= max(_BLOCK_ROWS, 128):
+        return np.add.reduce(np.ascontiguousarray(_take(z, rows)[:, cols].T), axis=1)
+    half = n // 2 - n // 2 % 8
+    return _column_sums(z, rows[:half], cols) + _column_sums(z, rows[half:], cols)
+
+
+def _reduce(y: np.ndarray, z: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, column minima, column maxima) of the rows [1, z[rows][:, cols], y]
+    less [0, shift], y being the outcomes of the table rows ``rows``. Each
+    row block is gathered from z, built column by column and QR-reduced in
+    turn, and R is the QR of the stacked block triangles (``_stacked``)."""
     triangles, lo, hi = [], np.inf, -np.inf
-    for span in _spans(y.shape[0] if rows is None else rows.size):
-        at = span if rows is None else rows[span]
-        zb, yb = z[at], y[at]
-        x = np.empty((yb.shape[0], cols.size + 2), order="F")
-        x[:, 0] = 1.0
-        for i, c in enumerate(cols):
-            np.subtract(zb[:, c], shift[i], out=x[:, 1 + i])
-        np.subtract(yb, shift[-1], out=x[:, -1])
+    for span in _spans(rows.size):
+        x = _shifted_block(_take(z, rows[span]), y[span], cols, shift)
         lo, hi = np.minimum(lo, x.min(axis=0)), np.maximum(hi, x.max(axis=0))
         triangles.append(np.linalg.qr(x, mode="r"))
+        del x  # so that the next block is gathered with this one freed
     return _stacked(triangles), lo, hi
+
+
+def _shifted_block(zb: np.ndarray, yb: np.ndarray, cols: np.ndarray,
+                   shift: np.ndarray) -> np.ndarray:
+    """[1, zb[:, cols], yb] less [0, shift], written column by column into
+    one column-major matrix."""
+    x = np.empty((yb.shape[0], cols.size + 2), order="F")
+    x[:, 0] = 1.0
+    for i, c in enumerate(cols):
+        np.subtract(zb[:, c], shift[i], out=x[:, 1 + i])
+    np.subtract(yb, shift[-1], out=x[:, -1])
+    return x
 
 
 def _stacked(triangles: list[np.ndarray]) -> np.ndarray:
@@ -838,7 +901,10 @@ def _tweedie_irls(design, y: np.ndarray) -> tuple[float, np.ndarray, float]:
     design [1, zs], whose rows ``design(span)`` gives per row block: (intercept,
     slopes, RSS of the final means). Each step solves on the R of [sw * design,
     sw * working] with lstsq's rank cutoff for all the rows, so a rank-deficient
-    design keeps its minimum-norm answer."""
+    design keeps its minimum-norm answer. One pass over the row blocks builds
+    each block's design once: it takes step i's linear predictor, and from its
+    means the block's triangle for step i + 1, which goes unused once step i
+    has converged."""
     y_bar = float(y.mean())
     if y_bar <= 0:
         raise ValidationError("tweedie with log link needs a positive mean outcome")
@@ -849,19 +915,30 @@ def _tweedie_irls(design, y: np.ndarray) -> tuple[float, np.ndarray, float]:
     eta = np.log(mu)
     weights = np.power(mu, 2.0 - p)  # (dmu/deta)^2 / V(mu) at log link
     dev = _tweedie_deviance(y_term, y, mu, weights, p)
+
+    def step(beta):
+        """R of the next weighted least squares [sw * design, sw * working],
+        after eta, mu and the weights are set from ``beta``, if given."""
+        triangles = []
+        for span in spans:
+            x = design(span)
+            if beta is not None:
+                eta[span] = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
+                mu[span] = np.exp(eta[span])
+                weights[span] = np.power(mu[span], 2.0 - p)
+            sw = np.sqrt(weights[span])
+            wx = np.empty((x.shape[0], x.shape[1] + 1), order="F")
+            np.multiply(x, sw[:, None], out=wx[:, :-1])
+            np.multiply(eta[span] + (y[span] - mu[span]) / mu[span], sw, out=wx[:, -1])
+            triangles.append(np.linalg.qr(wx, mode="r"))
+        return _stacked(triangles)
+
+    r = step(None)
     for _ in range(IRLS_MAX_ITER):
-        sw = np.sqrt(weights)
-        working = (eta + (y - mu) / mu) * sw
-        r = _stacked([np.linalg.qr(np.column_stack([design(span) * sw[span, None], working[span]]),
-                                   mode="r") for span in spans])
         k = r.shape[1] - 1
         beta, *_ = np.linalg.lstsq(r[:, :k], r[:, k],
                                    rcond=np.finfo(np.float64).eps * max(y.shape[0], k))
-        for span in spans:
-            eta[span] = design(span) @ beta
-        np.clip(eta, -_ETA_CLIP, _ETA_CLIP, out=eta)
-        mu = np.exp(eta)
-        weights = np.power(mu, 2.0 - p)
+        r = step(beta)
         new_dev = _tweedie_deviance(y_term, y, mu, weights, p)
         if abs(new_dev - dev) <= IRLS_TOL * max(1.0, abs(dev)):
             return float(beta[0]), beta[1:], float(np.sum((y - mu) ** 2))

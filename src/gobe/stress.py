@@ -129,8 +129,9 @@ def augment(data: ExperimentData, folds: int, seed: int) -> ExperimentData:
 def error_distribution(data: ExperimentData, config: StressConfig) -> StressResult:
     """Measure estimate drift and variance reduction under spurious folds.
 
-    One maximal augmentation per Monte Carlo seed is split by arm once, and
-    fold counts 1..folds fit nested views of its leading column blocks.
+    One maximal augmentation per Monte Carlo seed is split by arm once, into
+    row indices, and fold counts 1..folds fit nested views of its leading
+    column blocks; neither the split nor a view copies the table.
     Errors are |estimate - reference| / |reference| against the reference
     model's estimate on the original data (absolute when that reference is
     zero, with ``relative_errors`` flagging the convention used).
@@ -146,7 +147,7 @@ def error_distribution(data: ExperimentData, config: StressConfig) -> StressResu
     for s in range(config.mc_draws):
         arms = split_arms(augment(data, config.folds, seed=child_seed(config.seed, s)))
         for fold in range(1, config.folds + 1):
-            view = tuple((y, z[:, : (fold + 1) * data.k_covariates]) for y, z in arms)
+            view = tuple((y, z[:, : (fold + 1) * data.k_covariates], rows) for y, z, rows in arms)
             for j, spec in enumerate(config.models):
                 [est], ms = _timed(estimate_specs, view, [spec], data.pre_period_col,
                                    config.alpha, [child_seed(config.seed, s, fold, j)])

@@ -910,8 +910,11 @@ def test_estimate_and_power_split_the_rows_by_arm_once(command, daily_csv, tmp_p
 READOUT_MODELS = "dim,ols,ridge,lasso,elastic_net:0.5,pcr,tweedie,two_step:ols,ols@pre"
 
 
-def test_a_command_reduces_each_arm_once_and_runs_one_kernel_call_per_round(tmp_path,
-                                                                            monkeypatch):
+def reductions(tmp_path, monkeypatch, models):
+    """Run ``gobe estimate --models models`` on 400 rows in 64-row blocks, and
+    return the data, the row indices of each ``_reduce`` call, the row count
+    of each block QR of shifted rows and the number of ``_folds`` and
+    ``_coordinate_descent`` calls."""
     rng = np.random.default_rng(8)
     n = 400
     z = rng.standard_normal((n, 4))
@@ -933,36 +936,66 @@ def test_a_command_reduces_each_arm_once_and_runs_one_kernel_call_per_round(tmp_
 
     for name in ("_folds", "_coordinate_descent"):
         counting(name)
-    real_reduce, real_qr = regression._reduce, np.linalg.qr
+    real_reduce, real_qr, real_split = regression._reduce, np.linalg.qr, estimator.split_arms
+    tables = []
 
-    def reduce(y, z, cols, shift, rows=None):
-        reduced.append((y.shape[0], rows))
-        return real_reduce(y, z, cols, shift, rows)
+    def split_arms(data):
+        tables.append(data.covariates)
+        return real_split(data)
+
+    def reduce(y, z, rows, cols, shift):
+        assert z is tables[0]  # the loaded table, shared by both arms and not copied
+        reduced.append(rows)
+        return real_reduce(y, z, rows, cols, shift)
 
     def qr(a, *args, **kwargs):
         if (a[:, 0] == 1.0).all():  # a block of shifted rows, led by its intercept column
             block_rows.append(a.shape[0])
         return real_qr(a, *args, **kwargs)
 
+    monkeypatch.setattr(estimator, "split_arms", split_arms)
     monkeypatch.setattr(regression, "_reduce", reduce)
     monkeypatch.setattr(np.linalg, "qr", qr)
     out = tmp_path / "out"
     assert run_cli("estimate", "--input", tmp_path / "in.csv", "--assignment-col",
                    schema.assignment, "--outcome-col", schema.outcome, "--covariate-cols",
                    ",".join(schema.covariates), "--pre-period-col", schema.pre_period,
-                   "--models", READOUT_MODELS, "--out", out) == 0
+                   "--models", models, "--out", out) == 0
     doc = read_report(out)
-    assert [e["model_id"] for e in doc["estimates"]] == READOUT_MODELS.split(",")
+    assert [e["model_id"] for e in doc["estimates"]] == models.split(",")
+    assert max(block_rows) <= 64
+    return data, reduced, sum(block_rows), calls
+
+
+def assert_reduced(data, reduced, arm_passes):
+    """Each arm's rows are reduced whole ``arm_passes`` times and once in five
+    folds that partition them."""
+    for t in (0, 1):
+        arm = np.flatnonzero(data.assignment == t)
+        assert sum(np.array_equal(rows, arm) for rows in reduced) == arm_passes
+        folds = [rows for rows in reduced if rows.size < arm.size and np.isin(rows, arm).all()]
+        assert len(folds) == 5
+        assert np.array_equal(np.sort(np.concatenate(folds)), arm)
+    assert len(reduced) == 2 * (arm_passes + 5)
+
+
+def test_a_command_reduces_each_arm_once_and_runs_one_kernel_call_per_round(tmp_path,
+                                                                            monkeypatch):
+    data, reduced, block_rows, calls = reductions(tmp_path, monkeypatch, READOUT_MODELS)
     # per arm: its rows reduced once for all columns and once for @pre, and one
     # fold set (5 folds) for ridge, lasso and elastic net; then one kernel call
     # for their CV chains and one for their fits
-    sizes = data.arm_sizes()
-    assert sizes[0] != sizes[1]
-    assert sorted(m for m, rows in reduced if rows is None) == sorted(2 * sizes)
-    for m in sizes:
-        folds = [rows for size, rows in reduced if size == m and rows is not None]
-        assert len(folds) == 5
-        assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(m))
+    assert data.arm_sizes()[0] != data.arm_sizes()[1]
+    assert_reduced(data, reduced, 2)
     assert calls == {"_folds": 2, "_coordinate_descent": 2}
     # so each arm row enters one block QR per column set, and one for its fold
-    assert max(block_rows) <= 64 and sum(block_rows) == 3 * n
+    assert block_rows == 3 * data.n_units
+
+
+def test_an_arm_whose_fits_all_cross_validate_is_reduced_only_in_its_folds(tmp_path,
+                                                                          monkeypatch):
+    # which columns vary is read off the folds, and no fit reads the arm's triangle
+    data, reduced, block_rows, calls = reductions(tmp_path, monkeypatch, "dim,lasso")
+    assert_reduced(data, reduced, 0)
+    assert calls == {"_folds": 2, "_coordinate_descent": 2}
+    assert block_rows == data.n_units

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from gobe import (
     parse_model,
     variance_reduction,
 )
-from gobe import estimator, regression
+from gobe import aa, estimator, regression
 from gobe.dataset import with_assignment
 from gobe.errors import MODEL_FAILURES
 from gobe.estimator import z_for_alpha
@@ -263,10 +264,10 @@ def test_two_step_rejects_non_finite_base_predictions(monkeypatch):
     data = replace(data, outcome=np.exp(data.outcome))
     real_evaluate = estimator.evaluate
 
-    def evaluate(model, z):
+    def evaluate(model, z, rows):
         if model.spec.kind == "tweedie":
-            return np.full(z.shape[0], np.inf)
-        return real_evaluate(model, z)
+            return np.full(rows.size, np.inf)
+        return real_evaluate(model, z, rows)
 
     monkeypatch.setattr(estimator, "evaluate", evaluate)
     with pytest.raises(ValidationError, match="non-finite"):
@@ -436,9 +437,9 @@ def test_assembly_evaluates_rows_only_for_a_log_link(monkeypatch, name, rows_eva
     calls = []
     real_evaluate = estimator.evaluate
 
-    def evaluate(model, z):
+    def evaluate(model, z, rows):
         calls.append(model.spec.name)
-        return real_evaluate(model, z)
+        return real_evaluate(model, z, rows)
 
     monkeypatch.setattr(estimator, "evaluate", evaluate)
     estimate(data, name)
@@ -522,7 +523,7 @@ def test_a_fit_plan_gives_each_spec_what_it_gets_alone(seed, order, n_specs, siz
         if constant is not None and t <= constant:
             z[:, 1] = 2.5
         y = 0.5 + z @ [0.8, 0.1, -0.4] + rng.standard_normal(n)
-        arms.append((y if negative else np.exp(y / 4.0), z))
+        arms.append((y if negative else np.exp(y / 4.0), z, np.arange(n)))
     specs = [PLAN_POOL[i] for i in order[:n_specs]]
     seeds = [7] * len(specs) if shared_seed else [int(s) for s in rng.integers(1, 3, len(specs))]
     fitted = regression.fit_plan([s.base or s for s in specs], arms, seeds, 0)
@@ -532,9 +533,73 @@ def test_a_fit_plan_gives_each_spec_what_it_gets_alone(seed, order, n_specs, siz
         assert_same_outcome(est, estimator.estimate_specs(arms, [spec], 0, 0.05, [s])[0])
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.permutations(range(len(PLAN_POOL))),
+       n_specs=st.integers(1, 5), block=st.sampled_from([8, 16]),
+       blocks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       offsets=st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1])),
+       layout=st.sampled_from(["interleaved", "aa", "view"]), constant=st.booleans())
+def test_arms_read_in_place_fit_and_estimate_as_their_copies(seed, order, n_specs, block, blocks,
+                                                             offsets, layout, constant):
+    # an arm read in place (its outcomes and row indices into one table both
+    # arms share) against its np.take copy: on interleaved arms, on A/A split
+    # indices, and on the leading columns of a wider table, as stress fits
+    # them; each arm a row block longer or shorter than a whole number of blocks
+    rng = np.random.default_rng(seed)
+    sizes = [b * block + d for b, d in zip(blocks, offsets)]
+    n = sum(sizes)
+    table = rng.standard_normal((n, 6)) * [1.0, 3.0, 0.5, 1, 1, 1] + [0.0, 10.0, -2.0, 0, 0, 0]
+    if layout == "aa":
+        arm_rows = aa._halves(n, seed, 3)
+    else:
+        assignment = rng.permutation(np.repeat([0, 1], sizes))
+        arm_rows = tuple(np.flatnonzero(assignment == t) for t in (0, 1))
+    if constant:  # a column constant over arm 0 only
+        table[arm_rows[0], 1] = 2.5
+    z = table[:, :3] if layout == "view" else np.ascontiguousarray(table[:, :3])
+    y = np.exp((0.5 + z @ [0.8, 0.1, -0.4] + rng.standard_normal(n)) / 4.0)
+    in_place = [(np.take(y, rows), z, rows) for rows in arm_rows]
+    copies = [(np.take(y, rows), np.take(table if layout == "view" else z, rows, axis=0)[:, :3],
+               np.arange(rows.size)) for rows in arm_rows]
+    specs = [PLAN_POOL[i] for i in order[:n_specs]]
+    seeds = [int(s) for s in rng.integers(1, 3, len(specs))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regression, "_BLOCK_ROWS", block)
+        bases = [s.base or s for s in specs]
+        for mixed, alone in zip(regression.fit_plan(bases, in_place, seeds, 0),
+                                regression.fit_plan(bases, copies, seeds, 0), strict=True):
+            assert_same_outcome(mixed, alone)
+        for mixed, alone in zip(estimator.estimate_specs(in_place, specs, 0, 0.05, seeds),
+                                estimator.estimate_specs(copies, specs, 0, 0.05, seeds),
+                                strict=True):
+            assert_same_outcome(mixed, alone)
+
+
+@pytest.mark.parametrize("name", ["ols", "lasso"])
+def test_an_estimate_does_not_copy_the_covariate_table(name):
+    # per row, the arms' outcome copies and row indices take 16 bytes, a fifth
+    # of a 10-column table; an 8192-row block and its QR copy take a fixed
+    # 1.6 MB; a copy of the arms' covariate rows would alone be the whole table
+    n, k = 200_000, 10
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((n, k))
+    data = ExperimentData(unit_ids=np.arange(n), assignment=(rng.random(n) < 0.5).astype(np.int8),
+                          outcome=z[:, 0] + rng.standard_normal(n), covariates=z, pre_period_col=0)
+    estimate(data, name, seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        estimate(data, name, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * z.nbytes
+
+
 def test_a_failing_spec_leaves_the_others_of_its_plan_alone():
     rng = np.random.default_rng(3)
-    arms = [(rng.standard_normal(n) - 0.2, rng.standard_normal((n, 2))) for n in (4, 30)]
+    arms = [(rng.standard_normal(n) - 0.2, rng.standard_normal((n, 2)), np.arange(n))
+            for n in (4, 30)]
     specs = [parse_model(name) for name in ("dim", "tweedie", "lasso", "ols", "ridge@0")]
     results = estimator.estimate_specs(arms, specs, 0, 0.05, [1] * len(specs))
     assert [type(r).__name__ for r in results] == [

@@ -498,6 +498,44 @@ def test_fits_on_arms_that_span_row_blocks_match_the_rowspace_references(m, monk
                                rtol=1e-9)
 
 
+@pytest.mark.parametrize("row", [0, 9, 18, 27, 36])
+@pytest.mark.parametrize("name", ["ridge", "lasso", "elastic_net:0.5"])
+def test_a_column_with_one_odd_value_varies_whichever_fold_holds_it(name, row):
+    # a plan whose fits all cross-validate reads which columns vary off the
+    # folds, and gets the model that a plan reducing the whole arm gets
+    y, z = linear_arm(n=40, k=3, seed=5)
+    z[:, 2] = 0.0
+    z[row, 2] = 1.0
+    block = [(y, z, np.arange(40))]
+    spec = parse_model(name)
+    [[alone]] = regression.fit_plan([spec], block, [2])
+    [_, [with_ols]] = regression.fit_plan([ModelSpec("ols"), spec], block, [1, 2])
+    assert alone.used.all() and not alone.flags
+    for field in ("coefficients", "sds", "mean_parts", "centered"):
+        assert np.array_equal(getattr(alone, field), getattr(with_ols, field)), field
+    assert (alone.rss, alone.chosen_gamma, alone.cv_scores) == (
+        with_ols.rss, with_ols.chosen_gamma, with_ols.cv_scores)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3000),
+       block=st.sampled_from([8, 128, 200, 1024, 8192]), view=st.booleans())
+def test_column_sums_from_row_blocks_are_numpys_sums(seed, m, block, view):
+    # the shift of every fit; magnitudes over 16 decades so that any change in
+    # the order of the additions shows in the last bits, and signed zeros
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((m + 5, 5)) * 10.0 ** rng.uniform(-8, 8, (m + 5, 5))
+    table[rng.random((m + 5, 5)) < 0.05] = -0.0
+    z = table[:, :4] if view else np.ascontiguousarray(table[:, :4])
+    rows = np.sort(rng.choice(m + 5, m, replace=False))
+    cols = np.array([0, 2, 3])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regression, "_BLOCK_ROWS", block)
+        sums = regression._column_sums(z, rows, cols)
+    expected = np.array([np.sum(z[rows, c]) for c in cols])
+    assert np.array_equal(sums, expected) and (np.signbit(sums) == np.signbit(expected)).all()
+
+
 # --- the lock-step coordinate-descent kernel ---------------------------------
 
 @st.composite
@@ -602,11 +640,12 @@ def test_block_fits_are_one_block_fits(name):
     # the blocks differ in size and in which columns vary, so their chains are padded
     blocks = [linear_arm(n=80, k=4, seed=31), linear_arm(n=120, k=4, seed=32)]
     blocks[1][1][:, 2] = 3.0
-    blocks = [(np.exp(y / 10) if name == "tweedie" else y, z) for y, z in blocks]
+    blocks = [(np.exp(y / 10) if name == "tweedie" else y, z, np.arange(len(y)))
+              for y, z in blocks]
     spec = parse_model(name)
     [models] = regression.fit_plan([spec], blocks, [4])
-    for block, model in zip(blocks, models, strict=True):
-        alone = fit(spec, *block, seed=4)
+    for (y, z, _), model in zip(blocks, models, strict=True):
+        alone = fit(spec, y, z, seed=4)
         assert np.array_equal(model.coefficients, alone.coefficients)
         assert (model.chosen_gamma, model.cv_scores, model.rss, model.flags) == (
             alone.chosen_gamma, alone.cv_scores, alone.rss, alone.flags)
