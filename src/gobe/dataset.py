@@ -275,11 +275,13 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
     type they had when written; without one they are the row positions
     0..N-1. Numbers parse bit-exactly from ``write_csv``'s output. A file
     with no quote or bare CR is opened once, checked in blocks of whole lines
-    and parsed by numpy, holding beyond the table at most one 1 MiB chunk
-    plus the longest line; others go to the row parser, which holds every row.
-    A fast-path load whose bytes (keyed by their sha256) and schema equal
-    those of the last accepted parse in the process returns that parse; the
-    process holds that one parse until a different input is parsed.
+    (a 1 MiB read completed to the end of its line), and parsed by numpy one
+    block at a time into columns allocated at their final size, so the load
+    holds the columns plus one block; others go to the row parser, which
+    holds every row. A fast-path load whose bytes (keyed by their size and
+    sha256) and schema equal those of the last accepted parse in the process
+    returns that parse after one hash pass over the file; the process holds
+    that one parse until a different input is parsed.
     """
     columns = _read_columns_fast(path, schema)
     if columns is None:
@@ -310,7 +312,8 @@ _CHUNK_BYTES = 1 << 20
 _ROW_PARSER_ONLY = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # Every byte but "," and "\n", deleted to leave a block's line structure.
 _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
-# ((schema, sha256 of the scanned bytes), read-only columns) of the last accepted parse
+# ((schema, file size, sha256 of the scanned bytes), read-only columns) of the
+# last accepted parse
 _last_parse = None
 
 
@@ -324,13 +327,17 @@ def _read_columns_fast(path, schema: CsvSchema):
     schema's columns, fewer than two data rows, a number numpy does not read
     (``1_000``, non-ASCII digits), or a value the row parser rejects:
     non-finite numbers, an assignment other than 0/1, or a day that is not
-    an integer >= 1 (days from 2**53 up are declined too).
+    an integer >= 1 (days from 2**53 up are declined too). It also declines
+    a file whose lines changed in number since they were counted.
 
-    The file is opened once: ``_plain_lines`` checks each of ``_line_blocks``
-    as its bytes are hashed. A call whose bytes and schema equal the last
-    accepted parse's returns that parse; any other releases it, splits the
-    unit ids off a second pass over the blocks, and ``np.loadtxt`` parses the
-    rows from the same handle. Beyond the table and ids it holds one block.
+    The file is opened once. A call under the schema of the last accepted
+    parse, on a file of its size, first hashes the file in one pass over
+    ``_line_blocks`` and, if the bytes are the same, returns that parse.
+    Otherwise the parse is released and ``_plain_lines`` checks and counts
+    the lines of each block as its bytes are hashed. A second pass over the
+    blocks splits off the unit ids, the columns are allocated at their final
+    size, and ``np.loadtxt`` parses each scanned block from the same handle
+    into place. Beyond the columns and ids it holds one block and its parse.
     A result is kept if the file's size and mtime did not change.
     """
     import hashlib  # not at the top: ``import gobe.cli`` need not load OpenSSL
@@ -340,6 +347,16 @@ def _read_columns_fast(path, schema: CsvSchema):
     with open(path, "rb") as fh:
         scanned = os.fstat(fh.fileno())
         header = fh.readline()
+        digest = hashlib.sha256(header)
+        if held is not None and held[0][:2] == (schema, scanned.st_size):
+            for block in _line_blocks(fh):
+                digest.update(block)
+            if held[0][2] == digest.digest():
+                _last_parse = held
+                return held[1]
+            fh.seek(len(header))
+            digest = hashlib.sha256(header)
+        held = None
         commas = header.count(b",")
         # csv.reader reads an empty line as no fields, not as one empty field.
         if header in (b"\n", b"\r\n") or not _plain_lines(header, commas):
@@ -348,20 +365,17 @@ def _read_columns_fast(path, schema: CsvSchema):
             col = _resolve_columns(header.rstrip(b"\r\n").decode().split(","), schema, path)
         except SchemaError:  # the row parser raises it, unless the rows fail first
             return None
-        n_rows, digest = 0, hashlib.sha256(header)
+        counts = []  # the lines of each block
         for block in _line_blocks(fh):
             lines = _plain_lines(block, commas)
             if lines is None:
                 return None
             digest.update(block)
-            n_rows += lines
+            counts.append(lines)
+        n_rows = sum(counts)
         if n_rows < 2:
             return None
-        key = (schema, digest.digest())
-        if held is not None and held[0] == key:
-            _last_parse = held
-            return held[1]
-        held, ids = None, None
+        ids = None
         if schema.unit_id is not None:  # every CR ends a CRLF pair, and every line a feed
             fh.seek(len(header))
             ids = np.array([line.split(",")[col[schema.unit_id]] for block in _line_blocks(fh)
@@ -371,33 +385,40 @@ def _read_columns_fast(path, schema: CsvSchema):
         numeric = [schema.assignment, schema.outcome, *schema.covariates]
         if schema.day is not None:
             numeric.append(schema.day)
+        usecols, k = [col[c] for c in numeric], len(schema.covariates)
+        assignment, outcome = np.empty(n_rows, np.int8), np.empty(n_rows)
+        covariates = np.empty((n_rows, k))
+        days = None if schema.day is None else np.empty(n_rows, np.int64)
         fh.seek(len(header))
+        end = 0
         with io.TextIOWrapper(fh, encoding="utf-8") as text:  # less memory than bytes lines
-            try:
-                table = np.loadtxt(text, delimiter=",", comments=None,
-                                   usecols=[col[c] for c in numeric], ndmin=2)
-            except ValueError:
+            for count in counts:
+                try:
+                    table = np.loadtxt(text, delimiter=",", comments=None, usecols=usecols,
+                                       ndmin=2, max_rows=count)
+                except ValueError:
+                    return None
+                if table.shape[0] != count or not np.isfinite(table).all():
+                    return None  # fewer rows: the file changed since the scan
+                arm, day = table[:, 0], table[:, -1]
+                if not ((arm == 0) | (arm == 1)).all() or days is not None and not (
+                        (day >= 1) & (day < 2.0 ** 53) & (day == np.floor(day))).all():
+                    return None
+                rows = slice(end, end + count)
+                assignment[rows], outcome[rows] = arm, table[:, 1]
+                covariates[rows] = table[:, 2:2 + k]
+                if days is not None:
+                    days[rows] = day
+                end += count
+            if text.read(1):  # more lines than the scan counted
                 return None
             parsed = os.fstat(text.fileno())
-    if table.shape[0] != n_rows or not np.isfinite(table).all():
-        return None
-    assignment = table[:, 0]
-    if not ((assignment == 0) | (assignment == 1)).all():
-        return None
-    days = None
-    if schema.day is not None:
-        days = table[:, -1]
-        if not ((days >= 1) & (days < 2.0 ** 53) & (days == np.floor(days))).all():
-            return None
-        days = days.astype(np.int64)
-    # contiguous copies, as ExperimentData would make, so the table is freed
-    columns = (ids, assignment.astype(np.int8), np.ascontiguousarray(table[:, 1]),
-               np.ascontiguousarray(table[:, 2:2 + len(schema.covariates)]), days)
+    columns = (ids, assignment, outcome, covariates, days)
     for arr in columns:
         if arr is not None:
             arr.setflags(write=False)
     if (scanned.st_size, scanned.st_mtime_ns) == (parsed.st_size, parsed.st_mtime_ns):
-        _last_parse = (key, columns)  # only bytes that were hashed
+        _last_parse = ((schema, scanned.st_size, digest.digest()), columns)  # bytes hashed
     return columns
 
 
@@ -416,10 +437,11 @@ def _plain_lines(block: bytes, commas: int) -> int | None:
     """The number of lines ``block`` ends, or None if it is not strict UTF-8,
     holds a ``_ROW_PARSER_ONLY`` byte or a carriage return outside a CRLF
     pair, or ends a line whose comma count is not ``commas``."""
-    try:
-        block.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
+    if not block.isascii():
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
     if any(b in block for b in _ROW_PARSER_ONLY) or (
             b"\r" in block and block.count(b"\r") != block.count(b"\r\n")):
         return None

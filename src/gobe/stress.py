@@ -122,8 +122,12 @@ def augment(data: ExperimentData, folds: int, seed: int) -> ExperimentData:
         warnings.warn("zero-variance covariate: its spurious copies are constant",
                       stacklevel=2)
     draws = np.random.default_rng(seed).standard_normal((n, folds * k))
-    spurious = draws * np.tile(sd, folds) + np.tile(mu, folds)
-    return replace(data, covariates=np.hstack([z, spurious]))
+    draws *= np.tile(sd, folds)
+    draws += np.tile(mu, folds)
+    covariates = np.empty((n, (folds + 1) * k))
+    covariates[:, :k] = z
+    covariates[:, k:] = draws
+    return replace(data, covariates=covariates)
 
 
 def error_distribution(data: ExperimentData, config: StressConfig) -> StressResult:
@@ -160,6 +164,7 @@ def error_distribution(data: ExperimentData, config: StressConfig) -> StressResu
                 reduction = variance_reduction(est, baseline_dim)
                 if reduction is not None:
                     vr[j, fold - 1, s] = reduction
+        del arms, view  # before the next draw's table is built
     return StressResult(
         model_ids=tuple(spec.name for spec in config.models),
         fold_counts=tuple(range(1, config.folds + 1)),
