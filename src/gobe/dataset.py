@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -275,13 +276,14 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
     type they had when written; without one they are the row positions
     0..N-1. Numbers parse bit-exactly from ``write_csv``'s output. A file
     with no quote or bare CR is opened once, checked in blocks of whole lines
-    (a 1 MiB read completed to the end of its line), and parsed by numpy one
-    block at a time into columns allocated at their final size, so the load
-    holds the columns plus one block; others go to the row parser, which
-    holds every row. A fast-path load whose bytes (keyed by their size and
-    sha256) and schema equal those of the last accepted parse in the process
-    returns that parse after one hash pass over the file; the process holds
-    that one parse until a different input is parsed.
+    (a 1 MiB read completed to the end of its line), which give up their unit
+    ids as they are checked, and parsed by numpy one block at a time into
+    columns allocated at their final size, so the load holds the columns plus
+    one block; others go to the row parser, which holds every row. A
+    fast-path load whose bytes (keyed by their size and sha256) and schema
+    equal those of the last accepted parse in the process returns that parse
+    after one hash pass over the file; the process holds that one parse until
+    a different input is parsed.
     """
     columns = _read_columns_fast(path, schema)
     if columns is None:
@@ -328,17 +330,20 @@ def _read_columns_fast(path, schema: CsvSchema):
     (``1_000``, non-ASCII digits), or a value the row parser rejects:
     non-finite numbers, an assignment other than 0/1, or a day that is not
     an integer >= 1 (days from 2**53 up are declined too). It also declines
-    a file whose lines changed in number since they were counted.
+    a file whose lines changed in number since they were counted, and a
+    block on which numpy warns (a block emptied since then).
 
     The file is opened once. A call under the schema of the last accepted
     parse, on a file of its size, first hashes the file in one pass over
     ``_line_blocks`` and, if the bytes are the same, returns that parse.
     Otherwise the parse is released and ``_plain_lines`` checks and counts
-    the lines of each block as its bytes are hashed. A second pass over the
-    blocks splits off the unit ids, the columns are allocated at their final
-    size, and ``np.loadtxt`` parses each scanned block from the same handle
-    into place. Beyond the columns and ids it holds one block and its parse.
-    A result is kept if the file's size and mtime did not change.
+    the lines of each block as its bytes are hashed; with a mapped
+    ``unit_id``, the block's ids are split off into an array of their own,
+    and the arrays are joined once the scan ends. Then the columns are
+    allocated at their final size, and ``np.loadtxt`` parses each scanned
+    block from the same handle into place. Beyond the columns and ids it
+    holds one block and its parse. A result is kept if the file's size and
+    mtime did not change.
     """
     import hashlib  # not at the top: ``import gobe.cli`` need not load OpenSSL
 
@@ -365,23 +370,20 @@ def _read_columns_fast(path, schema: CsvSchema):
             col = _resolve_columns(header.rstrip(b"\r\n").decode().split(","), schema, path)
         except SchemaError:  # the row parser raises it, unless the rows fail first
             return None
-        counts = []  # the lines of each block
+        counts, ids = [], []  # the lines of each block, and its unit ids if mapped
         for block in _line_blocks(fh):
             lines = _plain_lines(block, commas)
             if lines is None:
                 return None
             digest.update(block)
             counts.append(lines)
+            if schema.unit_id is not None:  # every CR ends a CRLF pair, and every line a feed
+                ids.append(np.array([line.split(",")[col[schema.unit_id]] for line in
+                                     block.decode("utf-8").replace("\r", "").split("\n")[:-1]]))
         n_rows = sum(counts)
         if n_rows < 2:
             return None
-        ids = None
-        if schema.unit_id is not None:  # every CR ends a CRLF pair, and every line a feed
-            fh.seek(len(header))
-            ids = np.array([line.split(",")[col[schema.unit_id]] for block in _line_blocks(fh)
-                            for line in block.decode("utf-8").replace("\r", "").split("\n")[:-1]])
-            if ids.shape[0] != n_rows:  # the file changed since the scan
-                return None
+        ids = np.concatenate(ids) if ids else None
         numeric = [schema.assignment, schema.outcome, *schema.covariates]
         if schema.day is not None:
             numeric.append(schema.day)
@@ -391,12 +393,14 @@ def _read_columns_fast(path, schema: CsvSchema):
         days = None if schema.day is None else np.empty(n_rows, np.int64)
         fh.seek(len(header))
         end = 0
-        with io.TextIOWrapper(fh, encoding="utf-8") as text:  # less memory than bytes lines
-            for count in counts:
+        with io.TextIOWrapper(fh, encoding="utf-8") as text, warnings.catch_warnings():
+            # numpy warns "input contained no data" on a block emptied since the scan
+            warnings.simplefilter("error", UserWarning)
+            for count in counts:  # a text handle holds less memory than bytes lines
                 try:
                     table = np.loadtxt(text, delimiter=",", comments=None, usecols=usecols,
                                        ndmin=2, max_rows=count)
-                except ValueError:
+                except (ValueError, UserWarning):
                     return None
                 if table.shape[0] != count or not np.isfinite(table).all():
                     return None  # fewer rows: the file changed since the scan

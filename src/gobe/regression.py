@@ -21,18 +21,20 @@ indices into that table; the table is shared by both arms and never copied.
 Every reader of an arm's rows gathers them from the table one block of 8192
 row indices at a time.
 
-The linear kinds never solve on rows. A fit shifts the rows [1, z, y] by
-their column means and keeps the R factor of their QR decomposition, a
+The linear kinds never solve on rows. A fit shifts the rows [1, z, y] by a
+point inside the data's range, the column means of the arm's first row
+block and the outcome's mean, so that offset columns lose no accuracy to
+the intercept, and keeps the R factor of their QR decomposition, a
 (K+2) x (K+2) triangle (Golub & Van Loan, "Matrix Computations", 5.3), made
 a row block at a time: the QR of each block, then of the stacked block
 triangles (TSQR). So no copy of the arm is made, and R's bits do not
 depend on the BLAS thread count, as those of a QR of all the rows do. Its
-first row gives the means; below it, the standardized covariates and the
-centered outcome are Q S and Q q for a small S and q. ``ols`` and ``pcr``
-solve on the SVD of S; ridge solves (G + gamma I) w = c with G = S'S/m and
-c = S'q/m, a whole gamma path in one stacked solve; lasso/elastic-net run
-coordinate descent with covariance updates on (G, c); the RSS is
-|q - S w|^2. Cross-validation reduces each fold to its own triangle, and the
+first row gives the shifted rows' means; below it, the standardized
+covariates and the centered outcome are Q S and Q q for a small S and q.
+``ols`` and ``pcr`` solve on the SVD of S; ridge solves (G + gamma I) w = c
+with G = S'S/m and c = S'q/m, a whole gamma path in one stacked solve;
+lasso/elastic-net run coordinate descent with covariance updates on (G, c);
+the RSS is |q - S w|^2. Cross-validation reduces each fold to its own triangle, and the
 arm's triangle is then the QR of the folds' stacked triangles; when every
 fit on a column set cross-validates, the arm is reduced only fold by fold.
 A column is constant when its minimum equals its maximum.
@@ -207,8 +209,9 @@ class FittedArmModel:
     for columns the model does not use; ``sds`` store the standardization
     applied at fit time (sd 1.0 sentinel for unused columns). The two rows
     of ``mean_parts`` sum to the means of the allowed columns and the outcome
-    (last; zero elsewhere): the column means, and the means left after
-    subtracting them, so two arms' gaps keep the digits of large offsets.
+    (last; zero elsewhere): the means of the arm's first row block (of all
+    its rows for the outcome), and the means left after subtracting them, so
+    two arms' gaps keep the digits of large offsets.
     Predictions are ``intercept + coefficients . (z - means)/sds``, means the
     sum, through the inverse link; ``rss`` is the RSS on the arm's rows.
     ``centered`` holds S w and q, the arm's centered predictions and outcome
@@ -365,18 +368,21 @@ def _checked_columns(spec: ModelSpec, y: np.ndarray, z: np.ndarray, rows: np.nda
 
 class _Reduction:
     """One block's rows [1, z[rows], y] over one column subset, shifted by
-    their column means ``shift`` (so that offset columns lose no accuracy to
-    the intercept), and what the fits on those columns read off them: which
-    columns of z vary, the rows' QR triangle (``_reduce``) and, per seed, a
-    ``_FoldSet`` made on first use. Given ``fold_seed``, the seed of a fit
-    that cross-validates whenever a column varies, which columns vary is read
-    off that seed's folds, and the triangle is made only if a fit asks."""
+    ``shift``, the column means of its first ``_BLOCK_ROWS`` rows (``np.mean``
+    bit for bit) and y's mean, and what the fits on those columns read off
+    them: which columns of z vary, the rows' QR triangle (``_reduce``) and,
+    per seed, a ``_FoldSet`` made on first use. Given ``fold_seed``, the seed
+    of a fit that cross-validates whenever a column varies, which columns
+    vary is read off that seed's folds, and the triangle is made only if a
+    fit asks."""
 
     def __init__(self, y: np.ndarray, z: np.ndarray, rows: np.ndarray, allowed: np.ndarray,
                  fold_seed: int | None = None):
         self.y, self.z, self.rows, self.allowed = y, z, rows, allowed
         self.cols = np.flatnonzero(allowed)
-        self.shift = np.append(_column_sums(z, rows, self.cols) / rows.size, y.mean())
+        head = rows[:_BLOCK_ROWS]  # gathered for the shift and freed before the pass
+        self.shift = np.append(np.add.reduce(np.ascontiguousarray(
+            _take(z, head)[:, self.cols].T), axis=1) / head.size, y.mean())
         self._fold_sets = {}
         if fold_seed is None:
             self.triangle, lo, hi = _reduce(y, z, rows, self.cols, self.shift)
@@ -469,8 +475,15 @@ def _fit(spec: ModelSpec, arm: _Reduction, seed: int):
             return model(w, n_components=n_components, flags=flags + ((flag,) if flag else ()))
         if spec.kind == "tweedie":  # on the block's rows standardized as above
             cols, used_cols = np.flatnonzero(varies), np.flatnonzero(used)
-            intercept, w, rss = _tweedie_irls(lambda span: _tweedie_design(
-                _take(z, rows[span]), used_cols, shift[cols], offsets[cols], sds), y)
+            used_shift = np.append(shift[cols], 0.0)
+
+            def design(span):  # [1, zs]: the block less its shift and then its offset, over sds
+                x = _shifted_block(_take(z, rows[span]), y[span], used_cols, used_shift)
+                x[:, 1:-1] -= offsets[cols]
+                x[:, 1:-1] /= sds
+                return x[:, :-1]
+
+            intercept, w, rss = _tweedie_irls(design, y)
             return model(w, link="log", intercept=intercept, rss=rss)
         lam = None if spec.kind == "ridge" else 1.0 if spec.kind == "lasso" else float(spec.mix)
         chosen_gamma, cv_scores = grid[0], None
@@ -633,18 +646,6 @@ def _take(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The rows ``rows`` of z. np.take copies a non-contiguous z (a column
     view) whole before it gathers, so such a z is indexed instead."""
     return np.take(z, rows, axis=0) if z.flags.c_contiguous else z[rows]
-
-
-def _column_sums(z: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """np.sum of each column ``cols`` of z[rows], bit for bit, read a row block
-    at a time. numpy sums an array pairwise: it halves it, the first half a
-    multiple of 8 long, down to leaves of at most 128 values. So the halves
-    are split here until each fits in a block (or a leaf), which numpy sums."""
-    n = rows.size
-    if n <= max(_BLOCK_ROWS, 128):
-        return np.add.reduce(np.ascontiguousarray(_take(z, rows)[:, cols].T), axis=1)
-    half = n // 2 - n // 2 % 8
-    return _column_sums(z, rows[:half], cols) + _column_sums(z, rows[half:], cols)
 
 
 def _reduce(y: np.ndarray, z: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -880,20 +881,6 @@ def _tweedie_deviance(y_term, y: np.ndarray, mu: np.ndarray, mu_power, p: float)
     ``y_term`` = y^(2-p)/((1-p)(2-p)) once, and ``mu_power`` = mu^(2-p) its weights."""
     term = y_term - y * np.power(mu, 1.0 - p) / (1.0 - p) + mu_power / (2.0 - p)
     return float(2.0 * term.sum())
-
-
-def _tweedie_design(z: np.ndarray, cols: np.ndarray, shift: np.ndarray, offsets: np.ndarray,
-                    sds: np.ndarray) -> np.ndarray:
-    """The IRLS design [1, zs] of rows z, written column by column into one
-    column-major matrix: z's columns ``cols``, each less its shift and then
-    its offset (the steps of ``_reduce`` and ``_standardize``), over its sd."""
-    design = np.empty((z.shape[0], 1 + len(cols)), order="F")
-    design[:, 0] = 1.0
-    for j, c in enumerate(cols):
-        np.subtract(z[:, c], shift[j], out=design[:, 1 + j])
-        design[:, 1 + j] -= offsets[j]
-    design[:, 1:] /= sds
-    return design
 
 
 def _tweedie_irls(design, y: np.ndarray) -> tuple[float, np.ndarray, float]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import ExperimentData, SyntheticConfig, generate
 from .errors import ValidationError
-from .estimator import estimate, estimate_specs, split_arms, variance_reduction
+from .estimator import checked_arms, estimate, estimate_specs, split_arms, variance_reduction
 from .regression import ModelSpec, parse_models, with_dim_baseline
 from .rng import child_seed
 
@@ -140,9 +140,13 @@ def error_distribution(data: ExperimentData, config: StressConfig) -> StressResu
     model's estimate on the original data (absolute when that reference is
     zero, with ``relative_errors`` flagging the convention used).
     """
-    reference = estimate(data, config.reference_model, alpha=config.alpha, seed=config.seed)
+    reference, baseline_dim = estimate_specs(
+        checked_arms(data, config.alpha), [config.reference_model, ModelSpec(kind="dim")],
+        data.pre_period_col, config.alpha, [config.seed, config.seed])
+    for est in (reference, baseline_dim):
+        if isinstance(est, Exception):  # the reference cannot fit the original data
+            raise est
     relative = reference.ate != 0.0
-    baseline_dim = estimate(data, ModelSpec(kind="dim"), alpha=config.alpha, seed=config.seed)
     n_models = len(config.models)
     errors = np.full((n_models, config.folds, config.mc_draws), np.nan)
     vr = np.full_like(errors, np.nan)

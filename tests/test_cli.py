@@ -912,9 +912,10 @@ READOUT_MODELS = "dim,ols,ridge,lasso,elastic_net:0.5,pcr,tweedie,two_step:ols,o
 
 def reductions(tmp_path, monkeypatch, models):
     """Run ``gobe estimate --models models`` on 400 rows in 64-row blocks, and
-    return the data, the row indices of each ``_reduce`` call, the row count
-    of each block QR of shifted rows and the number of ``_folds`` and
-    ``_coordinate_descent`` calls."""
+    return the data, the row indices of each ``_reduce`` call, the rows of
+    all block QRs of shifted rows, the rows gathered from the table other
+    than for a prediction or a tweedie IRLS step, and the number of
+    ``_folds`` and ``_coordinate_descent`` calls."""
     rng = np.random.default_rng(8)
     n = 400
     z = rng.standard_normal((n, 4))
@@ -937,7 +938,8 @@ def reductions(tmp_path, monkeypatch, models):
     for name in ("_folds", "_coordinate_descent"):
         counting(name)
     real_reduce, real_qr, real_split = regression._reduce, np.linalg.qr, estimator.split_arms
-    tables = []
+    real_take = regression._take
+    tables, gathered = [], []
 
     def split_arms(data):
         tables.append(data.covariates)
@@ -953,8 +955,17 @@ def reductions(tmp_path, monkeypatch, models):
             block_rows.append(a.shape[0])
         return real_qr(a, *args, **kwargs)
 
+    def take(z, rows):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in ("evaluate", "_tweedie_irls"):
+            frame = frame.f_back
+        if frame is None:
+            gathered.append(rows.size)
+        return real_take(z, rows)
+
     monkeypatch.setattr(estimator, "split_arms", split_arms)
     monkeypatch.setattr(regression, "_reduce", reduce)
+    monkeypatch.setattr(regression, "_take", take)
     monkeypatch.setattr(np.linalg, "qr", qr)
     out = tmp_path / "out"
     assert run_cli("estimate", "--input", tmp_path / "in.csv", "--assignment-col",
@@ -964,7 +975,7 @@ def reductions(tmp_path, monkeypatch, models):
     doc = read_report(out)
     assert [e["model_id"] for e in doc["estimates"]] == models.split(",")
     assert max(block_rows) <= 64
-    return data, reduced, sum(block_rows), calls
+    return data, reduced, sum(block_rows), sum(gathered), calls
 
 
 def assert_reduced(data, reduced, arm_passes):
@@ -981,21 +992,27 @@ def assert_reduced(data, reduced, arm_passes):
 
 def test_a_command_reduces_each_arm_once_and_runs_one_kernel_call_per_round(tmp_path,
                                                                             monkeypatch):
-    data, reduced, block_rows, calls = reductions(tmp_path, monkeypatch, READOUT_MODELS)
+    data, reduced, block_rows, gathered, calls = reductions(tmp_path, monkeypatch,
+                                                            READOUT_MODELS)
     # per arm: its rows reduced once for all columns and once for @pre, and one
     # fold set (5 folds) for ridge, lasso and elastic net; then one kernel call
     # for their CV chains and one for their fits
     assert data.arm_sizes()[0] != data.arm_sizes()[1]
     assert_reduced(data, reduced, 2)
     assert calls == {"_folds": 2, "_coordinate_descent": 2}
-    # so each arm row enters one block QR per column set, and one for its fold
+    # so each arm row enters one block QR per column set, and one for its fold,
+    # and is gathered from the table for those alone, plus the first 64-row
+    # block of each arm and column set, for its shift
+    assert min(data.arm_sizes()) > 64
     assert block_rows == 3 * data.n_units
+    assert gathered == 3 * data.n_units + 2 * 2 * 64
 
 
 def test_an_arm_whose_fits_all_cross_validate_is_reduced_only_in_its_folds(tmp_path,
                                                                           monkeypatch):
     # which columns vary is read off the folds, and no fit reads the arm's triangle
-    data, reduced, block_rows, calls = reductions(tmp_path, monkeypatch, "dim,lasso")
+    data, reduced, block_rows, gathered, calls = reductions(tmp_path, monkeypatch, "dim,lasso")
     assert_reduced(data, reduced, 0)
     assert calls == {"_folds": 2, "_coordinate_descent": 2}
     assert block_rows == data.n_units
+    assert gathered == data.n_units + 2 * 64

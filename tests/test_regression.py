@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -517,23 +519,46 @@ def test_a_column_with_one_odd_value_varies_whichever_fold_holds_it(name, row):
         with_ols.rss, with_ols.chosen_gamma, with_ols.cv_scores)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3000),
-       block=st.sampled_from([8, 128, 200, 1024, 8192]), view=st.booleans())
-def test_column_sums_from_row_blocks_are_numpys_sums(seed, m, block, view):
-    # the shift of every fit; magnitudes over 16 decades so that any change in
-    # the order of the additions shows in the last bits, and signed zeros
-    rng = np.random.default_rng(seed)
-    table = rng.standard_normal((m + 5, 5)) * 10.0 ** rng.uniform(-8, 8, (m + 5, 5))
-    table[rng.random((m + 5, 5)) < 0.05] = -0.0
-    z = table[:, :4] if view else np.ascontiguousarray(table[:, :4])
-    rows = np.sort(rng.choice(m + 5, m, replace=False))
-    cols = np.array([0, 2, 3])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(regression, "_BLOCK_ROWS", block)
-        sums = regression._column_sums(z, rows, cols)
-    expected = np.array([np.sum(z[rows, c]) for c in cols])
-    assert np.array_equal(sums, expected) and (np.signbit(sums) == np.signbit(expected)).all()
+def test_a_shift_far_from_the_arm_mean_keeps_the_fits_and_the_means(monkeypatch):
+    # the shift is the first row block's column means; an arm sorted by a
+    # covariate offset by 1e6 puts that block's mean of it over a sd below
+    # the arm's, so every fit reads rows shifted off their means
+    monkeypatch.setattr(regression, "_BLOCK_ROWS", 64)
+    rng = np.random.default_rng(12)
+    m = 5 * 64 + 7
+    z = rng.standard_normal((m, 3)) * [1e3, 5.0, 0.2] + [1e6, 100.0, -3.0]
+    z = z[np.argsort(z[:, 0])]
+    y = 1.0 + z @ [2e-3, -0.1, 2.0] + rng.standard_normal(m)
+    head = np.array([np.mean(c) for c in z[:64].T.copy()])  # numpy's pairwise sums
+    assert (z.mean(axis=0)[0] - head[0]) / z[:, 0].std() > 1.0
+    # the means the two parts give are the arm's, to within a few of their ulps
+    means = np.append([math.fsum(c) / m for c in z.T], math.fsum(y) / m)
+    for kind in ("ols", "pcr"):
+        model = fit(ModelSpec(kind), y, z)
+        np.testing.assert_array_equal(model.mean_parts[0], np.append(head, y.mean()))
+        assert (np.abs(model.mean_parts.sum(axis=0) - means)
+                <= 4 * np.spacing(np.abs(means))).all(), kind
+        w, flags, n_components = rowspace_linear_fit(y, z, kind)
+        assert (model.flags, model.n_components) == (flags, n_components), kind
+        np.testing.assert_allclose(model.coefficients, w, rtol=0,
+                                   atol=1e-10 * max(1.0, np.abs(w).max()))
+    grid = tuple(f * lasso_gamma_max(y, z) for f in (0.05, 0.3, 1.2))
+    for name, lam in _L1_WEIGHTS.items():
+        spec = parse_model(name)
+        model = fit(ModelSpec(spec.kind, mix=spec.mix, hyper_grid=grid), y, z, seed=_CV_SEED)
+        gamma, scores, w, _ = rowspace_fit(y, z, grid, lam, seed=_CV_SEED)
+        assert model.chosen_gamma == gamma, name
+        np.testing.assert_allclose(model.coefficients, w, rtol=0, atol=1e-10)
+        np.testing.assert_allclose([s for _, s in model.cv_scores], [s for _, s in scores],
+                                   rtol=1e-12, atol=1e-12)
+    # tweedie, shifted by the first block and by the arm's means in one block
+    positive = np.exp(0.2 * (z[:, 1] - 100.0) / 5.0 + 0.5 * rng.standard_normal(m))
+    blocked = fit(ModelSpec("tweedie"), positive, z)
+    monkeypatch.setattr(regression, "_BLOCK_ROWS", m)
+    whole = fit(ModelSpec("tweedie"), positive, z)
+    np.testing.assert_allclose(blocked.coefficients, whole.coefficients, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(regression.evaluate(blocked, z), regression.evaluate(whole, z),
+                               rtol=1e-9)
 
 
 # --- the lock-step coordinate-descent kernel ---------------------------------

@@ -225,3 +225,11 @@ def test_programming_error_in_a_fit_propagates(base_data, ols_fit_has_a_bug):
                           reference_model=ModelSpec("dim"))
     with pytest.raises(TypeError, match="bug inside"):
         error_distribution(base_data, config)
+
+
+def test_a_reference_that_cannot_fit_raises_its_error(base_data):
+    # the Gaussian outcomes are negative in places, so a tweedie reference fails
+    config = StressConfig(folds=1, mc_draws=1, models=(ModelSpec("ols"),), seed=5,
+                          reference_model=ModelSpec("tweedie"))
+    with pytest.raises(ValidationError, match="tweedie requires non-negative outcomes"):
+        error_distribution(base_data, config)
