@@ -39,11 +39,16 @@ arm's triangle is then the QR of the folds' stacked triangles; when every
 fit on a column set cross-validates, the arm is reduced only fold by fold.
 A column is constant when its minimum equals its maximum.
 
+``tweedie`` solves on rows, by IRLS, but holds only row blocks: each step
+is one pass that gathers a block, standardizes it as the linear kinds read
+it, weights it and QR-reduces it, so the fit keeps no state per row.
+
 ``fit_plan`` fits many specs on the blocks of an experiment (both arms) at
 once. Each block is reduced once per column subset the specs use: one
 pass over its row blocks, and one fold set per seed, which ridge, lasso
 and elastic net share with their arm triangle and training moments. The
-solves run after every reduction. The coordinate-descent chains of every
+solves run after every reduction; ridge solves each gamma path where it
+forms it. The lasso and elastic-net coordinate-descent chains of every
 spec and block then run in lock step, one vectorised step per coordinate
 across the chains, each with its own penalty mix: all CV folds'
 warm-started gamma paths in one batch, then all final fits in one more. A
@@ -433,8 +438,9 @@ def _fit(spec: ModelSpec, arm: _Reduction, seed: int):
     """``fit`` of a spec with covariates on its block's reduction. This call
     makes the fold set a cross-validated fit reads; it returns the model of a
     fit with no varying column, else a generator: it solves, yielding the
-    penalized chains it needs as ``_in_lock_step`` serves them, and returns
-    the model."""
+    lasso and elastic-net chains it needs as ``_in_lock_step`` serves them,
+    and returns the model. Ridge's chains are solved here, where they are
+    formed, so a failing solve is its spec's error alone."""
     m, varies, allowed = arm.y.shape[0], arm.varies, arm.allowed
     k = allowed.size
     # a cross-validated fit reads the arm's triangle off its folds' triangles
@@ -448,7 +454,7 @@ def _fit(spec: ModelSpec, arm: _Reduction, seed: int):
         return _mean_model(spec, arm.y, mean_parts, flags + ("dim_fallback",))
     used = allowed.copy()
     used[allowed] = varies
-    y, z, rows, shift, y_bar = arm.y, arm.z, arm.rows, arm.shift, float(arm.y.mean())
+    y_bar = float(arm.y.mean())
     folds = None
     if spec.kind in _PENALIZED:
         gram, c = s.T @ s / m, s.T @ q / m
@@ -474,22 +480,18 @@ def _fit(spec: ModelSpec, arm: _Reduction, seed: int):
             w, n_components, flag = _svd_fit(spec, s, q, m)
             return model(w, n_components=n_components, flags=flags + ((flag,) if flag else ()))
         if spec.kind == "tweedie":  # on the block's rows standardized as above
-            cols, used_cols = np.flatnonzero(varies), np.flatnonzero(used)
-            used_shift = np.append(shift[cols], 0.0)
-
-            def design(span):  # [1, zs]: the block less its shift and then its offset, over sds
-                x = _shifted_block(_take(z, rows[span]), y[span], used_cols, used_shift)
-                x[:, 1:-1] -= offsets[cols]
-                x[:, 1:-1] /= sds
-                return x[:, :-1]
-
-            intercept, w, rss = _tweedie_irls(design, y)
+            cols = np.flatnonzero(varies)
+            intercept, w, rss = _tweedie_irls(arm.y, arm.z, arm.rows, np.flatnonzero(used),
+                                              arm.shift[cols], offsets[cols], sds)
             return model(w, link="log", intercept=intercept, rss=rss)
         lam = None if spec.kind == "ridge" else 1.0 if spec.kind == "lasso" else float(spec.mix)
         chosen_gamma, cv_scores = grid[0], None
         if folds is not None:
             chosen_gamma, cv_scores = yield from _cross_validate(folds, grid, lam)
-        [(path, converged)] = yield [(gram, c, (chosen_gamma,), lam)]
+        if lam is None:
+            path, converged = _ridge_path(gram, c, (chosen_gamma,)), (True,)
+        else:
+            [(path, converged)] = yield [(gram, c, (chosen_gamma,), lam)]
         return model(path[0], chosen_gamma=chosen_gamma, cv_scores=cv_scores,
                      flags=flags + (() if converged[0] else ("cd_max_sweeps",)))
 
@@ -522,10 +524,10 @@ def _mean_model(spec: ModelSpec, y: np.ndarray, mean_parts: np.ndarray,
 def _in_lock_step(steps: dict, failures: dict) -> dict:
     """Run the generators of ``_fit``, keyed (spec index, block), and return
     what each returns. Each round advances every generator to its next
-    request, a list of ``(gram, c, gammas, lam)`` chains, then solves the
-    requests of all of them in one ``_paths`` call and sends each its paths.
-    A ``MODEL_FAILURES`` error goes to ``failures`` under its spec, whose
-    other generators then stop."""
+    request, a list of ``(gram, c, gammas, lam)`` chains, then runs the
+    requests of all of them in one ``_coordinate_descent`` call and sends
+    each its paths. A ``MODEL_FAILURES`` error a generator raises goes to
+    ``failures`` under its spec, whose other generators then stop."""
     models = {}
     answers = dict.fromkeys(steps)
     while answers:
@@ -540,7 +542,7 @@ def _in_lock_step(steps: dict, failures: dict) -> dict:
             except MODEL_FAILURES as exc:
                 failures[key[0]] = exc
         chains = [chain for chains in requests.values() for chain in chains]
-        paths = iter(_paths(chains) if chains else ())
+        paths = iter(_coordinate_descent(chains) if chains else ())
         answers = {key: [next(paths) for _ in chains] for key, chains in requests.items()}
     return models
 
@@ -590,15 +592,20 @@ def _folds(arm: _Reduction, seed: int) -> list[tuple]:
 def _cross_validate(folds: _FoldSet, grid: tuple[float, ...], lam: float | None):
     """``fit``'s cross-validation on a fold set, as a generator that yields
     one chain per scored fold, its gamma path large to small, and is sent
-    their paths. A gamma's SSE on fold i is |R_i a|^2 for a = (intercept
+    their paths; ridge (``lam`` None) solves its folds' paths itself and
+    yields nothing. A gamma's SSE on fold i is |R_i a|^2 for a = (intercept
     offset, -slopes, 1). Returns the gamma of highest mean out-of-fold R^2
     (a constant target scores 0; ties go to the larger gamma) and the
     per-gamma mean scores."""
     order = np.argsort(grid)[::-1]  # large-to-small for warm starts and tie-breaks
     gammas = [grid[idx] for idx in order]
-    paths = yield [(gram, c, gammas, lam) for gram, c, _ in folds.training]
+    if lam is None:
+        paths = [_ridge_path(gram, c, gammas) for gram, c, _ in folds.training]
+    else:
+        paths = [path for path, _ in (yield [(gram, c, gammas, lam)
+                                             for gram, c, _ in folds.training])]
     scores = np.zeros(len(grid))
-    for (_, _, (r_te, ss_tot, keep, offsets, sds)), (path, _) in zip(folds.training, paths):
+    for (_, _, (r_te, ss_tot, keep, offsets, sds)), path in zip(folds.training, paths):
         v = np.empty((len(grid), sds.shape[0]))
         v[order] = path / sds
         a = np.zeros((r_te.shape[1], len(grid)))
@@ -733,31 +740,19 @@ def _resolve_columns(spec: ModelSpec, k: int, pre_period_col: int | None) -> np.
     return allowed
 
 
-def _paths(chains: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The coefficients of each ``(gram, c, gammas, lam)`` chain at its gammas
-    in order, each warm-started from the last and the first from zero, and
-    whether the solver converged at each. ``lam`` is the chain's l1 share of
-    the penalty, or None for ridge, which is solved in closed form; every
-    other chain goes to one ``_coordinate_descent`` call."""
-    out = [None] * len(chains)
-    descent = []
-    for i, (gram, c, gammas, lam) in enumerate(chains):
-        if lam is None:  # (G + gamma I) w = c, every gamma in one stacked solve
-            lhs = gram + np.asarray(gammas)[:, None, None] * np.eye(len(c))
-            rhs = np.broadcast_to(c, (len(gammas), len(c)))[:, :, None]
-            out[i] = np.linalg.solve(lhs, rhs)[:, :, 0], np.ones(len(gammas), dtype=bool)
-        else:
-            descent.append(i)
-    if descent:
-        for i, path in zip(descent, _coordinate_descent([chains[i] for i in descent])):
-            out[i] = path
-    return out
+def _ridge_path(gram: np.ndarray, c: np.ndarray, gammas) -> np.ndarray:
+    """Ridge's coefficients at each gamma, (G + gamma I) w = c, in one stacked solve."""
+    lhs = gram + np.asarray(gammas)[:, None, None] * np.eye(len(c))
+    rhs = np.broadcast_to(c, (len(gammas), len(c)))[:, :, None]
+    return np.linalg.solve(lhs, rhs)[:, :, 0]
 
 
 def _coordinate_descent(chains: list[tuple]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Cyclic coordinate descent for the elastic-net objective, covariance
     form, on many ``(gram, c, gammas, lam)`` gamma paths in lock step, each
-    with its own l1 share ``lam``; returns ``_paths``' result.
+    with its own l1 share ``lam``; returns, per chain, its coefficients at its
+    gammas in order, each warm-started from the last and the first from
+    zero, and whether the descent converged at each.
 
     Each chain works on the moments G = S'S/m and c = S'q/m (Friedman, Hastie
     & Tibshirani 2010, "covariance updates"): the partial residual
@@ -876,59 +871,62 @@ def _coordinate_descent(chains: list[tuple]) -> list[tuple[np.ndarray, np.ndarra
     return out
 
 
-def _tweedie_deviance(y_term, y: np.ndarray, mu: np.ndarray, mu_power, p: float) -> float:
-    """Total Tweedie deviance for power p in (1, 2); handles y = 0. The IRLS makes
-    ``y_term`` = y^(2-p)/((1-p)(2-p)) once, and ``mu_power`` = mu^(2-p) its weights."""
-    term = y_term - y * np.power(mu, 1.0 - p) / (1.0 - p) + mu_power / (2.0 - p)
-    return float(2.0 * term.sum())
-
-
-def _tweedie_irls(design, y: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Iteratively reweighted least squares for the log-link Tweedie GLM on the
-    design [1, zs], whose rows ``design(span)`` gives per row block: (intercept,
-    slopes, RSS of the final means). Each step solves on the R of [sw * design,
-    sw * working] with lstsq's rank cutoff for all the rows, so a rank-deficient
-    design keeps its minimum-norm answer. One pass over the row blocks builds
-    each block's design once: it takes step i's linear predictor, and from its
-    means the block's triangle for step i + 1, which goes unused once step i
-    has converged."""
+def _tweedie_irls(y: np.ndarray, z: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                  shift: np.ndarray, offsets: np.ndarray, sds: np.ndarray,
+                  ) -> tuple[float, np.ndarray, float]:
+    """Iteratively reweighted least squares for the log-link Tweedie GLM of the
+    outcomes y on the table rows ``rows`` of z, read at columns ``cols``
+    standardized as (z - shift - offsets) / sds: (intercept, slopes, RSS of
+    the final means). Each step solves on the R of [sw * [1, zs], sw * working]
+    with lstsq's rank cutoff for all the rows, so a rank-deficient design keeps
+    its minimum-norm answer. Only row blocks are held: one pass per step
+    gathers each block into one matrix [1, zs, y], takes the block's linear
+    predictor, means, deviance and squared residuals from it, overwrites its
+    outcome column with the working response, scales it by sw in place and
+    QR-reduces it. The last pass's triangles go unused, but its deviance is
+    the one the convergence test needs."""
     y_bar = float(y.mean())
     if y_bar <= 0:
         raise ValidationError("tweedie with log link needs a positive mean outcome")
     spans = _spans(y.shape[0])
     p = _TWEEDIE_POWER
-    y_term = np.power(y, 2.0 - p) / ((1.0 - p) * (2.0 - p))
-    mu = (y + y_bar) / 2.0
-    eta = np.log(mu)
-    weights = np.power(mu, 2.0 - p)  # (dmu/deta)^2 / V(mu) at log link
-    dev = _tweedie_deviance(y_term, y, mu, weights, p)
+    shift = np.append(shift, 0.0)  # the outcome column holds y itself
+    # the deviance's part in y alone: sum y^(2-p) / ((1-p)(2-p))
+    y_part = sum(float(np.sum(np.power(y[span], 2.0 - p))) for span in spans)
+    y_part /= (1.0 - p) * (2.0 - p)
 
     def step(beta):
-        """R of the next weighted least squares [sw * design, sw * working],
-        after eta, mu and the weights are set from ``beta``, if given."""
-        triangles = []
+        """(R of the next weighted least squares, deviance, RSS) at the means
+        of ``beta``, or at the starting means (y + mean y)/2 if None."""
+        triangles, dev, rss = [], y_part, 0.0
         for span in spans:
-            x = design(span)
-            if beta is not None:
-                eta[span] = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
-                mu[span] = np.exp(eta[span])
-                weights[span] = np.power(mu[span], 2.0 - p)
-            sw = np.sqrt(weights[span])
-            wx = np.empty((x.shape[0], x.shape[1] + 1), order="F")
-            np.multiply(x, sw[:, None], out=wx[:, :-1])
-            np.multiply(eta[span] + (y[span] - mu[span]) / mu[span], sw, out=wx[:, -1])
-            triangles.append(np.linalg.qr(wx, mode="r"))
-        return _stacked(triangles)
+            yb = y[span]
+            x = _shifted_block(_take(z, rows[span]), yb, cols, shift)
+            x[:, 1:-1] -= offsets
+            x[:, 1:-1] /= sds
+            if beta is None:
+                mu = (yb + y_bar) / 2.0
+                eta = np.log(mu)
+            else:
+                eta = np.clip(x[:, :-1] @ beta, -_ETA_CLIP, _ETA_CLIP)
+                mu = np.exp(eta)
+            weights = np.power(mu, 2.0 - p)  # (dmu/deta)^2 / V(mu) at log link
+            dev += float(np.sum(weights / (2.0 - p) - yb * np.power(mu, 1.0 - p) / (1.0 - p)))
+            rss += float(np.sum((yb - mu) ** 2))
+            x[:, -1] = eta + (yb - mu) / mu
+            x *= np.sqrt(weights)[:, None]
+            triangles.append(np.linalg.qr(x, mode="r"))
+            del x  # so that the next block is gathered with this one freed
+        return _stacked(triangles), 2.0 * dev, rss
 
-    r = step(None)
+    r, dev, _ = step(None)
     for _ in range(IRLS_MAX_ITER):
         k = r.shape[1] - 1
         beta, *_ = np.linalg.lstsq(r[:, :k], r[:, k],
                                    rcond=np.finfo(np.float64).eps * max(y.shape[0], k))
-        r = step(beta)
-        new_dev = _tweedie_deviance(y_term, y, mu, weights, p)
+        r, new_dev, rss = step(beta)
         if abs(new_dev - dev) <= IRLS_TOL * max(1.0, abs(dev)):
-            return float(beta[0]), beta[1:], float(np.sum((y - mu) ** 2))
+            return float(beta[0]), beta[1:], rss
         dev = new_dev
     raise ConvergenceError(
         f"tweedie IRLS did not converge in {IRLS_MAX_ITER} iterations",

@@ -317,6 +317,36 @@ def rowspace_linear_fit(y, z, kind, n_components=None):
     return w, flags + (("pcr_rank_clamped",) if clamped else ()), r
 
 
+# --- tweedie on the raw rows -------------------------------------------------
+
+def tweedie_irls(y, z, power=1.5, tol=1e-10, max_iter=100):
+    """The log-link Tweedie GLM by plain IRLS on the raw rows [1, z]:
+    (intercept, slopes, RSS of the final means). It starts from the means
+    (y + mean(y))/2; each step is the lstsq of the sqrt(w)-weighted rows on
+    the weighted working response, w = mu^(2 - power); it stops at the first
+    step whose deviance moves by at most tol * max(1, |previous deviance|)."""
+    y = np.asarray(y, float)
+    x = np.column_stack([np.ones(y.shape[0]), np.asarray(z, float)])
+    p = power
+
+    def deviance(mu):
+        return 2.0 * np.sum(y ** (2 - p) / ((1 - p) * (2 - p)) - y * mu ** (1 - p) / (1 - p)
+                            + mu ** (2 - p) / (2 - p))
+
+    mu = (y + y.mean()) / 2.0
+    eta, dev = np.log(mu), deviance(mu)
+    for _ in range(max_iter):
+        sw = np.sqrt(mu ** (2 - p))
+        beta, *_ = np.linalg.lstsq(x * sw[:, None], (eta + (y - mu) / mu) * sw, rcond=None)
+        eta = x @ beta
+        mu = np.exp(eta)
+        new_dev = deviance(mu)
+        if abs(new_dev - dev) <= tol * max(1.0, abs(dev)):
+            return float(beta[0]), beta[1:], float(np.sum((y - mu) ** 2))
+        dev = new_dev
+    raise RuntimeError(f"tweedie IRLS did not converge in {max_iter} iterations")
+
+
 # --- A/A splits on the row path ----------------------------------------------
 
 def per_split_reference(data, arm, models, s_splits, alpha, seed):

@@ -521,6 +521,25 @@ def test_partial_model_failure_does_not_abort(tmp_path):
     assert "non-negative" in doc["failures"][0]["message"]
 
 
+def test_a_tweedie_fit_out_of_iterations_is_recorded_as_failed(tmp_path, monkeypatch):
+    monkeypatch.setattr(regression, "IRLS_MAX_ITER", 1)
+    rng = np.random.default_rng(9)
+    pre = rng.standard_normal(60)
+    kpi = rng.gamma(2.0, np.exp(0.5 + 0.4 * pre) / 2.0)
+    path = tmp_path / "positive.csv"
+    path.write_text("arm,kpi,pre\n" + "".join(
+        f"{i % 2},{k!r},{p!r}\n" for i, (k, p) in enumerate(zip(kpi.tolist(), pre.tolist()))),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli("estimate", "--input", path, *SCHEMA_FLAGS,
+                   "--models", "dim,ols,tweedie", "--out", out, "--seed", "1")
+    assert code == 0
+    doc = read_report(out)
+    assert [e["model_id"] for e in doc["estimates"]] == ["dim", "ols"]
+    assert [(f["model_id"], f["type"]) for f in doc["failures"]] == [
+        ("tweedie", "ConvergenceError")]
+
+
 def test_programming_error_in_a_fit_aborts_estimate(four_row_csv, tmp_path, capsys,
                                                     ols_fit_has_a_bug):
     out = tmp_path / "out"

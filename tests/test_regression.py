@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -652,12 +653,10 @@ def test_coordinates_inside_a_zero_run_enter_where_the_serial_descent_has_them(c
 @settings(max_examples=25)
 @given(batch=cd_batches())
 def test_stacked_ridge_solve_is_the_per_gamma_solve(batch):
-    chains = [(gram, c, gammas, None) for gram, c, gammas, _ in batch[0]]
-    paths = regression._paths(chains)
-    for (gram, c, gammas, _), (path, converged) in zip(chains, paths, strict=True):
+    for gram, c, gammas, _ in batch[0]:
+        path = regression._ridge_path(gram, c, gammas)
         ref_path = [np.linalg.solve(gram + g * np.eye(c.shape[0]), c) for g in gammas]
         assert np.array_equal(path, np.array(ref_path).reshape(len(gammas), c.shape[0]))
-        assert converged.all()
 
 
 @pytest.mark.parametrize("name", ["ridge", "lasso", "elastic_net:0.5", "ols", "tweedie"])
@@ -725,9 +724,57 @@ def test_tweedie_intercept_only_matches_mean():
     assert model.intercept == y.mean()
 
 
-def test_tweedie_convergence_error_carries_deviance():
-    err = ConvergenceError("nope", last_deviance=3.25)
-    assert err.last_deviance == 3.25
+def test_tweedie_convergence_error_carries_deviance(monkeypatch):
+    # one IRLS step from the starting means does not meet the deviance test
+    monkeypatch.setattr(regression, "IRLS_MAX_ITER", 1)
+    rng = np.random.default_rng(26)
+    z = rng.standard_normal((300, 2))
+    y = rng.gamma(2.0, np.exp(0.5 + 0.4 * z[:, 0]) / 2.0)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 iterations") as info:
+        fit(ModelSpec("tweedie"), y, z)
+    assert np.isfinite(info.value.last_deviance) and info.value.last_deviance > 0
+
+
+@pytest.mark.parametrize("block_rows", [64, regression._BLOCK_ROWS])
+@pytest.mark.parametrize("seed", [27, 28, 29])
+def test_tweedie_is_plain_irls_on_the_raw_rows(monkeypatch, block_rows, seed):
+    # the library's IRLS on standardized row blocks against the oracle's on
+    # the raw rows [1, z], with column offsets up to 1e3 and zero outcomes; the
+    # two differ by ~1e-11 (slopes, intercept) and ~3e-13 (RSS) relative
+    monkeypatch.setattr(regression, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(seed)
+    m = 5 * 64 + 23
+    z = rng.standard_normal((m, 3)) * [1.0, 5.0, 0.2] + rng.uniform(-1e3, 1e3, 3)
+    zs = (z - z.mean(axis=0)) / z.std(axis=0)
+    y = rng.gamma(2.0, np.exp(0.4 + zs @ [0.3, -0.2, 0.1]) / 2.0)
+    y[rng.random(m) < 0.3] = 0.0
+    intercept, slopes, rss = oracles.tweedie_irls(y, z)
+    model = fit(ModelSpec("tweedie"), y, z)
+    raw = slopes_in_raw_space(model)
+    np.testing.assert_allclose(raw, slopes, rtol=1e-9)
+    np.testing.assert_allclose(model.intercept - raw @ model.mean_parts.sum(axis=0)[:-1],
+                               intercept, rtol=1e-9)
+    np.testing.assert_allclose(model.rss, rss, rtol=1e-10)
+
+
+def test_a_tweedie_fit_holds_row_blocks_not_rows():
+    # the traced peak of a fit grows by the row indices ``fit`` makes, 8 bytes
+    # a row, and little more: the IRLS holds a few row blocks, and no array
+    # over the arm's rows (8 bytes a row each)
+    def peak(n, k=10):
+        rng = np.random.default_rng(30)
+        z = rng.standard_normal((n, k))
+        y = rng.gamma(2.0, np.exp(0.3 * z[:, 0]) / 2.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit(ModelSpec("tweedie"), y, z)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    small, large = 16 * regression._BLOCK_ROWS, 64 * regression._BLOCK_ROWS
+    assert (peak(large) - peak(small)) / (large - small) <= 24.0
 
 
 # --- spec parsing and validation ---------------------------------------------
