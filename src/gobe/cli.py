@@ -138,7 +138,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--experiments", type=int, default=3,
                    help="number of experiments (default %(default)s)")
     p.add_argument("--day-filters", type=_day_list, default=[],
-                   help="comma-separated analysis days, e.g. 7,28 (default: no filter)")
+                   help="comma-separated analysis days, e.g. 7,28 (default: no filter); with "
+                        "--daily-arrivals 0, units arrive max(1, n-units/28) a day")
     return parser, sub.choices
 
 

@@ -268,7 +268,9 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
     The input is plain comma-separated UTF-8 text whose first line is a
     header naming the columns; fields may be quoted as in ``csv.reader``'s
     default dialect, and columns the schema does not map are ignored. Every
-    data row must have as many fields as the header; each arm needs a row.
+    data row must have as many fields as the header. No arm size or row count
+    is checked here: each command checks the arms it reads, and a header-only
+    file fails in ``ExperimentData`` (``dataset is empty``).
 
     Any unparseable or non-finite cell in a mapped column aborts the load
     with an error naming the offending data row (1-based, header excluded).
@@ -289,7 +291,7 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
     if columns is None:
         columns = _read_rows(path, schema)
     ids, assignment, outcome, covariates, days = columns
-    data = ExperimentData(
+    return ExperimentData(
         unit_ids=ids if ids is not None else np.arange(outcome.shape[0], dtype=np.int64),
         assignment=assignment,
         outcome=outcome,
@@ -297,10 +299,6 @@ def load_csv(path, schema: CsvSchema) -> ExperimentData:
         pre_period_col=schema.pre_period_col,
         day_index=days,
     )
-    n0, n1 = data.arm_sizes()
-    if n0 == 0 or n1 == 0:
-        raise ValidationError(f"both arms must be non-empty (sizes: control={n0}, treatment={n1})")
-    return data
 
 
 # Bytes read per step by ``_line_blocks``.
@@ -326,12 +324,13 @@ def _read_columns_fast(path, schema: CsvSchema):
     Returns what ``_read_rows`` returns, value for value, for every file it
     accepts. It declines a file with a line ``_plain_lines`` rejects (a blank
     one included), an empty header line or one that does not resolve the
-    schema's columns, fewer than two data rows, a number numpy does not read
-    (``1_000``, non-ASCII digits), or a value the row parser rejects:
-    non-finite numbers, an assignment other than 0/1, or a day that is not
-    an integer >= 1 (days from 2**53 up are declined too). It also declines
-    a file whose lines changed in number since they were counted, and a
-    block on which numpy warns (a block emptied since then).
+    schema's columns, a number numpy does not read (``1_000``, non-ASCII
+    digits), or a value the row parser rejects: non-finite numbers, an
+    assignment other than 0/1, or a day that is not an integer >= 1 (days
+    from 2**53 up are declined too). It also declines a file whose lines
+    changed in number since they were counted, and a block on which numpy
+    warns (a block emptied since then). It has no row-count or arm rule: a
+    header-only file gives empty columns, which ``ExperimentData`` rejects.
 
     The file is opened once. A call under the schema of the last accepted
     parse, on a file of its size, first hashes the file in one pass over
@@ -381,8 +380,6 @@ def _read_columns_fast(path, schema: CsvSchema):
                 ids.append(np.array([line.split(",")[col[schema.unit_id]] for line in
                                      block.decode("utf-8").replace("\r", "").split("\n")[:-1]]))
         n_rows = sum(counts)
-        if n_rows < 2:
-            return None
         ids = np.concatenate(ids) if ids else None
         numeric = [schema.assignment, schema.outcome, *schema.covariates]
         if schema.day is not None:
@@ -485,13 +482,10 @@ def _read_rows(path, schema: CsvSchema):
                     ids.append(row[col[schema.unit_id]])
         except csv.Error as exc:  # raised by the reader, before the row is parsed
             raise ParseError(f"row {len(outcome) + 1}: {exc}") from None
-    n = len(outcome)
-    if n < 2:
-        raise ValidationError(f"{path}: experiment needs at least 2 data rows, got {n}")
     return (np.array(ids) if ids else None,
             np.array(assignment, dtype=np.int8),
             np.array(outcome),
-            np.array(cov_rows),
+            np.array(cov_rows).reshape(len(outcome), len(schema.covariates)),
             np.array(days, dtype=np.int64) if days else None)
 
 

@@ -93,6 +93,7 @@ class ModelSpec:
     model to a subset of covariates; the string ``"pre"`` resolves to the
     dataset's pre-period column at fit time. Without ``n_components``,
     ``pcr`` keeps the leading components that explain 90% of the variance.
+    A setting its kind does not read is rejected; a ``two_step``'s base holds its ``columns``.
     Penalized kinds cross-validate over 5 folds; ``tweedie`` has variance
     power 1.5 and a log link.
     """
@@ -107,6 +108,11 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown model kind {self.kind!r}; expected one of {KINDS}")
+        for setting, kinds in (("mix", ("elastic_net",)), ("n_components", ("pcr",)),
+                               ("hyper_grid", _PENALIZED), ("base", ("two_step",)),
+                               ("columns", ("ols", *_PENALIZED, "pcr", "tweedie"))):
+            if getattr(self, setting) is not None and self.kind not in kinds:
+                raise ValidationError(f"{self.kind} does not read {setting}")
         if self.hyper_grid is not None:
             grid = tuple(float(g) for g in self.hyper_grid)
             if not grid or any(g <= 0 for g in grid):
@@ -124,8 +130,6 @@ class ModelSpec:
                 raise ValidationError("two_step requires a base spec")
             if self.base.kind == "two_step":
                 raise ValidationError("two_step cannot be nested")
-        elif self.base is not None:
-            raise ValidationError("base is only meaningful for two_step")
         if isinstance(self.columns, str):
             if self.columns != "pre":
                 raise ValidationError(f"column subset must be indices or 'pre', got {self.columns!r}")

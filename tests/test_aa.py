@@ -209,6 +209,18 @@ def test_bucket_metrics_two_point_hand_computation():
     assert metrics.excess_frac[0, 0] == 0.0
 
 
+def test_a_bucket_in_which_every_split_of_a_model_failed_scores_nan():
+    run = make_run([0.1, 0.2, 0.3, 0.4], [1.0, -1.0, 2.0, -2.0])
+    failed = run.failed.copy()
+    failed[2:, 1] = True  # ols failed on both splits of the upper bucket
+    metrics = bucket_metrics(replace(run, failed=failed, kappa=2))
+    for name in ("mse", "median_dist", "excess_frac", "coverage", "r_mse", "r_median_dist",
+                 "r_excess_frac"):
+        assert np.isnan(getattr(metrics, name)[1, 1]), name
+    assert np.isfinite(metrics.mse[:, 0]).all()  # dim did not fail
+    assert (metrics.mse[0, 1], metrics.r_mse[0, 1]) == (1.0, 0.0)
+
+
 def test_buckets_partition_splits_with_stable_ties():
     run = synthetic_run(s=103, kappa=5)
     metrics = bucket_metrics(run)

@@ -385,6 +385,17 @@ def test_a_batch_records_an_experiment_that_draws_an_empty_arm(tmp_path):
         "message": "need >= 2 units per arm for the error estimate (sizes: 20, 0)"}
 
 
+def test_batch_day_filters_without_daily_arrivals_draw_n_units_over_28_a_day(tmp_path):
+    out = tmp_path / "batch"
+    flags = ["--experiments", "1", "--n-units", "280", "--daily-arrivals", "0"]
+    assert run_cli("batch", *flags, "--day-filters", "7", "--models", "dim", "--out", out) == 0
+    config = cli._synthetic_config(build_parser().parse_args(["batch", *flags]))
+    drawn = dataset.generate(replace(config, daily_arrivals=10.0, seed=child_seed(0, 0)))
+    doc = read_report_file(out / "reports" / "exp000_day7.json")
+    assert doc["input"]["day_filter"] == 7
+    assert doc["input"]["n_units"] == dataset.filter_by_day(drawn, 7).n_units < 280
+
+
 def test_batch_fails_with_the_first_error_when_no_subset_is_left(tmp_path):
     out = tmp_path / "batch"
     assert run_cli("batch", "--experiments", "2", "--n-units", "60", "--daily-arrivals", "2",
@@ -446,6 +457,53 @@ def test_day_beyond_int64_writes_a_validation_error(tmp_path):
     error = json.loads((out / "error.json").read_text())["error"]
     assert error["type"] == "ValidationError"
     assert error["message"].startswith("row 4, column 'day'")
+
+
+def test_a_missing_schema_role_writes_a_schema_error(four_row_csv, tmp_path):
+    out = tmp_path / "out"
+    code = run_cli("estimate", "--input", four_row_csv, *SCHEMA_FLAGS[:-2], "--out", out)
+    assert code == 1
+    assert json.loads((out / "error.json").read_text())["error"] == {
+        "type": "SchemaError", "message": "schema is missing the 'pre_period' column mapping"}
+
+
+def one_arm_csv(path, quoted):
+    """Twelve arm-0 units on days 1-3; ``quoted`` adds an unmapped quoted
+    field, which leaves the file to the row parser."""
+    rows = [f"0,{i * 0.5},{i % 5},{1 + i % 3}" + (',"a, b"' if quoted else "") for i in range(12)]
+    path.write_text("\n".join(["arm,kpi,pre,day" + (",note" if quoted else ""), *rows]) + "\n",
+                    encoding="utf-8")
+    schema = dataset.CsvSchema(assignment="arm", outcome="kpi", covariates=("pre",),
+                               pre_period="pre", day="day")
+    assert (dataset._read_columns_fast(path, schema) is None) == quoted
+    return path
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["fast_reader", "row_parser"])
+def test_aa_audits_a_one_arm_table(tmp_path, quoted):
+    path = one_arm_csv(tmp_path / "one_arm.csv", quoted)
+    flags = ["--input", path, *SCHEMA_FLAGS, "--day-col", "day", "--s-splits", "8"]
+    out = tmp_path / "aa"
+    assert run_cli("aa", *flags, "--out", out) == 0
+    assert read_report(out)["n_units"] == 12
+    assert len((out / "aa_splits.csv").read_text().splitlines()) == 1 + 8 * 2
+    assert run_cli("aa", *flags, "--arm", "1", "--out", tmp_path / "arm1") == 1
+    assert json.loads((tmp_path / "arm1" / "error.json").read_text())["error"] == {
+        "type": "ValidationError", "message": "arm 1 is empty"}
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["fast_reader", "row_parser"])
+@pytest.mark.parametrize("command", [["estimate"], ["stress", "--folds", "1", "--draws", "2"],
+                                     ["power", "--day", "3", "--delta", "0.1"]])
+def test_a_command_that_reads_both_arms_fails_on_a_one_arm_table(tmp_path, quoted, command):
+    path = one_arm_csv(tmp_path / "one_arm.csv", quoted)
+    out = tmp_path / "out"
+    assert run_cli(*command, "--input", path, *SCHEMA_FLAGS, "--day-col", "day",
+                   "--out", out) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == {
+        "type": "ValidationError",
+        "message": "need >= 2 units per arm for the error estimate (sizes: 12, 0)"}
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("role", [["--day-col", "kpi"], ["--unit-id-col", "arm"]])

@@ -66,12 +66,11 @@ def test_assignment_value_two_names_row(tmp_path):
         load_csv(path, SCHEMA)
 
 
-def test_single_arm_rejected(tmp_path):
+def test_single_arm_loads(tmp_path):
     path = write_lines(tmp_path / "one_arm.csv", [
         "arm,kpi,pre,extra", "0,1,0,0", "0,2,0,0",
     ])
-    with pytest.raises(ValidationError, match="non-empty"):
-        load_csv(path, SCHEMA)
+    assert load_csv(path, SCHEMA).arm_sizes() == (2, 0)
 
 
 def test_unparseable_cell_names_row(tmp_path):
@@ -94,6 +93,11 @@ def test_missing_column_is_schema_error(tmp_path):
     path = write_lines(tmp_path / "cols.csv", ["arm,kpi,pre", "0,1,0", "1,1,0"])
     with pytest.raises(SchemaError, match="extra"):
         load_csv(path, SCHEMA)
+
+
+def test_schema_needs_a_covariate():
+    with pytest.raises(SchemaError, match="at least one covariate"):
+        CsvSchema(assignment="a", outcome="y", covariates=(), pre_period="z")
 
 
 def test_pre_period_must_be_covariate():
@@ -298,10 +302,10 @@ MALFORMED_CORPUS = {
                          ValidationError),
     "empty_file": ("", SCHEMA, SchemaError),
     "header_only": (_HEAD, SCHEMA, ValidationError),
-    "one_data_row": (_HEAD + "0,1.5,0.2,1.0\n", SCHEMA, ValidationError),
+    "one_data_row": (_HEAD + "0,1.5,0.2,1.0\n", SCHEMA, None),
     "one_data_row_day_beyond_int64": (_DAY_HEAD + "0,1.5,0.2,1.0,1e19\n", SCHEMA_DAY,
                                       ValidationError),
-    "single_arm": (_HEAD + "0,1.5,0.2,1.0\n0,2.5,0.1,2.0\n", SCHEMA, ValidationError),
+    "single_arm": (_HEAD + "0,1.5,0.2,1.0\n0,2.5,0.1,2.0\n", SCHEMA, None),
     "missing_column": ("arm,kpi,pre\n0,1.5,0.2\n1,2.5,0.1\n", SCHEMA, SchemaError),
     "duplicate_column": ("arm,kpi,pre,extra,kpi\n0,1.5,0.2,1.0,1\n1,2.5,0.1,2.0,2\n",
                          SCHEMA, SchemaError),
@@ -365,6 +369,17 @@ def test_malformed_file_in_small_chunks(tmp_path, name, chunk):
     with mock.patch.object(dataset, "_CHUNK_BYTES", chunk):
         assert _fast_path_outcome(path, schema) == whole
         check_fails_as_the_row_parser_does(path, schema, row_parser_error)
+
+
+@pytest.mark.parametrize("load", [load_csv, load_by_row_parser])
+def test_each_parser_loads_one_row_and_fails_a_header_only_file(tmp_path, load):
+    one_row = write_lines(tmp_path / "one_row.csv", ["arm,kpi,pre,extra", "1,1.5,0.2,1.0"])
+    assert dataset._read_columns_fast(one_row, SCHEMA) is not None  # load_csv reads it so
+    data = load(one_row, SCHEMA)
+    assert (data.n_units, data.arm_sizes()) == (1, (0, 1))
+    np.testing.assert_array_equal(data.covariates, [[0.2, 1.0]])
+    with pytest.raises(ValidationError, match="^dataset is empty$"):
+        load(write_lines(tmp_path / "header_only.csv", ["arm,kpi,pre,extra"]), SCHEMA)
 
 
 def check_fails_as_the_row_parser_does(path, schema, row_parser_error):

@@ -805,6 +805,13 @@ def test_parse_rejects_bad_names(bad):
     dict(kind="pcr", n_components=0),
     dict(kind="two_step"),
     dict(kind="dim", base=None, columns=(0, 0)),
+    dict(kind="ols", columns=(0, 0)),
+    # a setting the kind does not read
+    dict(kind="lasso", mix=0.3),
+    dict(kind="ols", hyper_grid=(1.0,)),
+    dict(kind="ridge", n_components=2),
+    dict(kind="dim", columns=(0,)),
+    dict(kind="two_step", base=ModelSpec("ols"), columns=(0,)),
 ])
 def test_modelspec_validation(kwargs):
     with pytest.raises(ValidationError):

@@ -129,6 +129,21 @@ def test_validate_report_raises_what_jsonschema_validate_raises(doc):
     assert str(ours.value) == f"report of kind {kind!r} does not match schemas/report.schema.json"
 
 
+def test_an_extra_key_fails_where_the_schema_sets_additional_properties_false(monkeypatch):
+    """The shipped schema has no ``additionalProperties: false``, so a copy
+    sets it on each estimate: the checker's boolean schema then rejects an
+    extra key, as jsonschema does, and accepts the real report."""
+    closed = copy.deepcopy(report._SCHEMA)
+    closed["$defs"]["ate_estimate"]["additionalProperties"] = False
+    monkeypatch.setattr(report, "_SCHEMA", closed)
+    report.validate_report(REPORTS["estimate"])
+    doc = _edited("estimate", ("estimates", 0, "note"), "extra")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, closed)
+    with pytest.raises(ValidationError, match="report of kind 'estimate' does not match"):
+        report.validate_report(doc)
+
+
 def _nodes(value, path=()):
     """(path, value) of every node of a JSON document, the root first."""
     yield path, value
